@@ -16,7 +16,8 @@ Logistic integrands are smooth and use the Gauss-Hermite rules supplied by
 the caller. Hinge integrands have kinks at the proximal branch boundaries;
 those expectations use composite Gauss-Legendre panels split exactly at the
 knots (Gauss-Hermite stalls near 1e-4 on kinked integrands regardless of
-order).
+order). The hinge pair expectation reduces to such a 1D panel integral over
+s = omega + omega' of an inner integral given s that is analytic.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, expit
 
 from .errors import ConfigError, ConvergenceError, DomainError
 from .quadrature import QuadratureSet, expect_2d_correlated
@@ -138,24 +139,40 @@ def prox_logistic(y: float, omega, v: float, tol: float = 1e-12, max_iter: int =
     increasing in h so the bracket always contains the unique root. The
     tolerance is scaled by the bracket magnitude, the best float64 can do
     when v or omega are large (small-ridge fixed points reach v ~ 1e3).
+    Each element is frozen, after one last Newton step, as soon as its own
+    residual meets the tolerance; only the elements still above it take
+    further steps.
     """
     if not v > 0:
         raise DomainError(f"v must be positive, got {v}")
     omega = np.asarray(omega, dtype=float)
-    lo = np.minimum(omega, omega + y * v)
-    hi = np.maximum(omega, omega + y * v)
+    w = omega.reshape(-1)
+    lo = np.minimum(w, w + y * v)
+    hi = np.maximum(w, w + y * v)
     tol_eff = tol * max(1.0, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
-    h = omega + y * v * _sigmoid(-y * omega)  # first fixed-point step, strictly inside the bracket
-    dx_old = hi - lo
+    h_out = w + y * v * expit(-y * w)  # first fixed-point step, strictly inside the bracket
+    # the active set: flat indices still iterating, with their own copies of
+    # the state so each pass touches only those elements
+    idx = np.arange(w.size)
+    h, dx_old = h_out, hi - lo
     converged = False
     for _ in range(max_iter):
-        g = h - omega - y * v * _sigmoid(-y * h)
-        if np.max(np.abs(g)) < tol_eff:
+        s = expit(-y * h)
+        g = h - w - y * v * s
+        done = np.abs(g) < tol_eff
+        if done.any():
+            # a Newton step from within the tolerance lands at float64
+            # resolution, so frozen elements carry no tolerance-sized error
+            # into the channel sums (the small-ridge solver amplifies it)
+            h_out[idx[done]] = h[done] - g[done] / (1.0 + v * s[done] * (1.0 - s[done]))
+            keep = ~done
+            idx, h, w, g, s, lo, hi, dx_old = (a[keep] for a in (idx, h, w, g, s, lo, hi, dx_old))
+        if idx.size == 0:
             converged = True
             break
         lo = np.where(g < 0, h, lo)
         hi = np.where(g < 0, hi, h)
-        gp = 1.0 + v / (4.0 * np.cosh(np.clip(y * h / 2.0, -_COSH_CLIP, _COSH_CLIP)) ** 2)
+        gp = 1.0 + v * s * (1.0 - s)
         h_newton = h - g / gp
         # bisect whenever Newton would leave the bracket or beat less than a
         # halving (large v makes g nearly flat away from the origin, where
@@ -166,18 +183,10 @@ def prox_logistic(y: float, omega, v: float, tol: float = 1e-12, max_iter: int =
         h = np.where(bisect, 0.5 * (lo + hi), h_newton)
     if not converged:
         raise ConvergenceError(f"logistic proximal did not reach {tol} in {max_iter} iterations")
+    h = h_out.reshape(omega.shape)
     f = (h - omega) / v
     df = -1.0 / (v + 4.0 * np.cosh(np.clip(y * h / 2.0, -_COSH_CLIP, _COSH_CLIP)) ** 2)
     return ProxResult(h=h, f=f, df_domega=df)
-
-
-def _sigmoid(x):
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def prox_hinge(y: float, omega, v: float) -> ProxResult:
@@ -239,21 +248,6 @@ def _expect_kinked_1d(g, q0: float, knots: Sequence[float]) -> float:
     return float(np.sum(w * pdf * g(x)))
 
 
-def _expect_kinked_2d(g, q0: float, q1: float, knots: Sequence[float]) -> float:
-    """E[g(W,W')] over the correlated pair, panels split at knots per axis."""
-    if abs(q1) >= q0 * (1 - 1e-12):
-        sign = 1.0 if q1 > 0 else -1.0
-        return _expect_kinked_1d(lambda x: g(x, sign * x), q0, knots)
-    sd = np.sqrt(q0)
-    x, wx = _kink_grid_1d(sd, knots)
-    det = q0 * q0 - q1 * q1
-    xs = x[:, None]
-    ys = x[None, :]
-    pdf = np.exp(-(q0 * xs**2 - 2.0 * q1 * xs * ys + q0 * ys**2) / (2.0 * det)) / (2.0 * np.pi * np.sqrt(det))
-    vals = g(xs + np.zeros_like(ys), ys + np.zeros_like(xs))
-    return float(np.einsum("i,j,ij->", wx, wx, pdf * vals))
-
-
 def _teacher_variances(params: OrderParams, rho: float) -> tuple[float, float]:
     s0 = rho - params.m**2 / params.q0
     s_pair = rho - 2.0 * params.m**2 / (params.q0 + params.q1)
@@ -304,21 +298,23 @@ def channel_update(
     q0h = 2.0 * alpha * float(wt @ (z0 * pr.f**2))
     mh = 2.0 * (alpha / np.sqrt(gamma)) * float(wt @ (dz0 * pr.f))
 
-    def pair_integrand(wa, wb):
-        fa = _prox(spec.loss, 1.0, wa, v).f
-        fb = _prox(spec.loss, 1.0, wb, v).f
-        return teacher_z0(1.0, m * (wa + wb) / (q0 + q1), s_pair) * fa * fb
-
-    if spec.loss == "logistic":
-        if q1 >= q0 * (1 - 1e-12):
-            # perfectly correlated pair: same integrand as q0_hat, and it must
-            # ride the same nodes or a spurious q0_hat - q1_hat gap at the
-            # quadrature-difference level stalls the kernel-limit solver
-            q1h = 2.0 * alpha * float(wt @ pair_integrand(w, w))
-        else:
-            q1h = 2.0 * alpha * expect_2d_correlated(pair_integrand, q0, q1, rules.rule_2d)
+    if spec.loss == "hinge":
+        q1h = 2.0 * alpha * _hinge_pair_expectation(m, q0, q1, v, s_pair)
+    elif q1 >= q0 * (1 - 1e-12):
+        # perfectly correlated pair: same integrand as q0_hat, and it must
+        # ride the same nodes or a spurious q0_hat - q1_hat gap at the
+        # quadrature-difference level stalls the kernel-limit solver
+        q1h = 2.0 * alpha * float(wt @ (teacher_z0(1.0, m * (w + w) / (q0 + q1), s_pair) * pr.f**2))
     else:
-        q1h = 2.0 * alpha * _expect_kinked_2d(pair_integrand, q0, q1, hinge_knots(1.0, v))
+
+        def pair_integrand(wa, wb):
+            # wa is the (n, 1) column of row nodes, so f(W) takes one
+            # proximal solve per row; wb is the full (n, n) grid
+            fa = prox_logistic(1.0, wa, v).f
+            fb = prox_logistic(1.0, wb, v).f
+            return teacher_z0(1.0, m * (wa + wb) / (q0 + q1), s_pair) * fa * fb
+
+        q1h = 2.0 * alpha * expect_2d_correlated(pair_integrand, q0, q1, rules.rule_2d)
     return ConjugateParams(m_hat=mh, q0_hat=q0h, q1_hat=q1h, v_hat=vh)
 
 
@@ -357,7 +353,9 @@ def _hinge_pair_inner(s: np.ndarray, q0: float, q1: float, v: float) -> np.ndarr
 
     The product of the two piecewise-linear factors is quadratic between the
     breakpoints {s-1, s-1+v, 1-v, 1}, so each cell reduces to truncated
-    Gaussian moments.
+    Gaussian moments. Outside [s-1, 1] one factor vanishes; the clipped and
+    sorted breakpoints split that interval into three cells per s-node (some
+    of zero width, which contribute nothing).
     """
     s = np.asarray(s, dtype=float)
     var = 0.5 * (q0 - q1)
@@ -365,40 +363,42 @@ def _hinge_pair_inner(s: np.ndarray, q0: float, q1: float, v: float) -> np.ndarr
         half = 0.5 * s
         fa = prox_hinge(1.0, half, v).f
         return fa * fa
-    out = np.zeros_like(s)
-    for sv in np.ndindex(s.shape):
-        si = s[sv]
-        lo_all, hi_all = si - 1.0, 1.0
-        if hi_all <= lo_all:
-            continue
-        cuts = np.array(sorted({si - 1.0, si - 1.0 + v, 1.0 - v, 1.0}))
-        edges = np.unique(np.clip(np.concatenate(([lo_all], cuts, [hi_all])), lo_all, hi_all))
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            if b - a <= 0:
-                continue
-            mid = 0.5 * (a + b)
-            # factor f(+1) at omega=mid: constants or (1-omega)/v
-            if mid < 1.0 - v:
-                c_f = (1.0, 0.0)
-            elif mid <= 1.0:
-                c_f = (1.0 / v, -1.0 / v)
-            else:
-                continue
-            # factor f(+1) at omega' = s - omega
-            if mid > si - 1.0 + v:
-                c_g = (1.0, 0.0)
-            elif mid >= si - 1.0:
-                c_g = ((1.0 - si) / v, 1.0 / v)
-            else:
-                continue
-            c0 = c_f[0] * c_g[0]
-            c1 = c_f[0] * c_g[1] + c_f[1] * c_g[0]
-            c2 = c_f[1] * c_g[1]
-            m0, m1, m2 = _trunc_moments(0.5 * si, var, np.array(a), np.array(b))
-            total += c0 * m0 + c1 * m1 + c2 * m2
-        out[sv] = total
-    return out
+    lo_all = s - 1.0
+    cuts = np.stack([lo_all, lo_all + v, np.full_like(s, 1.0 - v), np.ones_like(s)], axis=-1)
+    edges = np.sort(np.clip(cuts, lo_all[..., None], 1.0), axis=-1)
+    a, b = edges[..., :-1], edges[..., 1:]
+    mid = 0.5 * (a + b)
+    # factor f(+1) at omega=mid: 1 below the middle branch, (1-omega)/v on it
+    f_low = mid < 1.0 - v
+    f0 = np.where(f_low, 1.0, 1.0 / v)
+    f1 = np.where(f_low, 0.0, -1.0 / v)
+    # factor f(+1) at omega' = s - omega: 1 below, (1 - s + omega)/v on it
+    g_low = mid > (lo_all + v)[..., None]
+    g0 = np.where(g_low, 1.0, ((1.0 - s) / v)[..., None])
+    g1 = np.where(g_low, 0.0, 1.0 / v)
+    m0, m1, m2 = _trunc_moments((0.5 * s)[..., None], var, a, b)
+    cells = f0 * g0 * m0 + (f0 * g1 + f1 * g0) * m1 + f1 * g1 * m2
+    return np.where(s < 2.0, cells.sum(axis=-1), 0.0)
+
+
+def _hinge_pair_expectation(m: float, q0: float, q1: float, v: float, s_pair: float) -> float:
+    """E[Z0(+1, m s/(q0+q1), s_pair) f(W) f(W')], the y=+1 part of q1_hat.
+
+    Outer integral over s = W + W' on panels split at the kinks of the inner
+    integral; the inner integral given s is analytic (_hinge_pair_inner).
+    """
+    var_s = 2.0 * (q0 + q1)
+    sd_s = np.sqrt(var_s)
+    # the inner integral vanishes for s >= 2; past 12 sd the density is nil
+    lo, hi = -12.0 * sd_s, min(2.0, 12.0 * sd_s)
+    cuts = sorted({lo, hi, *[k for k in (2.0 - 2.0 * v, 2.0 - v) if lo < k < hi]})
+    nodes, weights = zip(*(_panel_nodes(a, b, max_width=0.5 * sd_s) for a, b in zip(cuts[:-1], cuts[1:])))
+    s_nodes = np.concatenate(nodes)
+    s_weights = np.concatenate(weights)
+    pdf_s = np.exp(-(s_nodes**2) / (2.0 * var_s)) / np.sqrt(2.0 * np.pi * var_s)
+    z_factor = 0.5 * (1.0 + erf(m * s_nodes / ((q0 + q1) * np.sqrt(2.0 * s_pair))))
+    inner = _hinge_pair_inner(s_nodes, q0, q1, v)
+    return float(np.sum(s_weights * pdf_s * z_factor * inner))
 
 
 def channel_update_hinge_closed_form(params: OrderParams, rho: float, alpha: float) -> ConjugateParams:
@@ -437,22 +437,7 @@ def channel_update_hinge_closed_form(params: OrderParams, rho: float, alpha: flo
     m0, m1, _ = _trunc_moments(0.0, tau2, np.array(1.0 - v), np.array(1.0))
     m_hat = (2.0 * alpha) * (below + (m0 - m1) / v) / np.sqrt(2.0 * np.pi * rho)
 
-    # q1_hat: outer integral over s = W + W', inner integral analytic.
-    var_s = 2.0 * (q0 + q1)
-    sd_s = np.sqrt(var_s)
-    lo, hi = -12.0 * sd_s, 2.0
-    cuts = sorted({lo, hi, *[k for k in (2.0 - 2.0 * v, 2.0 - v) if lo < k < hi]})
-    nodes, weights = [], []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        n_, w_ = _panel_nodes(a, b, max_width=0.5 * sd_s)
-        nodes.append(n_)
-        weights.append(w_)
-    s_nodes = np.concatenate(nodes)
-    s_weights = np.concatenate(weights)
-    pdf_s = np.exp(-(s_nodes**2) / (2.0 * var_s)) / np.sqrt(2.0 * np.pi * var_s)
-    z_factor = 0.5 * (1.0 + erf(m * s_nodes / ((q0 + q1) * np.sqrt(2.0 * s_pair))))
-    inner = _hinge_pair_inner(s_nodes, q0, q1, v)
-    q1_hat = 2.0 * alpha * float(np.sum(s_weights * pdf_s * z_factor * inner))
+    q1_hat = 2.0 * alpha * _hinge_pair_expectation(m, q0, q1, v, s_pair)
     return ConjugateParams(m_hat=m_hat, q0_hat=q0_hat, q1_hat=q1_hat, v_hat=v_hat)
 
 

@@ -47,9 +47,15 @@ EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_SIMULATION = 4
 
+
+def _identity(x):
+    return x
+
+
+# module-level functions only: simulate --jobs pickles them for the workers
 ACTIVATIONS = {
     "erf": erf,
-    "identity": lambda x: x,
+    "identity": _identity,
     "tanh": np.tanh,
 }
 
@@ -331,6 +337,8 @@ def cmd_simulate(args) -> int:
             for row, fp in zip(rows, fps):
                 try:
                     row.update(_simulate_point(problem, sim, axis, row["value"], fp, args.seed, map_fn))
+                    if row["failures"] == trials:
+                        sim_failed = True
                 except RfensembleError as exc:
                     row["sim_status"] = f"failed: {exc}"
                     sim_failed = True

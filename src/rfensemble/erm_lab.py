@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, expit
 
 from .channels import ChannelSpec
 from .errors import ConfigError, ConvergenceError, DomainError, NumericalError
@@ -205,7 +205,7 @@ def train_logistic(
         done_iters = max_iter
         for it in range(max_iter):
             z = preactivation(U, w)
-            s = _stable_sigmoid(-y * z)  # = -d loss / d (y z)
+            s = expit(-y * z)  # = -d loss / d (y z)
             g = -U.T @ (y * s) / sqrt_p + lam * w
             gn = float(np.linalg.norm(g))
             if gn <= tol:
@@ -233,15 +233,6 @@ def train_logistic(
         gns.append(gn)
         its.append(done_iters)
     return np.column_stack(ws), np.array(gns), np.array(its)
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 @dataclass(frozen=True)

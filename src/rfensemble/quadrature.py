@@ -70,18 +70,28 @@ class QuadratureSet:
         return QuadratureSet(gauss_hermite_rule(order_1d), gauss_hermite_rule(order_2d))
 
 
-def _check_finite(values: np.ndarray, nodes: np.ndarray, what: str) -> None:
-    bad = ~np.isfinite(np.atleast_1d(values))
+def _check_finite(values: np.ndarray, what: str, *nodes: np.ndarray) -> None:
+    """Raise NumericalError naming the first node where `values` is not finite.
+
+    Each array in `nodes` holds one coordinate of the nodes and broadcasts
+    against `values`.
+    """
+    values = np.atleast_1d(values)
+    bad = ~np.isfinite(values)
     if bad.any():
-        idx = int(np.argmax(bad.reshape(-1)))
-        node = np.atleast_1d(nodes).reshape(-1)[idx] if np.atleast_1d(nodes).size > idx else None
+        idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        try:
+            coords = [float(np.broadcast_to(x, bad.shape)[idx]) for x in nodes]
+        except ValueError:
+            coords = []
+        node = coords[0] if len(coords) == 1 else tuple(coords) or None
         raise NumericalError(f"{what} evaluated non-finite at node {node}")
 
 
 def expect_1d(g: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> float:
     """E[g(Z)], Z ~ N(0,1). g must accept an array of nodes."""
     vals = np.asarray(g(rule.nodes), dtype=float)
-    _check_finite(vals, rule.nodes, "integrand")
+    _check_finite(vals, "integrand", rule.nodes)
     return float(rule.weights @ vals)
 
 
@@ -97,6 +107,12 @@ def expect_2d_correlated(
     degenerate cases q1 = +/-q0 dispatch to an exact 1D expectation; the
     kernel limit drives q1 -> q0, so this path must not go through a
     near-singular factorization.
+
+    Broadcasting contract: after the transform W depends only on the row
+    node, so g receives W as an (n, 1) column and W' as the full (n, n)
+    grid, and must return values that broadcast to (n, n); an integrand can
+    then evaluate a factor of W alone once per row. In the degenerate cases
+    both arguments are the same-shape (n,) vector of nodes.
     """
     if not q0 > 0:
         raise DomainError(f"q0 must be positive, got {q0}")
@@ -107,13 +123,13 @@ def expect_2d_correlated(
         sign = 1.0 if q1 > 0 else -1.0
         w = s * rule.nodes
         vals = np.asarray(g(w, sign * w), dtype=float)
-        _check_finite(vals, rule.nodes, "integrand")
+        _check_finite(vals, "integrand", w, sign * w)
         return float(rule.weights @ vals)
     z1 = rule.nodes[:, None]
     z2 = rule.nodes[None, :]
-    w = s * z1 + np.zeros_like(z2)
+    w = s * z1
     wp = (q1 / s) * z1 + np.sqrt(q0 - q1 * q1 / q0) * z2
     vals = np.asarray(g(w, wp), dtype=float)
-    _check_finite(vals, w, "integrand")
+    _check_finite(vals, "integrand", w, wp)
     weights = rule.weights[:, None] * rule.weights[None, :]
     return float(np.sum(weights * vals))

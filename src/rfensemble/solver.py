@@ -125,7 +125,9 @@ def _iterate(step, init: OrderParams, rho: float, opts: SolveOptions) -> FixedPo
             return FixedPoint(params, conj, it, residual, False, "interpolation_divergence", projections)
         delta = new_arr - cur_arr
         residual = float(np.max(np.abs(delta)))
-        if residual < opts.tol:
+        # tol below the float64 spacing of the iterate cannot be met: stop
+        # within a few ulps of the largest component instead
+        if residual < max(opts.tol, 4.0 * np.spacing(np.max(np.abs(new_arr)))):
             return FixedPoint(update, conj, it, residual, True, "converged", projections)
         if prev_delta is not None:
             if np.all(np.sign(delta[[1, 3]]) == -np.sign(prev_delta[[1, 3]])) and np.any(delta[[1, 3]] != 0):

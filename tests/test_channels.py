@@ -19,6 +19,9 @@ from rfensemble import (
     teacher_z0,
     training_loss,
 )
+from rfensemble.channels import _hinge_pair_inner
+
+import hinge_oracles
 
 SQUARE = ChannelSpec(loss="square", teacher="linear")
 LOGISTIC = ChannelSpec(loss="logistic", teacher="sign")
@@ -90,7 +93,7 @@ def bisect_logistic_prox(y, omega, v, lo, hi, iters=200):
     """Independent bisection oracle for h = omega + y v sigmoid(-y h)."""
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        g = mid - omega - y * v / (1.0 + math.exp(y * mid))
+        g = mid - omega - y * v / (1.0 + math.exp(min(y * mid, 700.0)))
         if g > 0:
             hi = mid
         else:
@@ -112,6 +115,35 @@ class TestProxLogistic:
     def test_saturated_region(self):
         res = prox_logistic(1.0, np.array([40.0]), 1.0)
         assert res.h[0] == pytest.approx(40.0, abs=1e-10)
+
+    @pytest.mark.parametrize("y", [1.0, -1.0])
+    def test_mixed_grid_at_large_v(self, y):
+        # easy elements (|omega| >> v) converge in a pass or two and are
+        # frozen; hard ones (omega near 0 and near -y v, where the bracket is
+        # v wide) keep iterating; every element must meet the scaled tolerance
+        v = 500.0
+        omega = np.concatenate([
+            [-5e4, -3e3, -2e3, 2e3, 3e3, 5e4],
+            np.linspace(-5.0, 5.0, 41),
+            -y * v + np.linspace(-5.0, 5.0, 41),
+            np.random.default_rng(0).normal(0.0, 9.0, 300),
+        ])
+        res = prox_logistic(y, omega, v)
+        scale = max(1.0, np.max(np.abs(omega)) + v)
+        resid = res.h - omega - y * v / (1.0 + np.exp(np.clip(y * res.h, -700, 700)))
+        assert np.max(np.abs(resid)) <= 1e-10 * scale
+        # frozen elements take one last Newton step, so each sits at float64
+        # resolution rather than anywhere within the tolerance: the
+        # small-ridge solver amplifies tolerance-sized errors past its tol
+        want = np.array([bisect_logistic_prox(y, o, v, min(o, o + y * v), max(o, o + y * v)) for o in omega])
+        assert np.all(np.abs(res.h - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    def test_keeps_input_shape(self):
+        omega = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        res = prox_logistic(1.0, omega, 2.0)
+        assert res.h.shape == res.f.shape == res.df_domega.shape == (3, 4)
+        flat = prox_logistic(1.0, omega.ravel(), 2.0)
+        np.testing.assert_array_equal(res.h.ravel(), flat.h)
 
     def test_residual_on_wide_grid(self):
         rng = np.random.default_rng(1)
@@ -270,6 +302,10 @@ HINGE_POINTS = [
 ]
 
 
+# the hinge fixed point of the theory-margin benchmark (lambda 0.1, p/n = 1)
+HINGE_MARGIN_POINT = OrderParams(m=0.9831587453979157, q0=1.7599095842317802, q1=1.364235700860087, v=1.1591076869174772)
+
+
 class TestHingeClosedForm:
     def test_zero_alpha(self):
         conj = channel_update_hinge_closed_form(HINGE_POINTS[0], 1.0, 0.0)
@@ -291,6 +327,45 @@ class TestHingeClosedForm:
         closed = channel_update_hinge_closed_form(params, rho, alpha)
         generic = channel_update(params, rho, alpha, 1.0, HINGE)
         np.testing.assert_allclose(closed.as_array(), generic.as_array(), atol=1e-6)
+
+    # the last point has q0 so small that both kinks lie beyond 12 sd
+    @pytest.mark.parametrize("params", HINGE_POINTS + [HINGE_MARGIN_POINT, OrderParams(m=5e-5, q0=1e-8, q1=4e-9, v=0.7)])
+    def test_q1_hat_matches_kinked_2d_oracle(self, params):
+        generic = channel_update(params, 1.0, 1.0, 1.0, HINGE)
+        assert generic.q1_hat == pytest.approx(hinge_oracles.hinge_q1_hat(params, 1.0, 1.0), abs=1e-6)
+
+    def test_q1_hat_reference_point_tight(self):
+        generic = channel_update(HINGE_POINTS[0], 1.0, 1.0, 1.0, HINGE)
+        want = hinge_oracles.hinge_q1_hat(HINGE_POINTS[0], 1.0, 1.0)
+        assert generic.q1_hat == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("q0,q1,v", [(1.0, 0.5, 0.7), (0.6, 0.2, 1.5), (1.2, -0.2, 2.2), (2.0, 1.1, 0.4)])
+    def test_pair_inner_matches_loop_reference(self, q0, q1, v):
+        # same cells and arithmetic (zero-width cells add exact zeros)
+        s = np.concatenate([np.linspace(-6.0, 2.5, 397), [2.0 - 2.0 * v, 2.0 - v, 1.0, 2.0]])
+        want = hinge_oracles.hinge_pair_inner_loop(s, q0, q1, v)
+        np.testing.assert_array_equal(_hinge_pair_inner(s, q0, q1, v), want)
+
+    def test_pair_inner_degenerate_correlation(self):
+        # q1 -> q0: W | W+W'=s concentrates at s/2 and the inner integral
+        # tends to f(s/2)^2, continuously across the exact-degenerate branch
+        q0, v = 1.3, 0.9
+        s = np.linspace(-4.0, 1.99, 301)
+        want = prox_hinge(1.0, 0.5 * s, v).f ** 2
+        np.testing.assert_array_equal(_hinge_pair_inner(s, q0, q0, v), want)
+        for gap in (1e-6, 1e-9, 1e-12):
+            near = _hinge_pair_inner(s, q0, q0 * (1.0 - gap), v)
+            sd = np.sqrt(0.5 * q0 * gap)
+            # f^2 is Lipschitz with constant 2/v, so smoothing moves it by O(sd)
+            assert np.max(np.abs(near - want)) <= 2.0 / v * sd
+
+    def test_q1_hat_tends_to_q0_hat(self):
+        params = OrderParams(m=0.4, q0=1.3, q1=1.3, v=0.9)
+        q0_hat = channel_update(params, 1.0, 1.5, 0.8, HINGE).q0_hat
+        for gap in (1e-4, 1e-8, 1e-12):
+            near = OrderParams(m=0.4, q0=1.3, q1=1.3 * (1.0 - gap), v=0.9)
+            conj = channel_update(near, 1.0, 1.5, 0.8, HINGE)
+            assert 0.0 < q0_hat - conj.q1_hat <= 10.0 * gap * q0_hat
 
     def test_reference_point_tight(self):
         closed = channel_update_hinge_closed_form(HINGE_POINTS[0], 1.0, 1.0)

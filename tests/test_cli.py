@@ -1,11 +1,16 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
+from rfensemble import activation_coeffs, gauss_hermite_rule, kernel_ridge_closed_form, kernel_ridge_closed_form_derived
 from rfensemble.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 RIDGE_CFG = {
     "loss": "square",
@@ -151,6 +156,31 @@ class TestSweep:
             assert abs(q0 - q1) / q0 < 1e-8
 
 
+class TestShippedSweeps:
+    def test_kernel_limit_converges_to_closed_form(self, tmp_path):
+        # tol = 1e-11 sits below the float64 spacing of v ~ 1e5 here; the
+        # solver must stop at float64 resolution instead of running to max_iters
+        out = tmp_path / "kernel_limit.csv"
+        assert main(["sweep", "--config", str(ROOT / "configs" / "kernel_limit.json"), "--out", str(out)]) == 0
+        coeffs = activation_coeffs(erf, gauss_hermite_rule(201))
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 7
+        for r in rows:
+            assert r["status"] == "converged"
+            v, m, _ = kernel_ridge_closed_form(1e-6, float(r["value"]), 1.0, coeffs)
+            _, _, q = kernel_ridge_closed_form_derived(1e-6, float(r["value"]), 1.0, coeffs)
+            for name, want in (("v", v), ("m", m), ("q0", q), ("q1", q)):
+                assert float(r[name]) == pytest.approx(want, rel=1e-12)
+
+    def test_ridge_double_descent_bytes_unchanged(self, tmp_path):
+        # recorded before the float64-resolution stop: at tol = 1e-10 and
+        # v <= 7e4 the resolution floor stays below tol, so no point moves
+        out = tmp_path / "ridge_double_descent.csv"
+        assert main(["sweep", "--config", str(ROOT / "configs" / "ridge_double_descent.json"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (ROOT / "tests" / "data" / "ridge_double_descent.csv").read_bytes()
+
+
 SIM_CFG = {
     "loss": "square",
     "rho": 1.0,
@@ -194,6 +224,23 @@ class TestSimulate:
         cfg = dict(SIM_CFG, axis="lambda", grid=[1e-3, 1e-2], p_over_n=1.0)
         code = main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "f.csv")])
         assert code == 4
+
+    def test_all_trials_failing_exit_code(self, tmp_path):
+        # no trainer for the hinge loss: every trial fails
+        cfg = dict(SIM_CFG, loss="hinge", grid=[1.6], simulate={"trials": 2, "d": 20, "seed": 3, "test_samples": 200})
+        out = tmp_path / "hinge.csv"
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 4
+        header, rows = read_csv(out)
+        assert int(rows[0][header.index("failures")]) == 2
+        assert rows[0][header.index("sim_status")] == "2 failed trials"
+
+    def test_jobs_flag_with_identity_activation(self, tmp_path):
+        out1 = tmp_path / "s1.csv"
+        out2 = tmp_path / "s2.csv"
+        path = write_cfg(tmp_path, dict(SIM_CFG, activation="identity"))
+        assert main(["simulate", "--config", path, "--out", str(out1)]) == 0
+        assert main(["simulate", "--config", path, "--out", str(out2), "--jobs", "2"]) == 0
+        assert out1.read_text() == out2.read_text()
 
     def test_jobs_flag_gives_same_rows(self, tmp_path):
         out1 = tmp_path / "s1.csv"

@@ -108,3 +108,25 @@ class TestExpect2dCorrelated:
         g_ab = expect_2d_correlated(lambda a, b: a**2 * np.cos(b), 1.2, 0.4, rule)
         g_ba = expect_2d_correlated(lambda a, b: b**2 * np.cos(a), 1.2, 0.4, rule)
         assert g_ab == pytest.approx(g_ba, abs=1e-12)
+
+    def test_first_argument_is_a_row_column(self):
+        # broadcasting contract: W arrives as an (n, 1) column, W' as (n, n)
+        rule = gauss_hermite_rule(9)
+        shapes = []
+
+        def g(a, b):
+            shapes.append((a.shape, b.shape))
+            return np.cos(a) * b**2
+
+        got = expect_2d_correlated(g, 1.4, 0.5, rule)
+        assert shapes == [((9, 1), (9, 9))]
+        # a factor of W alone evaluated per row gives the same expectation as
+        # the same factor evaluated on the full grid
+        full = expect_2d_correlated(lambda a, b: np.cos(a + 0 * b) * b**2, 1.4, 0.5, rule)
+        assert got == pytest.approx(full, abs=1e-15)
+
+    def test_nonfinite_integrand_names_pair_node(self):
+        # odd order: the middle row has W = 0 exactly
+        rule = gauss_hermite_rule(5)
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NumericalError, match=r"node \(0\.0, -"):
+            expect_2d_correlated(lambda a, b: b / a, 1.0, 0.3, rule)
