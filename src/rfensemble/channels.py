@@ -249,6 +249,10 @@ def _expect_kinked_1d(g, q0: float, knots: Sequence[float]) -> float:
 
 
 def _teacher_variances(params: OrderParams, rho: float) -> tuple[float, float]:
+    if not params.q0 + params.q1 > 0:
+        raise DomainError(
+            f"q0 + q1 = {params.q0 + params.q1} must be positive: the pair teacher variance divides by it"
+        )
     s0 = rho - params.m**2 / params.q0
     s_pair = rho - 2.0 * params.m**2 / (params.q0 + params.q1)
     if s0 <= 0 or s_pair <= 0:
@@ -443,13 +447,11 @@ def channel_update_hinge_closed_form(params: OrderParams, rho: float, alpha: flo
 
 def training_loss(
     params: OrderParams,
-    conj: ConjugateParams,
     rho: float,
     spec: ChannelSpec,
     rules: QuadratureSet | None = None,
 ) -> float:
     """Asymptotic per-sample training loss of a single learner at a fixed point."""
-    del conj  # part of the fixed-point state signature; the separable forms need only (params, rho)
     m, q0, v = params.m, params.q0, params.v
     if spec.loss == "square":
         return (rho - 2.0 * m + q0) / (2.0 * (1.0 + v) ** 2)

@@ -39,7 +39,7 @@ from .solver import (
     solve_kernel_limit,
     warm_options,
 )
-from .spectrum import activation_coeffs, empirical_spectral_model, mp_spectral_model
+from .spectrum import ActivationCoeffs, activation_coeffs, empirical_spectral_model, mp_spectral_model
 from . import erm_lab
 
 EXIT_OK = 0
@@ -59,7 +59,7 @@ ACTIVATIONS = {
     "tanh": np.tanh,
 }
 
-SWEEP_AXES = ("p_over_n", "alpha", "lambda", "K", "delta")
+SWEEP_AXES = ("p_over_n", "alpha", "lambda", "delta")
 
 
 def _require(cfg: dict, key: str, path: str = ""):
@@ -68,27 +68,66 @@ def _require(cfg: dict, key: str, path: str = ""):
     return cfg[key]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TheoryProblem:
-    """Parsed scalar problem: everything but the swept axis."""
+    """One theory point: the parsed problem, moved along a sweep axis by `at`.
 
-    loss: str
-    teacher: str
+    `alpha` = n/p comes from `alpha` or `1/p_over_n` and is None when the
+    config gives neither. In kernel mode p/n is infinite and `n_over_d` is
+    the kernel ratio delta. `K_list` only picks the observable columns: the
+    fixed point does not depend on K.
+    """
+
+    spec: ChannelSpec
     activation_name: str
+    coeffs: ActivationCoeffs
     rho: float
     lam: float
     n_over_d: float
-    K_list: list
+    alpha: Optional[float]
+    K_list: tuple
     kernel: bool = False
     spectrum_kind: str = "closed_form_mp"
     spectrum_seed: int = 0
     spectrum_p: int = 2000
 
-    def spec(self) -> ChannelSpec:
-        return ChannelSpec(loss=self.loss, teacher=self.teacher)
+    def at(self, axis: str, value) -> "TheoryProblem":
+        """The point at `value` on a sweep axis; the only place an axis is read."""
+        if axis in ("p_over_n", "alpha"):
+            if self.kernel:
+                raise ConfigError(
+                    f"axis {axis!r} has no meaning in kernel mode (p/n is infinite); sweep 'delta' or 'lambda'"
+                )
+            return replace(self, alpha=1.0 / float(value) if axis == "p_over_n" else float(value))
+        if axis == "delta":
+            if not self.kernel:
+                raise ConfigError("axis 'delta' requires kernel mode")
+            return replace(self, n_over_d=float(value))
+        if axis == "lambda":
+            return replace(self, lam=float(value))
+        if axis == "K":
+            raise ConfigError(
+                "axis 'K' is not a sweep axis: the fixed point does not depend on K; "
+                "list the ensemble sizes in 'K' (e.g. \"K\": [1, 2, 4]) for one eps_g column each"
+            )
+        raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
 
-    def coeffs(self):
-        return activation_coeffs(ACTIVATIONS[self.activation_name], gauss_hermite_rule(201))
+    def model(self) -> ModelConfig:
+        """The finite-ratio solve of this point."""
+        if self.alpha is None:
+            raise ConfigError("the finite-ratio solve needs 'alpha' or 'p_over_n' in the config")
+        gamma = self.alpha / self.n_over_d
+        if self.spectrum_kind == "closed_form_mp":
+            spectrum = mp_spectral_model(self.alpha, gamma, self.coeffs)
+        elif self.spectrum_kind == "empirical":
+            p = self.spectrum_p
+            spectrum = empirical_spectral_model(self.spectrum_seed, p, max(int(round(p * gamma)), 1), self.coeffs)
+        else:
+            raise ConfigError(f"unknown spectrum kind {self.spectrum_kind!r}")
+        return ModelConfig(
+            alpha=self.alpha, gamma=gamma, rho=self.rho, lam=self.lam,
+            K=1, spec=self.spec, spectrum=spectrum, coeffs=self.coeffs,
+        )
 
 
 def parse_problem(cfg: dict) -> TheoryProblem:
@@ -108,14 +147,21 @@ def parse_problem(cfg: dict) -> TheoryProblem:
             K_list.append(k)
         else:
             raise ConfigError(f"K entries must be positive integers or 'inf', got {k!r}")
+    if "alpha" in cfg:
+        alpha = float(cfg["alpha"])
+    elif "p_over_n" in cfg:
+        alpha = 1.0 / float(cfg["p_over_n"])
+    else:
+        alpha = None
     return TheoryProblem(
-        loss=loss,
-        teacher=teacher,
+        spec=ChannelSpec(loss=loss, teacher=teacher),
         activation_name=activation_name,
+        coeffs=activation_coeffs(ACTIVATIONS[activation_name], gauss_hermite_rule(201)),
         rho=float(_require(cfg, "rho")),
         lam=float(_require(cfg, "lambda")),
         n_over_d=float(cfg.get("n_over_d", 2.0)),
-        K_list=K_list,
+        alpha=alpha,
+        K_list=tuple(K_list),
         kernel=bool(cfg.get("kernel", False)),
         spectrum_kind=cfg.get("spectrum", "closed_form_mp"),
         spectrum_seed=int(cfg.get("spectrum_seed", 0)),
@@ -123,51 +169,21 @@ def parse_problem(cfg: dict) -> TheoryProblem:
     )
 
 
-def solve_options_from(cfg: dict, args) -> SolveOptions:
-    opts = SolveOptions(
+def solve_options_from(cfg: dict) -> SolveOptions:
+    return SolveOptions(
         damping=float(cfg.get("damping", 0.5)),
         tol=float(cfg.get("tol", 1e-9)),
         max_iters=int(cfg.get("max_iters", 50000)),
         order_1d=int(cfg.get("order_1d", 101)),
         order_2d=int(cfg.get("order_2d", 61)),
     )
-    if getattr(args, "tol", None) is not None:
-        opts = replace(opts, tol=args.tol)
-    if getattr(args, "damping", None) is not None:
-        opts = replace(opts, damping=args.damping)
-    return opts
 
 
-def _build_model(problem: TheoryProblem, alpha: float, K: int) -> ModelConfig:
-    gamma = alpha / problem.n_over_d
-    coeffs = problem.coeffs()
-    if problem.spectrum_kind == "closed_form_mp":
-        spectrum = mp_spectral_model(alpha, gamma, coeffs)
-    elif problem.spectrum_kind == "empirical":
-        p = problem.spectrum_p
-        spectrum = empirical_spectral_model(problem.spectrum_seed, p, max(int(round(p * gamma)), 1), coeffs)
-    else:
-        raise ConfigError(f"unknown spectrum kind {problem.spectrum_kind!r}")
-    return ModelConfig(
-        alpha=alpha, gamma=gamma, rho=problem.rho, lam=problem.lam,
-        K=K, spec=problem.spec(), spectrum=spectrum, coeffs=coeffs,
-    )
-
-
-def _solve_theory_point(problem: TheoryProblem, axis: str, value, opts: SolveOptions) -> FixedPoint:
-    if problem.kernel or axis == "delta":
-        delta = float(value) if axis == "delta" else problem.n_over_d
-        return solve_kernel_limit(delta, problem.rho, problem.lam, problem.spec(), problem.coeffs(), opts)
-    if axis == "p_over_n":
-        alpha = 1.0 / float(value)
-    elif axis == "alpha":
-        alpha = float(value)
-    else:
-        raise ConfigError(f"axis {axis!r} cannot drive the theory solve")
-    finite_K = [k for k in problem.K_list if k != "inf"]
-    K = finite_K[0] if finite_K else 1
-    model = _build_model(problem, alpha, K)
-    return solve_fixed_point(model, opts)
+def solve_point(problem: TheoryProblem, opts: SolveOptions) -> FixedPoint:
+    """Solve the fixed point of one theory point, in the kernel limit or at finite ratio."""
+    if problem.kernel:
+        return solve_kernel_limit(problem.n_over_d, problem.rho, problem.lam, problem.spec, problem.coeffs, opts)
+    return solve_fixed_point(problem.model(), opts)
 
 
 def observable_row(problem: TheoryProblem, fp: FixedPoint) -> dict:
@@ -175,7 +191,7 @@ def observable_row(problem: TheoryProblem, fp: FixedPoint) -> dict:
     row: dict = {}
     for K in problem.K_list:
         label = f"eps_g_K{K}"
-        if problem.loss == "square":
+        if problem.spec.loss == "square":
             if K == "inf":
                 row[label] = problem.rho + params.q1 - 2 * params.m
             else:
@@ -187,7 +203,7 @@ def observable_row(problem: TheoryProblem, fp: FixedPoint) -> dict:
             else:
                 cov = EnsembleCovariance.from_params(params, problem.rho, int(K))
                 row[label] = classification_error_avg(cov)
-    if problem.loss == "square":
+    if problem.spec.loss == "square":
         cov1 = EnsembleCovariance.from_params(params, problem.rho, 1)
         eps_g, eps_bar, delta_eps = mse_test_error(cov1)
     else:
@@ -202,21 +218,13 @@ def observable_row(problem: TheoryProblem, fp: FixedPoint) -> dict:
     return row
 
 
-def cmd_solve(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_solve(cfg: dict, args) -> int:
     problem = parse_problem(cfg)
-    opts = solve_options_from(cfg, args)
-    if problem.kernel:
-        fp = solve_kernel_limit(problem.n_over_d, problem.rho, problem.lam, problem.spec(), problem.coeffs(), opts)
-    else:
-        alpha = float(_require(cfg, "alpha")) if "alpha" in cfg else 1.0 / float(_require(cfg, "p_over_n"))
-        finite_K = [k for k in problem.K_list if k != "inf"]
-        model = _build_model(problem, alpha, finite_K[0] if finite_K else 1)
-        fp = solve_fixed_point(model, opts)
+    fp = solve_point(problem, solve_options_from(cfg))
     payload = fp.as_dict()
     payload["observables"] = observable_row(problem, fp)
     try:
-        payload["train_loss"] = training_loss(fp.params, fp.conj, problem.rho, problem.spec())
+        payload["train_loss"] = training_loss(fp.params, problem.rho, problem.spec)
     except RfensembleError:
         payload["train_loss"] = math.nan
     print(json.dumps(payload, sort_keys=True))
@@ -226,58 +234,28 @@ def cmd_solve(args) -> int:
 THEORY_COLUMNS = ["axis", "value", "m", "q0", "q1", "v", "m_hat", "q0_hat", "q1_hat", "v_hat", "status", "iterations"]
 
 
-def sweep_rows(cfg: dict, args) -> tuple[list, list, TheoryProblem]:
+def sweep_rows(cfg: dict) -> tuple[list, list, list]:
+    """Solve the grid in order, each point warm-started at the last converged one.
+
+    Returns (rows, fixed points, point problems), one of each per grid value.
+    """
     problem = parse_problem(cfg)
     axis = _require(cfg, "axis")
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     grid = _require(cfg, "grid")
     if not isinstance(grid, list) or not grid:
         raise ConfigError("grid must be a nonempty list")
     diffs = np.diff(np.asarray(grid, dtype=float))
     if len(grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ConfigError("grid must be strictly monotone")
-    if axis == "delta" and not problem.kernel:
-        raise ConfigError("axis 'delta' requires kernel mode")
-    opts = solve_options_from(cfg, args)
-    if axis in ("lambda", "K") and not problem.kernel and "alpha" not in cfg and "p_over_n" not in cfg:
-        raise ConfigError(f"axis {axis!r} sweeps need a fixed 'alpha' or 'p_over_n' in the config")
+    points = [problem.at(axis, value) for value in grid]
+    opts = solve_options_from(cfg)
     rows, fps = [], []
-    for value in grid:
-        if axis == "lambda":
-            point_problem = replace(problem, lam=float(value))
-            if point_problem.kernel:
-                fp = _solve_theory_point(point_problem, "delta", point_problem.n_over_d, opts)
-            elif "p_over_n" in cfg:
-                fp = _solve_theory_point(point_problem, "p_over_n", cfg["p_over_n"], opts)
-            else:
-                fp = _solve_theory_point(point_problem, "alpha", cfg["alpha"], opts)
-        elif axis == "K":
-            point_problem = replace(problem, K_list=[int(value)])
-            alpha = float(cfg["alpha"]) if "alpha" in cfg else 1.0 / float(cfg["p_over_n"])
-            fp = _solve_theory_point(point_problem, "alpha", alpha, opts)
-        else:
-            point_problem = problem
-            fp = _solve_theory_point(problem, axis, value, opts)
+    for value, point in zip(grid, points):
+        fp = solve_point(point, opts)
         opts = warm_options(opts, fp)
-        row = {
-            "axis": axis,
-            "value": value,
-            "m": fp.params.m,
-            "q0": fp.params.q0,
-            "q1": fp.params.q1,
-            "v": fp.params.v,
-            "m_hat": fp.conj.m_hat,
-            "q0_hat": fp.conj.q0_hat,
-            "q1_hat": fp.conj.q1_hat,
-            "v_hat": fp.conj.v_hat,
-            "status": fp.status,
-            "iterations": fp.iterations,
-        }
-        row.update(observable_row(point_problem, fp))
-        rows.append(row)
+        rows.append({"axis": axis, "value": value, **fp.as_dict(), **observable_row(point, fp)})
         fps.append(fp)
-    return rows, fps, problem
+    return rows, fps, points
 
 
 def _theory_columns(problem: TheoryProblem) -> list:
@@ -299,11 +277,10 @@ def _write_csv(path: str, columns: Sequence[str], rows: Sequence[dict]) -> None:
             writer.writerow([fmt(row.get(c, "")) for c in columns])
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    rows, fps, problem = sweep_rows(cfg, args)
+def cmd_sweep(cfg: dict, args) -> int:
+    rows, fps, points = sweep_rows(cfg)
     out = args.out or _require(cfg, "out")
-    _write_csv(out, _theory_columns(problem), rows)
+    _write_csv(out, _theory_columns(points[0]), rows)
     if not all(fp.converged for fp in fps):
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
@@ -317,14 +294,12 @@ SIM_EXTRA_COLUMNS = [
 ]
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_simulate(cfg: dict, args) -> int:
     sim = _require(cfg, "simulate")
     trials = int(_require(sim, "trials", "simulate."))
-    rows, fps, problem = sweep_rows(cfg, args)
-    axis = _require(cfg, "axis")
+    rows, fps, points = sweep_rows(cfg)
     # a degenerate simulate block produces exactly the theory-only sweep file
-    columns = _theory_columns(problem) + (SIM_EXTRA_COLUMNS if trials > 0 else [])
+    columns = _theory_columns(points[0]) + (SIM_EXTRA_COLUMNS if trials > 0 else [])
     out = args.out or _require(cfg, "out")
     sim_failed = False
     if trials > 0:
@@ -334,9 +309,9 @@ def cmd_simulate(args) -> int:
             executor = ProcessPoolExecutor(max_workers=args.jobs)
             map_fn = executor.map
         try:
-            for row, fp in zip(rows, fps):
+            for row, point in zip(rows, points):
                 try:
-                    row.update(_simulate_point(problem, sim, axis, row["value"], fp, args.seed, map_fn))
+                    row.update(_simulate_point(point, sim, row, args.seed, map_fn))
                     if row["failures"] == trials:
                         sim_failed = True
                 except RfensembleError as exc:
@@ -353,34 +328,25 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _simulate_point(problem: TheoryProblem, sim: dict, axis: str, value, fp: FixedPoint, seed_flag, map_fn) -> dict:
-    if problem.kernel:
-        raise ConfigError("simulate runs at finite sizes; kernel mode has no (n, p, d)")
-    if axis == "p_over_n":
-        alpha = 1.0 / float(value)
-    elif axis == "alpha":
-        alpha = float(value)
-    else:
-        raise ConfigError(f"simulate cannot map axis {axis!r} onto integer sizes")
+def _simulate_point(point: TheoryProblem, sim: dict, row: dict, seed_flag, map_fn) -> dict:
+    """Train the ensembles at the finite sizes of one sweep row and score them against its theory."""
+    if row["axis"] not in ("p_over_n", "alpha"):
+        raise ConfigError(f"simulate cannot map axis {row['axis']!r} onto integer sizes")
     d = int(_require(sim, "d", "simulate."))
-    n = int(round(d * problem.n_over_d))
-    p = int(round(n / alpha))
+    n = int(round(d * point.n_over_d))
+    p = int(round(n / point.alpha))
     trials = int(sim["trials"])
     master_seed = int(seed_flag if seed_flag is not None else sim.get("seed", 0))
-    estimator = sim.get("estimator")
+    K = max([k for k in point.K_list if k != "inf"], default=1)
     result = erm_lab.run_experiment(
-        problem.spec(), problem.coeffs(), n=n, p=p, d=d,
-        K=max([k for k in problem.K_list if k != "inf"], default=1),
-        rho=problem.rho, lam=problem.lam, trials=trials, master_seed=master_seed,
-        estimator=estimator, activation=ACTIVATIONS[problem.activation_name],
+        point.spec, point.coeffs, n=n, p=p, d=d, K=K,
+        rho=point.rho, lam=point.lam, trials=trials, master_seed=master_seed,
+        estimator=sim.get("estimator"), activation=ACTIVATIONS[point.activation_name],
         test_samples=int(sim.get("test_samples", erm_lab.DEFAULT_TEST_SAMPLES)),
         seeds=sim.get("seeds"),
         map_fn=map_fn,
     )
     agg = result.aggregate()
-    theory = observable_row(problem, fp)
-    K_emp = max([k for k in problem.K_list if k != "inf"], default=1)
-    theory_eps = theory.get(f"eps_g_K{K_emp}", math.nan)
     out = {
         "emp_m": agg["m"]["mean"], "emp_m_se": agg["m"]["std_error"],
         "emp_q0": agg["q0"]["mean"], "emp_q0_se": agg["q0"]["std_error"],
@@ -391,23 +357,24 @@ def _simulate_point(problem: TheoryProblem, sim: dict, axis: str, value, fp: Fix
         "trials": trials, "failures": agg["failures"],
         "sim_status": "ok" if agg["failures"] == 0 else f"{agg['failures']} failed trials",
     }
-    for name, theory_val in (("m", fp.params.m), ("q0", fp.params.q0), ("q1", fp.params.q1), ("test_error", theory_eps)):
+    theory_eps = row.get(f"eps_g_K{K}", math.nan)
+    for name, theory_val in (("m", row["m"]), ("q0", row["q0"]), ("q1", row["q1"]), ("test_error", theory_eps)):
         se = out[f"emp_{name}_se"]
         emp = out[f"emp_{name}"]
         out[f"z_{name}"] = abs(theory_val - emp) / se if se and math.isfinite(emp) else math.nan
     return out
 
 
-def cmd_confidence_density(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_confidence_density(cfg: dict, args) -> int:
     problem = parse_problem(cfg)
-    if problem.loss == "square":
+    if problem.spec.loss == "square":
         raise ConfigError("confidence density is defined for the classification losses")
-    opts = solve_options_from(cfg, args)
-    alpha = float(_require(cfg, "alpha")) if "alpha" in cfg else 1.0 / float(_require(cfg, "p_over_n"))
-    finite_K = [k for k in problem.K_list if k != "inf"]
-    model = _build_model(problem, alpha, finite_K[0] if finite_K else 2)
-    fp = solve_fixed_point(model, opts)
+    if problem.kernel:
+        raise ConfigError(
+            "confidence density needs a finite p/n: in kernel mode q1 = q0 and the density is a line mass; "
+            "drop 'kernel' and set 'alpha' or 'p_over_n'"
+        )
+    fp = solve_point(problem, solve_options_from(cfg))
     if not fp.converged:
         return EXIT_NO_CONVERGENCE
     resolution = int(cfg.get("resolution", 64))
@@ -416,7 +383,7 @@ def cmd_confidence_density(args) -> int:
     dens = confidence_density(fp.params.q0, fp.params.q1, grid)
     out = args.out or _require(cfg, "out")
     with open(out, "w", newline="") as fh:
-        fh.write(f"# q0={float(fp.params.q0)!r} q1={float(fp.params.q1)!r} p_over_n={1.0 / alpha!r}\n")
+        fh.write(f"# q0={float(fp.params.q0)!r} q1={float(fp.params.q1)!r} p_over_n={1.0 / problem.alpha!r}\n")
         writer = csv.writer(fh)
         writer.writerow(["phi"] + [repr(float(g)) for g in grid])
         for i, g in enumerate(grid):
@@ -458,10 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = _load_config(args.config)
+        # the flags override the config's solver block for every command
+        for key in ("tol", "damping"):
+            if getattr(args, key) is not None:
+                cfg[key] = getattr(args, key)
+        return args.fn(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ConfigError, RfensembleError
 from .observables import EnsembleCovariance, generic_gen_error, majority_vote_error
-from .solver import SolveOptions, solve_fixed_point, solve_kernel_limit
 from .spectrum import mp_spectral_model, spectral_integral
 from . import cli
 
@@ -66,16 +65,9 @@ def load_corpus(corpus_dir) -> list:
     return [load_record(p) for p in paths]
 
 
-def _evaluate_fixed_point(config: dict, kernel: bool) -> dict:
+def _evaluate_fixed_point(config: dict) -> dict:
     problem = cli.parse_problem(config)
-    opts = SolveOptions(tol=float(config.get("tol", 1e-10)), max_iters=int(config.get("max_iters", 60000)))
-    if kernel:
-        fp = solve_kernel_limit(problem.n_over_d, problem.rho, problem.lam, problem.spec(), problem.coeffs(), opts)
-    else:
-        alpha = float(config["alpha"]) if "alpha" in config else 1.0 / float(config["p_over_n"])
-        finite_K = [k for k in problem.K_list if k != "inf"]
-        model = cli._build_model(problem, alpha, finite_K[0] if finite_K else 1)
-        fp = solve_fixed_point(model, opts)
+    fp = cli.solve_point(problem, cli.solve_options_from(config))
     out = fp.as_dict()
     out.update(cli.observable_row(problem, fp))
     return out
@@ -96,8 +88,7 @@ def _evaluate_mc(config: dict) -> dict:
 
 def _evaluate_spectral(config: dict) -> dict:
     problem = cli.parse_problem({**config, "loss": config.get("loss", "square"), "rho": 1.0, "lambda": 1.0})
-    coeffs = problem.coeffs()
-    model = mp_spectral_model(config.get("alpha", 1.0), config["gamma"], coeffs)
+    model = mp_spectral_model(config.get("alpha", 1.0), config["gamma"], problem.coeffs)
     moments = {
         "mass": lambda s: np.ones_like(s),
         "mean": lambda s: s,
@@ -107,11 +98,7 @@ def _evaluate_spectral(config: dict) -> dict:
 
 
 def _evaluate_sweep_property(config: dict) -> dict:
-    class _Args:
-        tol = None
-        damping = None
-
-    rows, _, problem = cli.sweep_rows(config["sweep"], _Args())
+    rows, _, _ = cli.sweep_rows(config["sweep"])
     values = np.array([row[config["column"]] for row in rows], dtype=float)
     grid = np.array([row["value"] for row in rows], dtype=float)
     prop = config["property"]
@@ -127,10 +114,8 @@ def _evaluate_sweep_property(config: dict) -> dict:
 
 
 def evaluate_record(record: GoldenRecord) -> dict:
-    if record.kind == "fixed_point":
-        return _evaluate_fixed_point(record.config, kernel=False)
-    if record.kind == "kernel_fixed_point":
-        return _evaluate_fixed_point(record.config, kernel=True)
+    if record.kind in ("fixed_point", "kernel_fixed_point"):
+        return _evaluate_fixed_point(record.config)
     if record.kind == "mc_estimate":
         return _evaluate_mc(record.config)
     if record.kind == "spectral_moment":

@@ -28,6 +28,7 @@ from scipy.special import erf, expit
 
 from .channels import ChannelSpec
 from .errors import ConfigError, ConvergenceError, DomainError, NumericalError
+from .observables import resolve_estimator
 from .priors import FeatureEnsemble, sample_feature_ensemble
 from .spectrum import ActivationCoeffs
 
@@ -349,17 +350,6 @@ def _default_estimator(spec: ChannelSpec) -> str:
     return "mean" if spec.loss == "square" else "avg_sign"
 
 
-def _predict(scores: np.ndarray, estimator: str) -> np.ndarray:
-    if estimator == "mean":
-        return scores.mean(axis=1)
-    if estimator == "avg_sign":
-        return np.where(scores.sum(axis=1) >= 0, 1.0, -1.0)
-    if estimator == "majority":
-        votes = np.where(scores >= 0, 1.0, -1.0).sum(axis=1)
-        return np.where(votes >= 0, 1.0, -1.0)
-    raise ConfigError(f"unknown estimator {estimator!r}")
-
-
 def run_trial(
     trial: int,
     seed,
@@ -404,7 +394,8 @@ def run_trial(
         y_test = apply_teacher(teacher_field(X_test, dataset.theta), spec.teacher)
         test_features = featurize(X_test, ensemble, mode=feature_mode)
         scores = np.column_stack([preactivation(U, W[:, k]) for k, U in enumerate(test_features)])
-        y_hat = _predict(scores, estimator)
+        f_hat, _ = resolve_estimator(estimator)
+        y_hat = f_hat(scores)
         if spec.loss == "square":
             test_error = float(np.mean((y_test - y_hat) ** 2))
         else:

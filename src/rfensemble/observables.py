@@ -147,7 +147,8 @@ def _sign_pm1(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, -1.0)
 
 
-def _resolve_estimator(estimator: Estimator):
+def resolve_estimator(estimator: Estimator):
+    """(f_hat, default teacher) of an estimator name or callable; f_hat maps scores (samples, K) to predictions."""
     if callable(estimator):
         return estimator, None
     if estimator == "mean":
@@ -175,7 +176,7 @@ def generic_gen_error(
     if samples < 10_000:
         raise ConfigError("use at least 1e4 samples; below that the MC band is not meaningful")
     cov.check_psd()
-    f_hat, default_teacher = _resolve_estimator(estimator)
+    f_hat, default_teacher = resolve_estimator(estimator)
     teacher = teacher or default_teacher
     if teacher not in ("linear", "sign"):
         raise ConfigError(f"unknown teacher {teacher!r}")

@@ -50,7 +50,6 @@ class SolveOptions:
     init: OrderParams = DEFAULT_INIT
     order_1d: int = 101
     order_2d: int = 61
-    verbose: bool = False
 
     def __post_init__(self):
         if not (0 < self.damping <= 1):
@@ -141,8 +140,6 @@ def _iterate(step, init: OrderParams, rho: float, opts: SolveOptions) -> FixedPo
         mixed, moved = _project(mixed, rho)
         projections += int(moved)
         params = mixed
-        if opts.verbose and it % 100 == 0:
-            print(f"iter {it}: residual {residual:.3e} damping {damping}")
     return FixedPoint(params, conj, opts.max_iters, residual, False, "max_iters", projections)
 
 

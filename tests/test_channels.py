@@ -376,18 +376,35 @@ class TestHingeClosedForm:
 class TestTrainingLoss:
     def test_square_null_predictor(self):
         params = OrderParams(m=0.0, q0=0.0, q1=0.0, v=1e-12)
-        conj = channel_update(params, 1.0, 1.0, 1.0, SQUARE)
-        assert training_loss(params, conj, 1.0, SQUARE) == pytest.approx(0.5, abs=1e-10)
+        assert training_loss(params, 1.0, SQUARE) == pytest.approx(0.5, abs=1e-10)
 
     def test_hinge_vanishes_when_margins_satisfied(self):
         # strongly aligned, sharp-teacher learner: the h >= 1 region dominates
         params = OrderParams(m=0.99995 * 50.0, q0=2500.0, q1=2500.0 * 0.99995, v=0.02)
-        conj = channel_update(params, 1.0, 0.5, 1.0, HINGE)
-        loss = training_loss(params, conj, 1.0, HINGE)
+        loss = training_loss(params, 1.0, HINGE)
         assert 0.0 <= loss < 0.02
 
     def test_logistic_positive_and_below_ln2(self):
         params = OrderParams(m=0.8, q0=1.5, q1=1.0, v=1.0)
-        conj = channel_update(params, 1.0, 1.0, 1.0, LOGISTIC)
-        val = training_loss(params, conj, 1.0, LOGISTIC)
+        val = training_loss(params, 1.0, LOGISTIC)
         assert 0.0 < val < math.log(2.0)
+
+
+class TestAntiCorrelatedPair:
+    # q1 = -q0 passes OrderParams.validate, but the pair teacher variance
+    # rho - 2 m^2 / (q0 + q1) is undefined there
+    POINT = OrderParams(m=0.0, q0=1.0, q1=-1.0, v=1.0)
+
+    @pytest.mark.parametrize("spec", [LOGISTIC, HINGE], ids=["logistic", "hinge"])
+    def test_channel_update_raises_domain_error(self, spec):
+        with pytest.raises(DomainError, match=r"q0 \+ q1"):
+            channel_update(self.POINT, 1.0, 1.0, 1.0, spec)
+
+    def test_hinge_closed_form_raises_domain_error(self):
+        with pytest.raises(DomainError, match=r"q0 \+ q1"):
+            channel_update_hinge_closed_form(self.POINT, 1.0, 1.0)
+
+    @pytest.mark.parametrize("spec", [LOGISTIC, HINGE], ids=["logistic", "hinge"])
+    def test_training_loss_raises_domain_error(self, spec):
+        with pytest.raises(DomainError, match=r"q0 \+ q1"):
+            training_loss(self.POINT, 1.0, spec)

@@ -8,7 +8,8 @@ import pytest
 from scipy.special import erf
 
 from rfensemble import activation_coeffs, gauss_hermite_rule, kernel_ridge_closed_form, kernel_ridge_closed_form_derived
-from rfensemble.cli import main
+from rfensemble.cli import main, parse_problem
+from rfensemble.corpus import GoldenRecord, evaluate_record
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -275,3 +276,105 @@ class TestConfidenceDensity:
     def test_square_loss_rejected(self, tmp_path):
         cfg = {"loss": "square", "rho": 1.0, "lambda": 1.0, "alpha": 1.0, "K": [1]}
         assert main(["confidence-density", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+LOGISTIC_POINT_CFG = {
+    "loss": "logistic", "rho": 1.0, "lambda": 1e-1, "n_over_d": 2.0,
+    "K": [1, 2], "p_over_n": 0.5, "tol": 1e-9, "damping": 0.4, "resolution": 16,
+}
+
+KERNEL_CFG = {
+    "loss": "square", "rho": 1.0, "lambda": 1e-3, "kernel": True, "n_over_d": 1.5,
+    "K": [1, "inf"], "tol": 1e-12,
+}
+
+
+class TestResolver:
+    def test_every_command_solves_the_same_point(self, tmp_path, capsys):
+        # solve, a one-point sweep, confidence-density and the golden corpus
+        # all resolve the config to one point and solve it with one set of options
+        path = write_cfg(tmp_path, LOGISTIC_POINT_CFG)
+        assert main(["solve", "--config", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        want = (payload["q0"], payload["q1"])
+
+        sweep_cfg = dict(LOGISTIC_POINT_CFG, axis="p_over_n", grid=[LOGISTIC_POINT_CFG["p_over_n"]])
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", write_cfg(tmp_path, sweep_cfg, "sweep.json"), "--out", str(out)]) == 0
+        with open(out) as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert (float(row["q0"]), float(row["q1"])) == want
+
+        out = tmp_path / "conf.csv"
+        assert main(["confidence-density", "--config", path, "--out", str(out)]) == 0
+        header = dict(item.split("=") for item in out.read_text().splitlines()[0][2:].split())
+        assert (float(header["q0"]), float(header["q1"])) == want
+
+        record = GoldenRecord(name="resolver", kind="fixed_point", config=LOGISTIC_POINT_CFG,
+                              expected={}, tolerance={}, provenance="same point as the CLI")
+        produced = evaluate_record(record)
+        assert (produced["q0"], produced["q1"]) == want
+
+    @pytest.mark.parametrize(
+        "command,cfg,fix",
+        [
+            ("sweep", dict(RIDGE_CFG, axis="K", grid=[1, 2, 4]), '"K": [1, 2, 4]'),
+            ("sweep", {**KERNEL_CFG, "axis": "p_over_n", "grid": [0.5, 1.0]}, "sweep 'delta' or 'lambda'"),
+            ("confidence-density", dict(LOGISTIC_POINT_CFG, kernel=True), "drop 'kernel'"),
+        ],
+        ids=["K-axis", "kernel-p_over_n", "kernel-confidence-density"],
+    )
+    def test_config_error_names_the_fix(self, tmp_path, capsys, command, cfg, fix):
+        code = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert fix in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_kernel_lambda_sweep(self, tmp_path):
+        cfg = dict(KERNEL_CFG, axis="lambda", grid=[1e-3, 1e-2, 1e-1])
+        out = tmp_path / "kernel_lambda.csv"
+        assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        coeffs = activation_coeffs(erf, gauss_hermite_rule(201))
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["value"]) for r in rows] == cfg["grid"]
+        for r in rows:
+            lam = float(r["value"])
+            v, m, _ = kernel_ridge_closed_form(lam, KERNEL_CFG["n_over_d"], 1.0, coeffs)
+            _, _, q = kernel_ridge_closed_form_derived(lam, KERNEL_CFG["n_over_d"], 1.0, coeffs)
+            for name, want in (("v", v), ("m", m), ("q0", q), ("q1", q)):
+                assert float(r[name]) == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_configs_resolve_every_point(self, path):
+        cfg = json.loads(path.read_text())
+        problem = parse_problem(cfg)
+        points = [problem.at(cfg["axis"], value) for value in cfg["grid"]] if "axis" in cfg else [problem]
+        for point in points:
+            # a kernel point needs no ModelConfig; a finite one builds it without a solve
+            assert point.kernel or point.model().alpha == point.alpha
+
+
+class TestSolverFlags:
+    def test_sweep_tol_flag_equals_config_tol(self, tmp_path):
+        base = tmp_path / "base.csv"
+        flag = tmp_path / "flag.csv"
+        config = tmp_path / "config.csv"
+        path = write_cfg(tmp_path, SWEEP_CFG)
+        assert main(["sweep", "--config", path, "--out", str(base)]) == 0
+        assert main(["sweep", "--config", path, "--out", str(flag), "--tol", "1e-5"]) == 0
+        cfg = write_cfg(tmp_path, dict(SWEEP_CFG, tol=1e-5), "loose.json")
+        assert main(["sweep", "--config", cfg, "--out", str(config)]) == 0
+        assert flag.read_bytes() == config.read_bytes()
+        assert flag.read_bytes() != base.read_bytes()
+
+    def test_solve_damping_flag_changes_iterations(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, RIDGE_CFG)
+        assert main(["solve", "--config", path]) == 0
+        base = json.loads(capsys.readouterr().out)
+        assert main(["solve", "--config", path, "--damping", "0.9"]) == 0
+        flag = json.loads(capsys.readouterr().out)
+        assert main(["solve", "--config", write_cfg(tmp_path, dict(RIDGE_CFG, damping=0.9), "d.json")]) == 0
+        config = json.loads(capsys.readouterr().out)
+        assert flag["iterations"] != base["iterations"]
+        assert flag == config

@@ -273,7 +273,7 @@ class TestRunExperiment:
         cfg = ModelConfig(alpha=alpha, gamma=gamma, rho=1.0, lam=lam, K=1, spec=LOGISTIC,
                           spectrum=model, coeffs=COEFFS)
         fp = solve_fixed_point(cfg, SolveOptions(tol=1e-10, max_iters=30000))
-        theory = training_loss(fp.params, fp.conj, 1.0, LOGISTIC)
+        theory = training_loss(fp.params, 1.0, LOGISTIC)
         d = 200
         n = int(round(alpha / gamma * d))
         p = int(round(d / gamma))
