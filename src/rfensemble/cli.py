@@ -376,6 +376,11 @@ def cmd_confidence_density(cfg: dict, args) -> int:
         )
     fp = solve_point(problem, solve_options_from(cfg))
     if not fp.converged:
+        # no density is written for an unconverged point; say why
+        print(
+            f"fixed point not converged: status {fp.status}, {fp.iterations} iterations, residual {fp.residual!r}",
+            file=sys.stderr,
+        )
         return EXIT_NO_CONVERGENCE
     resolution = int(cfg.get("resolution", 64))
     eps = 1.0 / (resolution + 1)

@@ -48,12 +48,14 @@ def prior_update_spectral(
     if lam + vh * smin <= 0:
         raise DomainError(f"lam + v_hat*s vanishes on the spectral support (min s = {smin})")
     ks2 = coeffs.kappa_star_sq
-    v = spectral_integral(model, lambda s: s / (lam + vh * s))
-    i_theta = spectral_integral(model, lambda s: (s - ks2) / (lam + vh * s))
+
+    def integrands(s):
+        # v, I_theta and q0 in one pass over the support
+        denom = lam + vh * s
+        return np.array([s / denom, (s - ks2) / denom, ((q0h + mh**2) * s**2 - mh**2 * ks2 * s) / denom**2])
+
+    v, i_theta, q0 = spectral_integral(model, integrands)
     m = mh / np.sqrt(gamma) * i_theta
-    q0 = spectral_integral(
-        model, lambda s: ((q0h + mh**2) * s**2 - mh**2 * ks2 * s) / (lam + vh * s) ** 2
-    )
     q1 = (mh**2 + q1h) * i_theta**2 / gamma
     return OrderParams(m=m, q0=q0, q1=q1, v=v)
 

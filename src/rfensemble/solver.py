@@ -110,36 +110,36 @@ def _project(params: OrderParams, rho: float) -> tuple[OrderParams, bool]:
 def _iterate(step, init: OrderParams, rho: float, opts: SolveOptions) -> FixedPoint:
     """Generic damped iteration; `step` maps OrderParams -> (OrderParams, ConjugateParams)."""
     params = init
+    cur_arr = init.as_array()
     damping = opts.damping
     projections = 0
     residual = np.inf
-    prev_delta: Optional[np.ndarray] = None
+    prev_sign: Optional[np.ndarray] = None  # signs of the last q0 and v steps
     osc_count = 0
     conj = ConjugateParams(0.0, 0.0, 0.0, 0.0)
     for it in range(1, opts.max_iters + 1):
         update, conj = step(params)
         new_arr = update.as_array()
-        cur_arr = params.as_array()
-        if not np.all(np.isfinite(new_arr)) or update.q0 > DIVERGENCE_Q0:
+        if not np.isfinite(new_arr).all() or update.q0 > DIVERGENCE_Q0:
             return FixedPoint(params, conj, it, residual, False, "interpolation_divergence", projections)
         delta = new_arr - cur_arr
-        residual = float(np.max(np.abs(delta)))
+        residual = float(np.abs(delta).max())
         # tol below the float64 spacing of the iterate cannot be met: stop
         # within a few ulps of the largest component instead
-        if residual < max(opts.tol, 4.0 * np.spacing(np.max(np.abs(new_arr)))):
+        if residual < max(opts.tol, 4.0 * np.spacing(np.abs(new_arr).max())):
             return FixedPoint(update, conj, it, residual, True, "converged", projections)
-        if prev_delta is not None:
-            if np.all(np.sign(delta[[1, 3]]) == -np.sign(prev_delta[[1, 3]])) and np.any(delta[[1, 3]] != 0):
+        sign = np.sign(delta[1::2])
+        if prev_sign is not None:
+            if (sign == -prev_sign).all() and sign.any():
                 osc_count += 1
                 if osc_count >= 3 and damping > 0.1:
                     damping = 0.1
             else:
                 osc_count = 0
-        prev_delta = delta
-        mixed = OrderParams(*(damping * new_arr + (1 - damping) * cur_arr))
-        mixed, moved = _project(mixed, rho)
+        prev_sign = sign
+        params, moved = _project(OrderParams(*(damping * new_arr + (1 - damping) * cur_arr)), rho)
         projections += int(moved)
-        params = mixed
+        cur_arr = params.as_array()
     return FixedPoint(params, conj, opts.max_iters, residual, False, "max_iters", projections)
 
 

@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -103,6 +104,14 @@ class SpectralModel:
         if self.kind == "empirical":
             return float(np.max(self.eigenvalues))
         return self.shift + self.scale**2 * (1 + np.sqrt(1.0 / self.aspect)) ** 2
+
+    @cached_property
+    def bulk_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """(nodes, weights) of the closed-form bulk, built once per model, read-only."""
+        nodes, weights = _mp_bulk_grid(self)
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
+        return nodes, weights
 
     def total_mass(self) -> float:
         return spectral_integral(self, lambda s: np.ones_like(s))
@@ -216,21 +225,31 @@ def _mp_bulk_grid(model: SpectralModel):
     return x + model.shift, density * dx
 
 
-def spectral_integral(model: SpectralModel, g: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Integral of g against the spectral density (bulk + atom)."""
+def spectral_integral(model: SpectralModel, g: Callable[[np.ndarray], np.ndarray]) -> float | list[float]:
+    """Integral of g against the spectral density (bulk + atom).
+
+    g maps the array s of support points either to one array of g(s), and
+    the integral is a float, or to a stack of k rows of shape (k, len(s)),
+    one integrand per row, and the result is a list of k floats. Each row of
+    a stack is summed on its own (`row @ w` on the MP bulk, its mean on an
+    empirical spectrum), so it equals the single-integrand call bit for bit;
+    every row must be finite on the bulk and at the atom.
+    """
     if model.kind == "empirical":
         vals = np.asarray(g(model.eigenvalues), dtype=float)
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise NumericalError("spectral integrand non-finite on empirical support")
-        return float(np.mean(vals))
-    s, w = _mp_bulk_grid(model)
+        out = np.mean(vals, axis=-1)
+        return [float(x) for x in out] if vals.ndim == 2 else float(out)
+    s, w = model.bulk_grid
     vals = np.asarray(g(s), dtype=float)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise NumericalError("spectral integrand non-finite on MP bulk support")
-    out = float(vals @ w)
+    rows = vals if vals.ndim == 2 else vals[np.newaxis]
+    out = [float(row @ w) for row in rows]
     if model.atom_mass > 0:
-        atom_val = float(np.asarray(g(np.array([model.atom_location])), dtype=float)[0])
-        if not np.isfinite(atom_val):
+        atom_vals = np.asarray(g(np.array([model.atom_location])), dtype=float).reshape(len(out))
+        if not np.isfinite(atom_vals).all():
             raise NumericalError(f"spectral integrand non-finite at atom s={model.atom_location}")
-        out += model.atom_mass * atom_val
-    return out
+        out = [x + model.atom_mass * float(a) for x, a in zip(out, atom_vals)]
+    return out if vals.ndim == 2 else out[0]

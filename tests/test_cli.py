@@ -277,6 +277,19 @@ class TestConfidenceDensity:
         cfg = {"loss": "square", "rho": 1.0, "lambda": 1.0, "alpha": 1.0, "K": [1]}
         assert main(["confidence-density", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_no_convergence_reports_diagnostics(self, tmp_path, capsys):
+        cfg = {
+            "loss": "logistic", "rho": 1.0, "lambda": 1e-2, "n_over_d": 2.0,
+            "K": [2], "p_over_n": 0.13, "resolution": 16, "tol": 1e-9, "max_iters": 3,
+        }
+        out = tmp_path / "conf.csv"
+        assert main(["confidence-density", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "max_iters" in err
+        assert "3 iterations" in err
+        assert "residual" in err
+        assert not out.exists()
+
 
 LOGISTIC_POINT_CFG = {
     "loss": "logistic", "rho": 1.0, "lambda": 1e-1, "n_over_d": 2.0,

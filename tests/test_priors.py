@@ -86,6 +86,42 @@ class TestPriorUpdateSpectral:
             prior_update_spectral(ConjugateParams(0.1, 0.1, 0.1, 0.0), 0.0, 0.5, model, ident)
 
 
+def prior_update_three_pass(conj, lam, gamma, model, coeffs):
+    """The spectral prior update as three separate integrals: oracle of the one-pass form."""
+    mh, q0h, q1h, vh = conj.m_hat, conj.q0_hat, conj.q1_hat, conj.v_hat
+    ks2 = coeffs.kappa_star_sq
+    v = spectral_integral(model, lambda s: s / (lam + vh * s))
+    i_theta = spectral_integral(model, lambda s: (s - ks2) / (lam + vh * s))
+    m = mh / np.sqrt(gamma) * i_theta
+    q0 = spectral_integral(
+        model, lambda s: ((q0h + mh**2) * s**2 - mh**2 * ks2 * s) / (lam + vh * s) ** 2
+    )
+    q1 = (mh**2 + q1h) * i_theta**2 / gamma
+    return OrderParams(m=m, q0=q0, q1=q1, v=v)
+
+
+class TestOnePassPrior:
+    @pytest.mark.parametrize(
+        "make_model",
+        [
+            lambda: mp_spectral_model(1.0, 0.5, COEFFS),
+            lambda: mp_spectral_model(1.0, 1.5, COEFFS),
+            lambda: mp_spectral_model(1.0, 0.5, COEFFS, bulk_nodes=4001),
+            lambda: empirical_spectral_model(4, 300, 200, COEFFS),
+        ],
+        ids=["mp-atom", "mp-no-atom", "mp-4001-nodes", "empirical"],
+    )
+    def test_equals_three_pass_oracle_exactly(self, make_model):
+        model = make_model()
+        rng = np.random.default_rng(17)
+        for lam in (1e-6, 1e-2, 3.0):
+            for _ in range(5):
+                conj = random_conjugates(rng)
+                got = prior_update_spectral(conj, lam, model.aspect, model, COEFFS)
+                want = prior_update_three_pass(conj, lam, model.aspect, model, COEFFS)
+                assert (got.m, got.q0, got.q1, got.v) == (want.m, want.q0, want.q1, want.v)
+
+
 class TestMatrixOracle:
     def test_zero_conjugates(self):
         ens = sample_feature_ensemble(2, 300, 150, COEFFS, np.zeros(150), seed=0)

@@ -5,14 +5,20 @@ import pytest
 from scipy.special import erf
 
 from rfensemble import (
+    ChannelSpec,
     ConfigError,
+    ModelConfig,
+    NumericalError,
     ResourceError,
+    SolveOptions,
     activation_coeffs,
     empirical_spectral_model,
     gauss_hermite_rule,
     mp_spectral_model,
+    solve_fixed_point,
     spectral_integral,
 )
+from rfensemble import spectrum
 
 RULE = gauss_hermite_rule(201)
 ERF_COEFFS = activation_coeffs(erf, RULE)
@@ -142,3 +148,85 @@ class TestSpectralIntegral:
         a = spectral_integral(closed, g)
         b = spectral_integral(emp, g)
         assert a == pytest.approx(b, rel=0.02)
+
+
+def _three_rows(s):
+    return np.array([s / (0.3 + 1.7 * s), np.exp(-s) * s**2, 1.0 / (0.05 + s) ** 2])
+
+
+class TestStackedSpectralIntegral:
+    @pytest.mark.parametrize(
+        "make_model",
+        [
+            lambda: mp_spectral_model(1.0, 0.5, ERF_COEFFS),
+            lambda: mp_spectral_model(1.0, 2.0, ERF_COEFFS),
+            lambda: empirical_spectral_model(5, 300, 150, ERF_COEFFS),
+        ],
+        ids=["mp-atom", "mp-no-atom", "empirical"],
+    )
+    def test_rows_equal_scalar_calls_bit_for_bit(self, make_model):
+        model = make_model()
+        stacked = spectral_integral(model, _three_rows)
+        assert len(stacked) == 3
+        for k in range(3):
+            assert stacked[k] == spectral_integral(model, lambda s: _three_rows(s)[k])
+
+    def test_non_finite_bulk_row_raises(self):
+        model = mp_spectral_model(1.0, 2.0, ERF_COEFFS)
+        mid = 0.5 * (model.support_min + model.support_max)
+        g = lambda s: np.array([np.ones_like(s), np.where(s > mid, np.nan, 1.0)])
+        with pytest.raises(NumericalError, match="bulk"):
+            spectral_integral(model, g)
+
+    def test_non_finite_atom_row_raises(self):
+        model = mp_spectral_model(1.0, 0.5, ERF_COEFFS)
+        assert model.atom_mass > 0
+        # every bulk node lies above the atom, so only the atom sees the inf
+        g = lambda s: np.array([np.ones_like(s), np.where(s <= model.atom_location, np.inf, 1.0)])
+        with pytest.raises(NumericalError, match="atom"):
+            spectral_integral(model, g)
+
+    def test_empirical_non_finite_row_raises(self):
+        model = empirical_spectral_model(5, 60, 30, ERF_COEFFS)
+        g = lambda s: np.array([np.ones_like(s), np.where(s == s[0], np.nan, 1.0)])
+        with pytest.raises(NumericalError, match="empirical"):
+            spectral_integral(model, g)
+
+
+class TestBulkGridCache:
+    def test_cached_grid_equals_fresh_grid_and_is_read_only(self):
+        model = mp_spectral_model(1.0, 0.5, ERF_COEFFS)
+        nodes, weights = model.bulk_grid
+        fresh_nodes, fresh_weights = spectrum._mp_bulk_grid(model)
+        np.testing.assert_array_equal(nodes, fresh_nodes)
+        np.testing.assert_array_equal(weights, fresh_weights)
+        assert model.bulk_grid[0] is nodes
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+
+    def test_each_node_count_gets_its_own_grid(self):
+        coarse = mp_spectral_model(1.0, 0.5, ERF_COEFFS)
+        assert len(coarse.bulk_grid[0]) == spectrum.DEFAULT_BULK_NODES
+        fine = mp_spectral_model(1.0, 0.5, ERF_COEFFS, bulk_nodes=4001)
+        assert len(fine.bulk_grid[0]) == 4001
+
+    def test_solve_builds_the_grid_once_per_model(self, monkeypatch):
+        calls = []
+        real = spectrum._mp_bulk_grid
+
+        def counting(model):
+            calls.append(model.bulk_nodes)
+            return real(model)
+
+        monkeypatch.setattr(spectrum, "_mp_bulk_grid", counting)
+        square = ChannelSpec(loss="square", teacher="linear")
+        for nodes in (2001, 4001):
+            model = ModelConfig(
+                alpha=1.25, gamma=0.5, rho=1.0, lam=1e-2, K=1, spec=square,
+                spectrum=mp_spectral_model(1.25, 0.5, ERF_COEFFS, bulk_nodes=nodes), coeffs=ERF_COEFFS,
+            )
+            fp = solve_fixed_point(model, SolveOptions(tol=1e-10))
+            assert fp.converged and fp.iterations > 10
+        assert calls == [2001, 4001]
