@@ -29,6 +29,7 @@ from .erm_lab import (
     featurize,
     generate_dataset,
     run_experiment,
+    square_test_error_erf,
     train_logistic,
     train_ridge,
 )
@@ -137,6 +138,7 @@ __all__ = [
     "solve_fixed_point",
     "solve_kernel_limit",
     "spectral_integral",
+    "square_test_error_erf",
     "teacher_dz0",
     "teacher_z0",
     "train_logistic",

@@ -297,6 +297,11 @@ SIM_EXTRA_COLUMNS = [
 def cmd_simulate(cfg: dict, args) -> int:
     sim = _require(cfg, "simulate")
     trials = int(_require(sim, "trials", "simulate."))
+    axis = _require(cfg, "axis")
+    if trials > 0 and axis not in ("p_over_n", "alpha"):
+        raise ConfigError(
+            f"simulate needs the sizes to move along the sweep: axis must be 'p_over_n' or 'alpha', got {axis!r}"
+        )
     rows, fps, points = sweep_rows(cfg)
     # a degenerate simulate block produces exactly the theory-only sweep file
     columns = _theory_columns(points[0]) + (SIM_EXTRA_COLUMNS if trials > 0 else [])
@@ -330,8 +335,6 @@ def cmd_simulate(cfg: dict, args) -> int:
 
 def _simulate_point(point: TheoryProblem, sim: dict, row: dict, seed_flag, map_fn) -> dict:
     """Train the ensembles at the finite sizes of one sweep row and score them against its theory."""
-    if row["axis"] not in ("p_over_n", "alpha"):
-        raise ConfigError(f"simulate cannot map axis {row['axis']!r} onto integer sizes")
     d = int(_require(sim, "d", "simulate."))
     n = int(round(d * point.n_over_d))
     p = int(round(n / point.alpha))

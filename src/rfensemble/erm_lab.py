@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.special import erf, expit
 
 from .channels import ChannelSpec
@@ -145,30 +146,47 @@ class TrainedEnsemble:
         return self.W.shape[1]
 
 
-def train_ridge(features: Sequence[np.ndarray], y: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact regularized least squares per learner.
+def _ridge_cond(U: np.ndarray, lam: float) -> float:
+    """Condition number of the system actually factored, from the singular values of U."""
+    s2 = np.linalg.svd(U, compute_uv=False) ** 2 / U.shape[1]
+    return float((s2.max() + lam) / (s2.min() + lam))
 
-    One step of iterative refinement keeps the normal-equation residual near
-    machine precision even at lam = 1e-6 close to the interpolation peak.
+
+def train_ridge(features: Sequence[np.ndarray], y: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact regularized least squares per learner, one Cholesky factor each.
+
+    The normal equations A w = b, A = U^T U/p + lam I_p, b = U^T y/sqrt(p),
+    are solved in the smaller space: for p > n through the dual system
+    (U U^T/p + lam I_n) a = y, w = U^T a/sqrt(p). One step of iterative
+    refinement with the same factor keeps the residual near machine precision
+    even at lam = 1e-6 close to the interpolation peak. The contract
+    |A w - b| <= 1e-10 max(1, |b|) is checked in p-space without forming A.
     """
     if not lam > 0:
         raise ConfigError("lam must be positive")
     ws, resids = [], []
     for U in features:
         n, p = U.shape
-        A = U.T @ U / p
-        A[np.diag_indices(p)] += lam
         b = U.T @ y / math.sqrt(p)
+        dual = p > n
+        M = U @ U.T / p if dual else U.T @ U / p
+        M[np.diag_indices_from(M)] += lam
+        rhs = y if dual else b
         try:
-            w = np.linalg.solve(A, b)
-            w += np.linalg.solve(A, b - A @ w)
+            # numpy's Cholesky, not scipy's cho_factor: scipy ships its own OpenBLAS,
+            # and a threaded scipy factorization between numpy GEMMs leaves the two
+            # thread pools contending for the cores (up to 8x slower at two threads)
+            factor = (np.linalg.cholesky(M), True)
         except np.linalg.LinAlgError as exc:
-            cond = float(np.linalg.cond(A))
-            raise NumericalError(f"ridge normal equations failed (cond ~ {cond:.2e})") from exc
-        resid = float(np.linalg.norm(A @ w - b))
-        if resid > 1e-10 * max(1.0, float(np.linalg.norm(b))):
-            cond = float(np.linalg.cond(A))
-            raise NumericalError(f"ridge optimality residual {resid:.2e} too large (cond ~ {cond:.2e})")
+            raise NumericalError(f"ridge normal equations failed (cond ~ {_ridge_cond(U, lam):.2e})") from exc
+        x = cho_solve(factor, rhs, check_finite=False)
+        x += cho_solve(factor, rhs - M @ x, check_finite=False)
+        w = U.T @ x / math.sqrt(p) if dual else x
+        resid = float(np.linalg.norm(U.T @ (U @ w) / p + lam * w - b))
+        if not resid <= 1e-10 * max(1.0, float(np.linalg.norm(b))):
+            raise NumericalError(
+                f"ridge optimality residual {resid:.2e} too large (cond ~ {_ridge_cond(U, lam):.2e})"
+            )
         ws.append(w)
         resids.append(resid)
     return np.column_stack(ws), np.array(resids)
@@ -234,6 +252,37 @@ def train_logistic(
         gns.append(gn)
         its.append(done_iters)
     return np.column_stack(ws), np.array(gns), np.array(its)
+
+
+def square_test_error_erf(theta: np.ndarray, ensemble: FeatureEnsemble, W: np.ndarray) -> float:
+    """Exact population MSE of the mean estimator for a linear teacher and erf features.
+
+    With a = F_all x/sqrt(d) ~ N(0, G), G = F_all F_all^T/d over the stacked
+    F_k, s_i = 1/sqrt(1 + 2 G_ii) and y = theta.x/sqrt(d):
+
+        E[erf a_i erf a_j] = (2/pi) arcsin(2 G_ij s_i s_j)      (arcsine kernel, Williams 1997)
+        E[y erf a_i] = (F_all theta/d)_i (2/sqrt(pi)) s_i         (Stein's identity)
+
+    so the error is |theta|^2/d - 2 wbar.e + wbar^T C wbar with wbar the
+    stacked W[:, k]/(K sqrt(p)). C is symmetric: only its blocks k <= l are
+    formed, one p x p block at a time, arcsin taken in place. Uses the
+    sample's own |theta|^2/d, so the value is exact for this draw.
+    """
+    K, p, d = ensemble.K, ensemble.p, ensemble.d
+    F = ensemble.F_list
+    s = [1.0 / np.sqrt(1.0 + 2.0 * np.einsum("ij,ij->i", Fk, Fk) / d) for Fk in F]
+    w_bar = [W[:, k] / (K * math.sqrt(p)) for k in range(K)]
+    cross = sum(w_bar[k] @ ((F[k] @ theta / d) * s[k]) for k in range(K)) * (2.0 / math.sqrt(math.pi))
+    quad = 0.0
+    for k in range(K):
+        for l in range(k, K):
+            C = F[k] @ F[l].T
+            C *= (2.0 / d) * s[k][:, None]
+            C *= s[l][None, :]
+            np.arcsin(C, out=C)
+            term = float(w_bar[k] @ C @ w_bar[l])
+            quad += term if k == l else 2.0 * term
+    return float(theta @ theta / d - 2.0 * cross + (2.0 / math.pi) * quad)
 
 
 @dataclass(frozen=True)
@@ -389,25 +438,33 @@ def run_trial(
         else:
             train_loss = float(np.mean(np.logaddexp(0.0, -dataset.y[:, None] * z_train)))
 
-        rng_test = np.random.default_rng(derive_seed(seed, "test"))
-        X_test = rng_test.standard_normal((test_samples, d))
-        y_test = apply_teacher(teacher_field(X_test, dataset.theta), spec.teacher)
-        test_features = featurize(X_test, ensemble, mode=feature_mode)
-        scores = np.column_stack([preactivation(U, W[:, k]) for k, U in enumerate(test_features)])
-        f_hat, _ = resolve_estimator(estimator)
-        y_hat = f_hat(scores)
-        if spec.loss == "square":
-            test_error = float(np.mean((y_test - y_hat) ** 2))
-        else:
-            test_error = float(np.mean(y_test != y_hat))
-
         disagreement = math.nan
-        if K >= 2 and spec.teacher == "sign":
-            signs = np.where(scores >= 0, 1.0, -1.0)
-            pair_dis = [
-                float(np.mean(signs[:, a] != signs[:, b])) for a in range(K) for b in range(a + 1, K)
-            ]
-            disagreement = float(np.mean(pair_dis))
+        if (
+            spec.loss == "square"
+            and spec.teacher == "linear"
+            and estimator == "mean"
+            and feature_mode == "activation"
+            and (activation is None or activation is erf)
+        ):
+            test_error = square_test_error_erf(dataset.theta, ensemble, W)
+        else:
+            rng_test = np.random.default_rng(derive_seed(seed, "test"))
+            X_test = rng_test.standard_normal((test_samples, d))
+            y_test = apply_teacher(teacher_field(X_test, dataset.theta), spec.teacher)
+            test_features = featurize(X_test, ensemble, mode=feature_mode)
+            scores = np.column_stack([preactivation(U, W[:, k]) for k, U in enumerate(test_features)])
+            f_hat, _ = resolve_estimator(estimator)
+            y_hat = f_hat(scores)
+            if spec.loss == "square":
+                test_error = float(np.mean((y_test - y_hat) ** 2))
+            else:
+                test_error = float(np.mean(y_test != y_hat))
+            if K >= 2 and spec.teacher == "sign":
+                signs = np.where(scores >= 0, 1.0, -1.0)
+                pair_dis = [
+                    float(np.mean(signs[:, a] != signs[:, b])) for a in range(K) for b in range(a + 1, K)
+                ]
+                disagreement = float(np.mean(pair_dis))
         return TrialRecord(
             trial=trial,
             seed=seed,

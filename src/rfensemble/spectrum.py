@@ -65,13 +65,16 @@ def activation_coeffs(activation: Callable[[np.ndarray], np.ndarray], rule: Quad
     return ActivationCoeffs(kappa0=k0, kappa1=k1, kappa_star=float(np.sqrt(max(resid, 0.0))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralModel:
     """Spectral density of the feature covariance, closed form or measured.
 
     kind "closed_form_mp": bulk is the shifted MP law parameterized by
     (aspect, scale, shift) = (d/p, kappa1, kappa_star^2); kind "empirical":
     `eigenvalues` holds the p atoms of mass 1/p.
+
+    Equality and hashing are by identity: a field-wise comparison would
+    compare the `eigenvalues` array, whose truth value is ambiguous.
     """
 
     kind: str

@@ -221,10 +221,21 @@ class TestSimulate:
             z = float(r[header.index("z_test_error")])
             assert math.isfinite(z)
 
-    def test_simulation_failure_exit_code(self, tmp_path):
-        cfg = dict(SIM_CFG, axis="lambda", grid=[1e-3, 1e-2], p_over_n=1.0)
-        code = main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "f.csv")])
-        assert code == 4
+    def test_simulation_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # an axis that does not move the sizes is a config error, seen before any solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a point before rejecting the axis")
+
+        monkeypatch.setattr("rfensemble.cli.solve_point", no_solve)
+        lam_sweep = dict(SIM_CFG, axis="lambda", grid=[1e-3, 1e-2], p_over_n=1.0)
+        delta_sweep = dict(KERNEL_CFG, axis="delta", grid=[0.5, 1.0], simulate=SIM_CFG["simulate"])
+        for cfg in (lam_sweep, delta_sweep):
+            out = tmp_path / "f.csv"
+            code = main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "p_over_n" in err and "alpha" in err and repr(cfg["axis"]) in err
+            assert not out.exists()
 
     def test_all_trials_failing_exit_code(self, tmp_path):
         # no trainer for the hinge loss: every trial fails

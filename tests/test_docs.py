@@ -35,6 +35,7 @@ REQUIRED = [
     "rfensemble.erm_lab.train_ridge",
     "rfensemble.erm_lab.train_logistic",
     "rfensemble.erm_lab.empirical_overlaps",
+    "rfensemble.erm_lab.square_test_error_erf",
 ]
 
 

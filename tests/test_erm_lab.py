@@ -22,11 +22,13 @@ from rfensemble import (
     run_experiment,
     sample_feature_ensemble,
     solve_fixed_point,
+    square_test_error_erf,
     train_logistic,
     train_ridge,
     training_loss,
 )
-from rfensemble.erm_lab import preactivation, run_trial
+from rfensemble import erm_lab
+from rfensemble.erm_lab import TrialRecord, derive_seed, preactivation, run_trial, teacher_field
 
 COEFFS = activation_coeffs(erf, gauss_hermite_rule(201))
 SQUARE = ChannelSpec(loss="square", teacher="linear")
@@ -140,6 +142,22 @@ class TestTrainRidge:
         w_b, _ = train_ridge(feats, ds.y, 1e-6 + 1e-9)
         rel = np.linalg.norm(w_a - w_b) / np.linalg.norm(w_a)
         assert rel <= 1e-4
+
+    @pytest.mark.parametrize("lam", [1e-2, 1e-4])
+    def test_dual_solve_matches_primal_normal_equations(self, lam):
+        # p > n is solved in n-space; oracle: the p x p normal equations,
+        # formed explicitly and solved by LU with one refinement step
+        ds = generate_dataset(90, 40, 1.0, "linear", seed=30)
+        ens = sample_feature_ensemble(2, 150, 40, COEFFS, ds.theta, seed=31, activation=erf)
+        feats = featurize(ds, ens)
+        W, _ = train_ridge(feats, ds.y, lam)
+        for k, U in enumerate(feats):
+            p = U.shape[1]
+            A = U.T @ U / p + lam * np.eye(p)
+            b = U.T @ ds.y / math.sqrt(p)
+            w = np.linalg.solve(A, b)
+            w += np.linalg.solve(A, b - A @ w)
+            assert np.linalg.norm(W[:, k] - w) <= 1e-10 * np.linalg.norm(w)
 
 
 class TestTrainLogistic:
@@ -283,3 +301,82 @@ class TestRunExperiment:
         assert agg["failures"] == 0
         se = agg["train_loss"]["std_error"]
         assert abs(agg["train_loss"]["mean"] - theory) <= 3 * se
+
+
+def _trained_ensemble(seed, n, p, d, K, lam=1e-2):
+    ds = generate_dataset(n, d, 1.0, "linear", seed)
+    ens = sample_feature_ensemble(K, p, d, COEFFS, ds.theta, seed=derive_seed(seed, "features"), activation=erf)
+    W, _ = train_ridge(featurize(ds, ens), ds.y, lam)
+    return ds, ens, W
+
+
+class TestSquareTestErrorErf:
+    def test_matches_sampled_mse(self):
+        # oracle: 400k fresh test points through the trained ensemble's mean score
+        ds, ens, W = _trained_ensemble((40, 0), n=150, p=100, d=50, K=2)
+        exact = square_test_error_erf(ds.theta, ens, W)
+        rng = np.random.default_rng(41)
+        errs = []
+        for _ in range(8):
+            X = rng.standard_normal((50_000, ds.d))
+            scores = np.column_stack([preactivation(U, W[:, k]) for k, U in enumerate(featurize(X, ens))])
+            errs.append((teacher_field(X, ds.theta) - scores.mean(axis=1)) ** 2)
+        errs = np.concatenate(errs)
+        se = errs.std(ddof=1) / math.sqrt(errs.size)
+        assert abs(exact - errs.mean()) <= 4 * se
+
+
+def _count_featurize(monkeypatch):
+    calls = []
+    real = erm_lab.featurize
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(erm_lab, "featurize", counting)
+    return calls
+
+
+class TestRunTrialTestError:
+    KW = dict(n=60, p=50, d=30, K=2, rho=1.0, lam=0.1, test_samples=300)
+
+    def test_ridge_erf_trial_is_exact_without_test_features(self, monkeypatch):
+        calls = _count_featurize(monkeypatch)
+        rec = run_trial(0, (43, 0), SQUARE, COEFFS, estimator="mean", activation=erf, **self.KW)
+        assert rec.ok
+        assert len(calls) == 1  # the training set only
+        ds, ens, W = _trained_ensemble((43, 0), n=60, p=50, d=30, K=2, lam=0.1)
+        assert rec.test_error == square_test_error_erf(ds.theta, ens, W)
+
+    def test_tanh_trial_still_samples(self, monkeypatch):
+        tanh_coeffs = activation_coeffs(np.tanh, gauss_hermite_rule(201))
+        calls = _count_featurize(monkeypatch)
+        rec = run_trial(0, (44, 0), SQUARE, tanh_coeffs, estimator="mean", activation=np.tanh, **self.KW)
+        assert rec.ok
+        assert len(calls) == 2
+        assert calls[1].shape == (self.KW["test_samples"], self.KW["d"])
+
+    def test_logistic_trial_matches_the_sampled_path(self):
+        # oracle: the sampled test path rebuilt from the public pieces
+        seed, n, p, d, K, lam, samples = (45, 0), 80, 60, 30, 2, 1e-2, 400
+        rec = run_trial(3, seed, LOGISTIC, COEFFS, n=n, p=p, d=d, K=K, rho=1.0, lam=lam,
+                        estimator="avg_sign", activation=erf, test_samples=samples)
+        ds = generate_dataset(n, d, 1.0, "sign", seed)
+        ens = sample_feature_ensemble(K, p, d, COEFFS, ds.theta, seed=derive_seed(seed, "features"), activation=erf)
+        feats = featurize(ds, ens)
+        W, gns, iters = train_logistic(feats, ds.y, lam)
+        ov = empirical_overlaps(TrainedEnsemble(W=W, ensemble=ens, grad_norms=gns, iterations=iters))
+        z_train = np.column_stack([preactivation(U, W[:, k]) for k, U in enumerate(feats)])
+        X = np.random.default_rng(derive_seed(seed, "test")).standard_normal((samples, d))
+        y = np.where(teacher_field(X, ds.theta) >= 0, 1.0, -1.0)
+        scores = np.column_stack([preactivation(U, W[:, k]) for k, U in enumerate(featurize(X, ens))])
+        signs = np.where(scores >= 0, 1.0, -1.0)
+        want = TrialRecord(
+            trial=3, seed=seed, ok=True, m=ov.m, q0=ov.q0, q1=ov.q1,
+            train_loss=float(np.mean(np.logaddexp(0.0, -ds.y[:, None] * z_train))),
+            test_error=float(np.mean(y != np.where(scores.sum(axis=1) >= 0, 1.0, -1.0))),
+            disagreement=float(np.mean([float(np.mean(signs[:, 0] != signs[:, 1]))])),
+            grad_norm_max=float(np.max(gns)),
+        )
+        assert rec == want

@@ -120,6 +120,14 @@ class TestEmpiricalSpectralModel:
         b = empirical_spectral_model(7, 200, 100, ERF_COEFFS)
         np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
 
+    def test_equality_is_identity(self):
+        # a field-wise __eq__ would take the truth value of the eigenvalue array and raise
+        a = empirical_spectral_model(7, 40, 20, ERF_COEFFS)
+        b = empirical_spectral_model(7, 40, 20, ERF_COEFFS)
+        assert a == a
+        assert not a == b
+        assert len({a, b}) == 2
+
 
 class TestSpectralIntegral:
     def test_unit_mass(self):
