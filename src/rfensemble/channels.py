@@ -36,6 +36,8 @@ TEACHERS = ("linear", "sign")
 
 _COSH_CLIP = 350.0
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# h' nodes of the logistic proximal's starting table; sigmoid(40) is 1 to float64
+_START_GRID = np.linspace(-40.0, 40.0, 129)
 
 
 @dataclass(frozen=True)
@@ -139,6 +141,15 @@ def prox_logistic(y: float, omega, v: float, tol: float = 1e-12, max_iter: int =
     increasing in h so the bracket always contains the unique root. The
     tolerance is scaled by the bracket magnitude, the best float64 can do
     when v or omega are large (small-ridge fixed points reach v ~ 1e3).
+
+    The iteration starts from the inverse of the monotone map
+    a(h') = h' - v sigmoid(-h') (h' = y h, a = y omega), tabulated on
+    _START_GRID and inverted by linear interpolation, then clipped into the
+    bracket. Beyond the table the map is linear to float64 accuracy, and
+    the clip lands on that line: np.interp holds the end value, so the start
+    becomes h' = a + v on the left and h' = a on the right. At v ~ 500
+    four Newton/bisection passes then suffice.
+
     Each element is frozen, after one last Newton step, as soon as its own
     residual meets the tolerance; only the elements still above it take
     further steps.
@@ -150,7 +161,8 @@ def prox_logistic(y: float, omega, v: float, tol: float = 1e-12, max_iter: int =
     lo = np.minimum(w, w + y * v)
     hi = np.maximum(w, w + y * v)
     tol_eff = tol * max(1.0, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
-    h_out = w + y * v * expit(-y * w)  # first fixed-point step, strictly inside the bracket
+    a_grid = _START_GRID - v * expit(-_START_GRID)
+    h_out = np.clip(y * np.interp(y * w, a_grid, _START_GRID), lo, hi)
     # the active set: flat indices still iterating, with their own copies of
     # the state so each pass touches only those elements
     idx = np.arange(w.size)
@@ -312,10 +324,11 @@ def channel_update(
     else:
 
         def pair_integrand(wa, wb):
-            # wa is the (n, 1) column of row nodes, so f(W) takes one
-            # proximal solve per row; wb is the full (n, n) grid
-            fa = prox_logistic(1.0, wa, v).f
-            fb = prox_logistic(1.0, wb, v).f
+            # wa is the (n, 1) column of row nodes, so f(W) is solved once
+            # per row; wb is the full (n, n) grid. One proximal call takes
+            # both, which saves a second pass loop.
+            f = prox_logistic(1.0, np.concatenate([wa.ravel(), wb.ravel()]), v).f
+            fa, fb = f[: wa.size].reshape(wa.shape), f[wa.size :].reshape(wb.shape)
             return teacher_z0(1.0, m * (wa + wb) / (q0 + q1), s_pair) * fa * fb
 
         q1h = 2.0 * alpha * expect_2d_correlated(pair_integrand, q0, q1, rules.rule_2d)

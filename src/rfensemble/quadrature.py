@@ -10,6 +10,7 @@ abscissae of the standard normal, so scaling lives in the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -43,11 +44,18 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     """Probabilists' Gauss-Hermite rule of the given order.
 
     Exact for polynomial integrands of degree <= 2*order - 1 under N(0,1).
+    Each order is built once per process; its arrays are read-only, so the
+    one rule object is shared by every caller.
     """
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise ConfigError(f"quadrature order must be a positive integer, got {order!r}")
     if order > MAX_ORDER:
         raise ConfigError(f"quadrature order {order} exceeds cap {MAX_ORDER}")
+    return _build_gauss_hermite_rule(int(order))
+
+
+@lru_cache(maxsize=None)
+def _build_gauss_hermite_rule(order: int) -> QuadratureRule:
     nodes, weights = np.polynomial.hermite_e.hermegauss(order)
     weights = weights / weights.sum()
     # symmetrize away last-ulp asymmetry from the eigenvalue solver
@@ -55,7 +63,7 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     weights = 0.5 * (weights + weights[::-1])
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(nodes=nodes, weights=weights, order=int(order))
+    return QuadratureRule(nodes=nodes, weights=weights, order=order)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ follow the theory-vs-simulation protocol: desk-scale trial counts with
 explicit standard-error bands.
 """
 
+import dataclasses
 import math
 import time
 
@@ -40,10 +41,11 @@ from rfensemble import (
     sample_feature_ensemble,
     solve_fixed_point,
     solve_kernel_limit,
+    square_test_error_erf,
     train_ridge,
     warm_options,
 )
-from rfensemble.erm_lab import derive_seed, preactivation, run_experiment, teacher_field
+from rfensemble.erm_lab import derive_seed, run_experiment
 
 import hinge_oracles
 
@@ -159,14 +161,10 @@ def ridge_erm():
             ens = sample_feature_ensemble(4, p, d, COEFFS, ds.theta,
                                           seed=derive_seed(seed, "features"), activation=erf)
             W, _ = train_ridge(featurize(ds, ens), ds.y, 1e-6)
-            rng = np.random.default_rng(derive_seed(seed, "test"))
-            X_test = rng.standard_normal((5000, d))
-            y_test = teacher_field(X_test, ds.theta)
-            scores = np.column_stack(
-                [preactivation(U, W[:, k]) for k, U in enumerate(featurize(X_test, ens))]
-            )
+            # the exact population MSE of the first K learners' mean predictor
             for K in K_LIST:
-                per_k[K].append(float(np.mean((y_test - scores[:, :K].mean(axis=1)) ** 2)))
+                first_k = dataclasses.replace(ens, F_list=ens.F_list[:K], seeds=ens.seeds[:K])
+                per_k[K].append(square_test_error_erf(ds.theta, first_k, W[:, :K]))
         results[pn] = per_k
     return theory, results
 

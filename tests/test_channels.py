@@ -19,6 +19,7 @@ from rfensemble import (
     teacher_z0,
     training_loss,
 )
+import rfensemble.channels as channels
 from rfensemble.channels import _hinge_pair_inner
 
 import hinge_oracles
@@ -101,6 +102,16 @@ def bisect_logistic_prox(y, omega, v, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
+def mixed_grid(y, v):
+    """Easy elements (|omega| >> v) and hard ones (omega near 0 and near -y v)."""
+    return np.concatenate([
+        [-5e4, -3e3, -2e3, 2e3, 3e3, 5e4],
+        np.linspace(-5.0, 5.0, 41),
+        -y * v + np.linspace(-5.0, 5.0, 41),
+        np.random.default_rng(0).normal(0.0, 9.0, 300),
+    ])
+
+
 class TestProxLogistic:
     def test_vanishing_step(self):
         res = prox_logistic(1.0, np.array([0.4]), 1e-10)
@@ -122,12 +133,7 @@ class TestProxLogistic:
         # frozen; hard ones (omega near 0 and near -y v, where the bracket is
         # v wide) keep iterating; every element must meet the scaled tolerance
         v = 500.0
-        omega = np.concatenate([
-            [-5e4, -3e3, -2e3, 2e3, 3e3, 5e4],
-            np.linspace(-5.0, 5.0, 41),
-            -y * v + np.linspace(-5.0, 5.0, 41),
-            np.random.default_rng(0).normal(0.0, 9.0, 300),
-        ])
+        omega = mixed_grid(y, v)
         res = prox_logistic(y, omega, v)
         scale = max(1.0, np.max(np.abs(omega)) + v)
         resid = res.h - omega - y * v / (1.0 + np.exp(np.clip(y * res.h, -700, 700)))
@@ -137,6 +143,41 @@ class TestProxLogistic:
         # small-ridge solver amplifies tolerance-sized errors past its tol
         want = np.array([bisect_logistic_prox(y, o, v, min(o, o + y * v), max(o, o + y * v)) for o in omega])
         assert np.all(np.abs(res.h - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("v", [1e-8, 1e-3, 1.0, 500.0, 1e5])
+    @pytest.mark.parametrize("y", [1.0, -1.0])
+    def test_matches_bisection_oracle_beyond_start_table(self, y, v):
+        # a = y omega: the start table covers a in [-40 - v, 40]; past its
+        # edges the start comes from the clip into the bracket alone. The
+        # residual h - omega - ... is computed at the scale of the bracket
+        # ends, so that scale bounds what float64 can resolve (at v = 1e5,
+        # omega = -1e5 pins h ~ -10 only to a few 1e-12)
+        edge = 40.0 + v
+        beyond = np.array([1e-3, 1.0, 50.0, 1e4])
+        a = np.concatenate([
+            -edge - beyond,
+            edge + beyond,
+            np.linspace(-edge, edge, 61),
+            np.linspace(-5.0, 5.0, 11),
+            -v + np.linspace(-5.0, 5.0, 11),
+        ])
+        omega = y * a
+        res = prox_logistic(y, omega, v)
+        want = np.array([bisect_logistic_prox(y, o, v, min(o, o + y * v), max(o, o + y * v)) for o in omega])
+        scale = np.maximum(1.0, np.maximum(np.abs(omega), np.abs(omega + y * v)))
+        assert np.all(np.abs(res.h - want) <= 1e-13 * scale)
+
+    def test_tabulated_start_needs_few_passes(self, monkeypatch):
+        # one expit call builds the start table, then one per pass: the
+        # mixed grid at v = 500 took 17 calls from a fixed-point-step start
+        calls = []
+        expit = channels.expit
+        monkeypatch.setattr(channels, "expit", lambda x: calls.append(1) or expit(x))
+        v = 500.0
+        for y in (1.0, -1.0):
+            calls.clear()
+            prox_logistic(y, mixed_grid(y, v), v)
+            assert len(calls) <= 6
 
     def test_keeps_input_shape(self):
         omega = np.linspace(-3.0, 3.0, 12).reshape(3, 4)

@@ -36,6 +36,14 @@ class TestGaussHermiteRule:
         with pytest.raises(ConfigError):
             gauss_hermite_rule(order)
 
+    def test_each_order_built_once_and_still_validated(self):
+        rule = gauss_hermite_rule(61)
+        assert gauss_hermite_rule(np.int64(61)) is rule
+        assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+        # 61.0 == 61 and hashes alike, so a cache in front of the check would serve it
+        with pytest.raises(ConfigError):
+            gauss_hermite_rule(61.0)
+
     @pytest.mark.parametrize("order", [1, 2, 3, 5, 8, 13, 40])
     def test_polynomial_exactness_up_to_degree(self, order):
         rule = gauss_hermite_rule(order)
