@@ -1,0 +1,86 @@
+"""Print one sha256 per CLI output, so two checkouts can be compared byte for byte.
+
+Usage: python scripts/cli_digest.py > digest.txt  (from any directory; no options)
+
+It runs, with BLAS pinned to one thread and a fresh RFENSEMBLE_CACHE:
+- `sweep` on every sweep config (one with an "axis") in configs/ and
+  rfbench/configs/, hashing the CSV it writes;
+- `solve` at the first grid point of each of those configs, hashing the JSON
+  it prints;
+- `confidence-density` on configs/confidence_density.json, hashing its CSV;
+- corpus.evaluate_record on every record in goldens/, hashing the repr of
+  the evaluation.
+Each line is "<sha256>  <output> exit=<code>"; output on stderr gets a line
+of its own. Diff the output of the two checkouts to compare them.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from rfensemble import RfensembleError, cli, corpus  # noqa: E402
+
+# the delta axis moves n_over_d; every other axis is the config key of its own name
+AXIS_KEYS = {"delta": "n_over_d"}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_cli(command: str, cfg: dict, label: str, tmp: Path) -> None:
+    cfg_path, out_path = tmp / "config.json", tmp / "out"
+    cfg_path.write_text(json.dumps(cfg))
+    out_path.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main([command, "--config", str(cfg_path), "--out", str(out_path)])
+    if command == "solve":
+        data = stdout.getvalue().encode()
+    else:
+        data = out_path.read_bytes() if out_path.exists() else b""
+    print(f"{sha256(data)}  {command} {label} exit={code}", flush=True)
+    if stderr.getvalue():
+        print(f"{sha256(stderr.getvalue().encode())}  {command} {label} stderr", flush=True)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp_name:
+        tmp = Path(tmp_name)
+        os.environ["RFENSEMBLE_CACHE"] = str(tmp / "cache")
+
+        sweeps = sorted((ROOT / "configs").glob("*.json")) + sorted((ROOT / "rfbench" / "configs").glob("*.json"))
+        for path in sweeps:
+            cfg = json.loads(path.read_text())
+            if "axis" not in cfg:
+                continue
+            label = str(path.relative_to(ROOT))
+            run_cli("sweep", cfg, label, tmp)
+            point = {k: v for k, v in cfg.items() if k not in ("axis", "grid")}
+            point[AXIS_KEYS.get(cfg["axis"], cfg["axis"])] = cfg["grid"][0]
+            run_cli("solve", point, f"{label}@{cfg['axis']}={cfg['grid'][0]}", tmp)
+        density = ROOT / "configs" / "confidence_density.json"
+        run_cli("confidence-density", json.loads(density.read_text()), str(density.relative_to(ROOT)), tmp)
+        for record in corpus.load_corpus(ROOT / "goldens"):
+            try:
+                result = corpus.evaluate_record(record)
+            except RfensembleError as exc:
+                result = exc
+            print(f"{sha256(repr(result).encode())}  golden {record.name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -47,7 +47,7 @@ from .observables import (
     classification_error_bar,
     confidence_density,
     disagreement_probability,
-    error_decomposition_classification,
+    ensemble_test_error,
     generic_gen_error,
     majority_vote_error,
     mse_test_error,
@@ -56,9 +56,6 @@ from .priors import (
     FeatureEnsemble,
     kernel_channel_update,
     kernel_prior_update,
-    kernel_ridge_closed_form,
-    kernel_ridge_closed_form_derived,
-    prior_update_matrix_oracle,
     prior_update_spectral,
     sample_feature_ensemble,
 )
@@ -114,7 +111,7 @@ __all__ = [
     "disagreement_probability",
     "empirical_overlaps",
     "empirical_spectral_model",
-    "error_decomposition_classification",
+    "ensemble_test_error",
     "expect_1d",
     "expect_2d_correlated",
     "featurize",
@@ -123,12 +120,9 @@ __all__ = [
     "generic_gen_error",
     "kernel_channel_update",
     "kernel_prior_update",
-    "kernel_ridge_closed_form",
-    "kernel_ridge_closed_form_derived",
     "majority_vote_error",
     "mp_spectral_model",
     "mse_test_error",
-    "prior_update_matrix_oracle",
     "prior_update_spectral",
     "prox_hinge",
     "prox_logistic",

@@ -22,14 +22,7 @@ from scipy.special import erf
 
 from .channels import ChannelSpec, training_loss
 from .errors import ConfigError, RfensembleError
-from .observables import (
-    EnsembleCovariance,
-    classification_error_avg,
-    classification_error_bar,
-    confidence_density,
-    disagreement_probability,
-    mse_test_error,
-)
+from .observables import confidence_density, disagreement_probability, ensemble_test_error
 from .quadrature import gauss_hermite_rule
 from .solver import (
     FixedPoint,
@@ -187,32 +180,9 @@ def solve_point(problem: TheoryProblem, opts: SolveOptions) -> FixedPoint:
 
 
 def observable_row(problem: TheoryProblem, fp: FixedPoint) -> dict:
-    params = fp.params
-    row: dict = {}
-    for K in problem.K_list:
-        label = f"eps_g_K{K}"
-        if problem.spec.loss == "square":
-            if K == "inf":
-                row[label] = problem.rho + params.q1 - 2 * params.m
-            else:
-                cov = EnsembleCovariance.from_params(params, problem.rho, int(K))
-                row[label] = mse_test_error(cov)[0]
-        else:
-            if K == "inf":
-                row[label] = classification_error_bar(problem.rho, params.m, params.q1)
-            else:
-                cov = EnsembleCovariance.from_params(params, problem.rho, int(K))
-                row[label] = classification_error_avg(cov)
-    if problem.spec.loss == "square":
-        cov1 = EnsembleCovariance.from_params(params, problem.rho, 1)
-        eps_g, eps_bar, delta_eps = mse_test_error(cov1)
-    else:
-        eps_bar = classification_error_bar(problem.rho, params.m, params.q1)
-        cov1 = EnsembleCovariance.from_params(params, problem.rho, 1)
-        eps_g = classification_error_avg(cov1)
-        delta_eps = eps_g - eps_bar
-    row["eps_bar"] = eps_bar
-    row["delta_eps"] = delta_eps
+    params, rho, loss = fp.params, problem.rho, problem.spec.loss
+    row = {f"eps_g_K{K}": ensemble_test_error(params, rho, loss, K)[0] for K in problem.K_list}
+    _, row["eps_bar"], row["delta_eps"] = ensemble_test_error(params, rho, loss, 1)
     row["disagreement"] = disagreement_probability(params.q0, params.q1)
     row["q1_over_q0"] = params.q1 / params.q0
     return row

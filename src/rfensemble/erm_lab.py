@@ -413,14 +413,13 @@ def run_trial(
     estimator: str,
     activation: Optional[Callable] = None,
     test_samples: int = DEFAULT_TEST_SAMPLES,
-    feature_mode: str = "activation",
 ) -> TrialRecord:
     try:
         dataset = generate_dataset(n, d, rho, spec.teacher, seed)
         ensemble = sample_feature_ensemble(
             K, p, d, coeffs, dataset.theta, seed=derive_seed(seed, "features"), activation=activation
         )
-        features = featurize(dataset, ensemble, mode=feature_mode)
+        features = featurize(dataset, ensemble)
         if spec.loss == "square":
             W, grad_norms = train_ridge(features, dataset.y, lam)
             iters = np.zeros(K)
@@ -443,7 +442,6 @@ def run_trial(
             spec.loss == "square"
             and spec.teacher == "linear"
             and estimator == "mean"
-            and feature_mode == "activation"
             and (activation is None or activation is erf)
         ):
             test_error = square_test_error_erf(dataset.theta, ensemble, W)
@@ -451,7 +449,7 @@ def run_trial(
             rng_test = np.random.default_rng(derive_seed(seed, "test"))
             X_test = rng_test.standard_normal((test_samples, d))
             y_test = apply_teacher(teacher_field(X_test, dataset.theta), spec.teacher)
-            test_features = featurize(X_test, ensemble, mode=feature_mode)
+            test_features = featurize(X_test, ensemble)
             scores = np.column_stack([preactivation(U, W[:, k]) for k, U in enumerate(test_features)])
             f_hat, _ = resolve_estimator(estimator)
             y_hat = f_hat(scores)
@@ -495,7 +493,6 @@ def run_experiment(
     estimator: Optional[str] = None,
     activation: Optional[Callable] = None,
     test_samples: int = DEFAULT_TEST_SAMPLES,
-    feature_mode: str = "activation",
     seeds: Optional[Sequence] = None,
     map_fn=map,
 ) -> ExperimentResult:
@@ -512,7 +509,7 @@ def run_experiment(
     elif len(seeds) != trials:
         raise ConfigError("seed list length must equal trials")
     jobs = [
-        (t, s, spec, coeffs, n, p, d, K, rho, lam, estimator, activation, test_samples, feature_mode)
+        (t, s, spec, coeffs, n, p, d, K, rho, lam, estimator, activation, test_samples)
         for t, s in enumerate(seeds)
     ]
     records = list(map_fn(_trial_worker, jobs))
@@ -522,8 +519,8 @@ def run_experiment(
 
 def _trial_worker(args) -> TrialRecord:
     """Module-level so experiment jobs pickle into process pools."""
-    (t, s, spec, coeffs, n, p, d, K, rho, lam, estimator, activation, test_samples, feature_mode) = args
+    (t, s, spec, coeffs, n, p, d, K, rho, lam, estimator, activation, test_samples) = args
     return run_trial(
         t, s, spec, coeffs, n, p, d, K, rho, lam, estimator,
-        activation=activation, test_samples=test_samples, feature_mode=feature_mode,
+        activation=activation, test_samples=test_samples,
     )

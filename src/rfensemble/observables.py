@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.special import ndtri
@@ -100,16 +100,25 @@ def disagreement_probability(q0: float, q1: float) -> float:
     return _acos_clipped(q1 / q0) / math.pi
 
 
-def error_decomposition_classification(
-    points: Iterable[OrderParams], rho: float
-) -> list[tuple[float, float]]:
-    """(eps_bar, delta_eps) along a sweep of single-learner fixed points."""
-    out = []
-    for params in points:
-        eps_bar = classification_error_bar(rho, params.m, params.q1)
-        eps_k1 = _acos_clipped(params.m / math.sqrt(rho * params.q0)) / math.pi
-        out.append((eps_bar, eps_k1 - eps_bar))
-    return out
+def ensemble_test_error(params: OrderParams, rho: float, loss: str, K) -> tuple[float, float, float]:
+    """(eps_g, eps_bar, delta_eps) of K learners at one fixed point; K is an int or "inf".
+
+    Square loss scores the mean estimator under squared error, the margin
+    losses the score-average sign estimator under zero-one error. At K = "inf"
+    eps_g is eps_bar and delta_eps is 0.
+    """
+    if K == "inf":
+        if loss == "square":
+            eps_bar = mse_test_error(EnsembleCovariance.from_params(params, rho, 1))[1]
+        else:
+            eps_bar = classification_error_bar(rho, params.m, params.q1)
+        return eps_bar, eps_bar, 0.0
+    cov = EnsembleCovariance.from_params(params, rho, K)
+    if loss == "square":
+        return mse_test_error(cov)
+    eps_g = classification_error_avg(cov)
+    eps_bar = classification_error_bar(rho, params.m, params.q1)
+    return eps_g, eps_bar, eps_g - eps_bar
 
 
 # ---------------------------------------------------------------------------

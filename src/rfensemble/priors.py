@@ -1,10 +1,10 @@
 """Prior (tilde-parameter) updates: conjugates back to order parameters.
 
-Three routes implement the same map. The spectral route integrates against
-the feature-covariance density; the matrix oracle evaluates the underlying
-trace formulas on sampled feature matrices (the ground truth the spectral
-route must reproduce as p grows); the kernel route is the p -> infinity
-limit at fixed n/d.
+Two routes implement the same map. The spectral route integrates against
+the feature-covariance density; the kernel route is its p -> infinity limit
+at fixed n/d. The finite-matrix trace formulas the spectral route must
+reproduce as p grows are a test oracle (tests/oracles.py), as are the
+kernel-ridge one-shot closed forms.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .channels import ChannelSpec, ConjugateParams, OrderParams, channel_update
-from .errors import ConfigError, DomainError, NumericalError, ResourceError
+from .errors import ConfigError, DomainError, ResourceError
 from .quadrature import QuadratureSet
 from .spectrum import (
     MAX_MATRIX_ENTRIES,
@@ -92,21 +91,6 @@ class FeatureEnsemble:
     def d(self) -> int:
         return self.F_list[0].shape[1]
 
-    def omega_diag(self, k: int) -> np.ndarray:
-        """Omega_kk = (kappa1^2/d) F_k F_k^T + kappa_star^2 I."""
-        F = self.F_list[k]
-        out = (self.coeffs.kappa1**2 / self.d) * (F @ F.T)
-        out[np.diag_indices(self.p)] += self.coeffs.kappa_star_sq
-        return out
-
-    def omega_cross(self, k: int, kp: int) -> np.ndarray:
-        """Omega_kk' = (kappa1^2/d) F_k F_k'^T for k != k'."""
-        return (self.coeffs.kappa1**2 / self.d) * (self.F_list[k] @ self.F_list[kp].T)
-
-    def phi_teacher(self, k: int) -> np.ndarray:
-        """Teacher-feature correlation kappa1 F_k theta / sqrt(d)."""
-        return self.coeffs.kappa1 * (self.F_list[k] @ self.theta) / np.sqrt(self.d)
-
 
 def sample_feature_ensemble(
     K: int,
@@ -125,44 +109,6 @@ def sample_feature_ensemble(
     seeds = tuple(int(s) for s in np.random.SeedSequence(seed).generate_state(K))
     F_list = tuple(sample_feature_matrix(s, p, d) for s in seeds)
     return FeatureEnsemble(F_list=F_list, coeffs=coeffs, theta=np.asarray(theta, dtype=float), seeds=seeds, activation=activation)
-
-
-def prior_update_matrix_oracle(conj: ConjugateParams, lam: float, ensemble: FeatureEnsemble) -> OrderParams:
-    """Finite-size trace formulas over the sampled feature covariance blocks.
-
-    Needs two independent feature matrices for the cross overlap q1. Linear
-    systems (lam I + v_hat Omega) X = B are solved by Cholesky; conditioning
-    degrades near the interpolation peak, so failures surface with context.
-    """
-    if ensemble.K < 2:
-        raise ConfigError("matrix oracle needs K >= 2 feature matrices for q1")
-    mh, q0h, q1h, vh = conj.m_hat, conj.q0_hat, conj.q1_hat, conj.v_hat
-    p = ensemble.p
-    gamma = ensemble.d / p
-    ks2 = ensemble.coeffs.kappa_star_sq
-    omega = ensemble.omega_diag(0)
-    omega_p = ensemble.omega_diag(1)
-    cross = ensemble.omega_cross(0, 1)
-    a = lam * np.eye(p) + vh * omega
-    a_p = lam * np.eye(p) + vh * omega_p
-    try:
-        cf = cho_factor(a)
-        cf_p = cho_factor(a_p)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"resolvent factorization failed at lam={lam}, v_hat={vh}: {exc}") from exc
-    r_omega = cho_solve(cf, omega)
-    theta_block = omega.copy()
-    theta_block[np.diag_indices(p)] -= ks2
-    r_theta = cho_solve(cf, theta_block)
-    v = float(np.trace(r_omega)) / p
-    m = mh / np.sqrt(gamma) * float(np.trace(r_theta)) / p
-    mid = mh**2 * theta_block + q0h * omega
-    r_mid = cho_solve(cf, mid)
-    q0 = float(np.sum(r_mid * r_omega.T)) / p
-    r_cross = cho_solve(cf, cross)
-    rp_cross_t = cho_solve(cf_p, cross.T)
-    q1 = (mh**2 + q1h) * float(np.sum(r_cross * rp_cross_t.T)) / p
-    return OrderParams(m=m, q0=q0, q1=q1, v=v)
 
 
 # ---------------------------------------------------------------------------
@@ -207,39 +153,3 @@ def kernel_prior_update(conj: ConjugateParams, lam: float, delta: float, coeffs:
     q0 = delta * k1sq**2 * (q0h + mh**2) / denom**2
     q1 = delta * k1sq**2 * (q1h + mh**2) / denom**2
     return OrderParams(m=m, q0=q0, q1=q1, v=v)
-
-
-def kernel_ridge_closed_form(lam: float, delta: float, rho: float, coeffs: ActivationCoeffs):
-    """Kernel-limit ridge fixed point in one shot, as printed: returns (v, m, q).
-
-    The v and m expressions agree with the kernel fixed-point iteration to
-    machine precision. The printed q expression does not (its numerator's
-    bare delta is correct, its denominator is not); see
-    kernel_ridge_closed_form_derived for the form that matches the fixed
-    point, and the package docs for the cross-check protocol.
-    """
-    if not lam > 0:
-        raise DomainError(f"closed form requires lam > 0, got {lam}")
-    k1sq = coeffs.kappa1**2
-    ks2 = coeffs.kappa_star_sq
-    disc = (1 - delta) ** 2 * k1sq**2 + 2 * (ks2 + lam) * (1 + delta) * k1sq + (ks2 + lam) ** 2
-    v = ((1 - delta) * k1sq + np.sqrt(disc) + ks2 - lam) / (2 * lam)
-    m = 1.0 / (1.0 + lam * (v + 1.0) / (delta * k1sq))
-    q = (delta - 2.0 * m + rho) / ((1.0 + 2.0 * lam * (v + 1.0) / (delta * k1sq)) ** 2 - 1.0)
-    return v, m, q
-
-
-def kernel_ridge_closed_form_derived(lam: float, delta: float, rho: float, coeffs: ActivationCoeffs):
-    """Kernel ridge closed form rederived from the fixed-point equations.
-
-    Same v and m as the printed form; q solves the self-consistency
-    q = delta kappa1^4 (q_hat + m_hat^2) / (lam + delta kappa1^2 v_hat)^2
-    with the ridge channel, giving
-    q = (rho + delta - 2 m) / (delta (1 + x)^2 - 1), x = lam (v+1)/(delta kappa1^2).
-    """
-    if not lam > 0:
-        raise DomainError(f"closed form requires lam > 0, got {lam}")
-    v, m, _ = kernel_ridge_closed_form(lam, delta, rho, coeffs)
-    x = lam * (v + 1.0) / (delta * coeffs.kappa1**2)
-    q = (rho + delta - 2.0 * m) / (delta * (1.0 + x) ** 2 - 1.0)
-    return v, m, q

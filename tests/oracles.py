@@ -1,0 +1,201 @@
+"""Second routes kept as test oracles for formulas the package computes once.
+
+- Finite-matrix prior traces (formula row 13): the trace formulas over
+  sampled feature matrices that the spectral prior must reproduce as p grows.
+- Kernel-ridge one-shot closed forms (row 17): the form as printed, whose q
+  is wrong, and the q rederived from the fixed-point equations.
+- Hinge pair expectation q1_hat (rows 9 and 10). The package computes it from
+  an analytic inner integral over W given W + W', vectorised over the outer
+  nodes. Two references check it:
+
+  - a brute-force quadrature that tensorizes composite Gauss-Legendre panels
+    over (W, W'), split on each axis at the proximal's branch boundaries, and
+    evaluates prox_hinge at every node;
+  - the same analytic inner integral written as a loop over s-nodes and cells.
+"""
+
+import numpy as np
+from scipy.linalg import cho_factor, cho_solve
+from scipy.special import erf
+
+from rfensemble import ConfigError, DomainError, NumericalError, OrderParams, prox_hinge, teacher_z0
+
+
+# ---------------------------------------------------------------------------
+# Finite-matrix prior traces
+# ---------------------------------------------------------------------------
+
+
+def omega_diag(ensemble, k):
+    """Omega_kk = (kappa1^2/d) F_k F_k^T + kappa_star^2 I."""
+    F = ensemble.F_list[k]
+    out = (ensemble.coeffs.kappa1**2 / ensemble.d) * (F @ F.T)
+    out[np.diag_indices(ensemble.p)] += ensemble.coeffs.kappa_star_sq
+    return out
+
+
+def omega_cross(ensemble, k, kp):
+    """Omega_kk' = (kappa1^2/d) F_k F_k'^T for k != k'."""
+    return (ensemble.coeffs.kappa1**2 / ensemble.d) * (ensemble.F_list[k] @ ensemble.F_list[kp].T)
+
+
+def prior_update_matrix_oracle(conj, lam, ensemble):
+    """Finite-size trace formulas over the sampled feature covariance blocks.
+
+    Needs two independent feature matrices for the cross overlap q1. Linear
+    systems (lam I + v_hat Omega) X = B are solved by Cholesky; conditioning
+    degrades near the interpolation peak, so failures surface with context.
+    """
+    if ensemble.K < 2:
+        raise ConfigError("matrix oracle needs K >= 2 feature matrices for q1")
+    mh, q0h, q1h, vh = conj.m_hat, conj.q0_hat, conj.q1_hat, conj.v_hat
+    p = ensemble.p
+    gamma = ensemble.d / p
+    ks2 = ensemble.coeffs.kappa_star_sq
+    omega = omega_diag(ensemble, 0)
+    omega_p = omega_diag(ensemble, 1)
+    cross = omega_cross(ensemble, 0, 1)
+    a = lam * np.eye(p) + vh * omega
+    a_p = lam * np.eye(p) + vh * omega_p
+    try:
+        cf = cho_factor(a)
+        cf_p = cho_factor(a_p)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"resolvent factorization failed at lam={lam}, v_hat={vh}: {exc}") from exc
+    r_omega = cho_solve(cf, omega)
+    theta_block = omega.copy()
+    theta_block[np.diag_indices(p)] -= ks2
+    r_theta = cho_solve(cf, theta_block)
+    v = float(np.trace(r_omega)) / p
+    m = mh / np.sqrt(gamma) * float(np.trace(r_theta)) / p
+    mid = mh**2 * theta_block + q0h * omega
+    r_mid = cho_solve(cf, mid)
+    q0 = float(np.sum(r_mid * r_omega.T)) / p
+    r_cross = cho_solve(cf, cross)
+    rp_cross_t = cho_solve(cf_p, cross.T)
+    q1 = (mh**2 + q1h) * float(np.sum(r_cross * rp_cross_t.T)) / p
+    return OrderParams(m=m, q0=q0, q1=q1, v=v)
+
+
+# ---------------------------------------------------------------------------
+# Kernel-ridge one-shot closed forms
+# ---------------------------------------------------------------------------
+
+
+def kernel_ridge_closed_form(lam, delta, rho, coeffs):
+    """Kernel-limit ridge fixed point in one shot, as printed: returns (v, m, q).
+
+    The v and m expressions agree with the kernel fixed-point iteration to
+    machine precision. The printed q expression does not (its numerator's
+    bare delta is correct, its denominator is not); see
+    kernel_ridge_closed_form_derived for the form that matches the fixed
+    point, and docs/formula_map.md for the cross-check protocol.
+    """
+    if not lam > 0:
+        raise DomainError(f"closed form requires lam > 0, got {lam}")
+    k1sq = coeffs.kappa1**2
+    ks2 = coeffs.kappa_star_sq
+    disc = (1 - delta) ** 2 * k1sq**2 + 2 * (ks2 + lam) * (1 + delta) * k1sq + (ks2 + lam) ** 2
+    v = ((1 - delta) * k1sq + np.sqrt(disc) + ks2 - lam) / (2 * lam)
+    m = 1.0 / (1.0 + lam * (v + 1.0) / (delta * k1sq))
+    q = (delta - 2.0 * m + rho) / ((1.0 + 2.0 * lam * (v + 1.0) / (delta * k1sq)) ** 2 - 1.0)
+    return v, m, q
+
+
+def kernel_ridge_closed_form_derived(lam, delta, rho, coeffs):
+    """Kernel ridge closed form rederived from the fixed-point equations.
+
+    Same v and m as the printed form; q solves the self-consistency
+    q = delta kappa1^4 (q_hat + m_hat^2) / (lam + delta kappa1^2 v_hat)^2
+    with the ridge channel, giving
+    q = (rho + delta - 2 m) / (delta (1 + x)^2 - 1), x = lam (v+1)/(delta kappa1^2).
+    """
+    if not lam > 0:
+        raise DomainError(f"closed form requires lam > 0, got {lam}")
+    v, m, _ = kernel_ridge_closed_form(lam, delta, rho, coeffs)
+    x = lam * (v + 1.0) / (delta * coeffs.kappa1**2)
+    q = (rho + delta - 2.0 * m) / (delta * (1.0 + x) ** 2 - 1.0)
+    return v, m, q
+
+
+# ---------------------------------------------------------------------------
+# Hinge pair expectation
+# ---------------------------------------------------------------------------
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+
+
+def kink_grid_1d(sd, knots, span=12.0):
+    """Composite Gauss-Legendre nodes/weights on [-span sd, span sd], panels
+    at most sd/2 wide and split at the interior knots."""
+    lo, hi = -span * sd, span * sd
+    cuts = sorted({lo, hi, *[k for k in knots if lo < k < hi]})
+    nodes, weights = [], []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        edges = np.linspace(a, b, max(1, int(np.ceil((b - a) / (0.5 * sd)))) + 1)
+        half = 0.5 * np.diff(edges)
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        nodes.append((mid[:, None] + half[:, None] * _GL_NODES).ravel())
+        weights.append((half[:, None] * _GL_WEIGHTS).ravel())
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def expect_kinked_2d(g, q0, q1, knots):
+    """E[g(W, W')] over the correlated pair, panels split at knots per axis."""
+    sd = np.sqrt(q0)
+    x, wx = kink_grid_1d(sd, knots)
+    if abs(q1) >= q0 * (1 - 1e-12):
+        sign = 1.0 if q1 > 0 else -1.0
+        pdf = np.exp(-(x**2) / (2.0 * q0)) / np.sqrt(2.0 * np.pi * q0)
+        return float(np.sum(wx * pdf * g(x, sign * x)))
+    det = q0 * q0 - q1 * q1
+    xs, ys = x[:, None], x[None, :]
+    pdf = np.exp(-(q0 * xs**2 - 2.0 * q1 * xs * ys + q0 * ys**2) / (2.0 * det)) / (2.0 * np.pi * np.sqrt(det))
+    vals = g(np.broadcast_to(xs, pdf.shape), np.broadcast_to(ys, pdf.shape))
+    return float(np.einsum("i,j,ij->", wx, wx, pdf * vals))
+
+
+def hinge_q1_hat(params, rho, alpha):
+    """q1_hat = 2 alpha E[Z0(+1, m(W+W')/(q0+q1), s_pair) f(W) f(W')] (both
+    labels contribute equally)."""
+    m, q0, q1, v = params.m, params.q0, params.q1, params.v
+    s_pair = rho - 2.0 * m**2 / (q0 + q1)
+
+    def pair(wa, wb):
+        fa = prox_hinge(1.0, wa, v).f
+        fb = prox_hinge(1.0, wb, v).f
+        return teacher_z0(1.0, m * (wa + wb) / (q0 + q1), s_pair) * fa * fb
+
+    return 2.0 * alpha * expect_kinked_2d(pair, q0, q1, (1.0 - v, 1.0))
+
+
+def _trunc_moments(mu, var, a, b):
+    """Integrals of 1, u, u^2 against N(mu, var) over [a, b]."""
+    sd = np.sqrt(var)
+    za, zb = (a - mu) / sd, (b - mu) / sd
+    cdf = lambda z: 0.5 * (1.0 + erf(z / np.sqrt(2.0)))
+    pdf = lambda z: np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
+    m0 = cdf(zb) - cdf(za)
+    i1 = pdf(za) - pdf(zb)
+    i2 = m0 + za * pdf(za) - zb * pdf(zb)
+    return m0, mu * m0 + sd * i1, mu**2 * m0 + 2.0 * mu * sd * i1 + var * i2
+
+
+def hinge_pair_inner_loop(s, q0, q1, v):
+    """E[f(W) f(s-W)] with W | W+W'=s ~ N(s/2, (q0-q1)/2), one s-node and
+    one nonempty cell between the breakpoints {s-1, s-1+v, 1-v, 1} at a time."""
+    var = 0.5 * (q0 - q1)
+    out = np.zeros(len(s))
+    for i, si in enumerate(s):
+        if si >= 2.0:
+            continue
+        edges = np.unique(np.clip([si - 1.0, si - 1.0 + v, 1.0 - v, 1.0], si - 1.0, 1.0))
+        for a, b in zip(edges[:-1], edges[1:]):
+            mid = 0.5 * (a + b)
+            # f(+1) at omega = mid and at omega' = s - mid, as (constant, slope)
+            c_f = (1.0, 0.0) if mid < 1.0 - v else (1.0 / v, -1.0 / v)
+            c_g = (1.0, 0.0) if mid > si - 1.0 + v else ((1.0 - si) / v, 1.0 / v)
+            m0, m1, m2 = _trunc_moments(0.5 * si, var, a, b)
+            out[i] += c_f[0] * c_g[0] * m0 + (c_f[0] * c_g[1] + c_f[1] * c_g[0]) * m1 + c_f[1] * c_g[1] * m2
+    return out

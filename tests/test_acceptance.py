@@ -34,7 +34,6 @@ from rfensemble import (
     majority_vote_error,
     mp_spectral_model,
     mse_test_error,
-    prior_update_matrix_oracle,
     prior_update_spectral,
     prox_hinge,
     prox_logistic,
@@ -47,7 +46,7 @@ from rfensemble import (
 )
 from rfensemble.erm_lab import derive_seed, run_experiment
 
-import hinge_oracles
+from oracles import hinge_q1_hat, prior_update_matrix_oracle
 
 COEFFS = activation_coeffs(erf, gauss_hermite_rule(201))
 SQUARE = ChannelSpec(loss="square", teacher="linear")
@@ -321,7 +320,7 @@ def test_criterion_6ii_hinge_closed_form_vs_generic():
         generic = channel_update(params, RHO, 1.0, 1.0, HINGE)
         # both routes share the analytic q1_hat; the brute-force kinked 2D
         # panel quadrature checks that one
-        oracle_q1 = hinge_oracles.hinge_q1_hat(params, RHO, 1.0)
+        oracle_q1 = hinge_q1_hat(params, RHO, 1.0)
         gap = max(float(np.max(np.abs(closed.as_array() - generic.as_array()))), abs(generic.q1_hat - oracle_q1))
         worst = max(worst, gap)
         assert gap <= 1e-6

@@ -22,7 +22,7 @@ from rfensemble import (
 import rfensemble.channels as channels
 from rfensemble.channels import _hinge_pair_inner
 
-import hinge_oracles
+import oracles
 
 SQUARE = ChannelSpec(loss="square", teacher="linear")
 LOGISTIC = ChannelSpec(loss="logistic", teacher="sign")
@@ -373,18 +373,18 @@ class TestHingeClosedForm:
     @pytest.mark.parametrize("params", HINGE_POINTS + [HINGE_MARGIN_POINT, OrderParams(m=5e-5, q0=1e-8, q1=4e-9, v=0.7)])
     def test_q1_hat_matches_kinked_2d_oracle(self, params):
         generic = channel_update(params, 1.0, 1.0, 1.0, HINGE)
-        assert generic.q1_hat == pytest.approx(hinge_oracles.hinge_q1_hat(params, 1.0, 1.0), abs=1e-6)
+        assert generic.q1_hat == pytest.approx(oracles.hinge_q1_hat(params, 1.0, 1.0), abs=1e-6)
 
     def test_q1_hat_reference_point_tight(self):
         generic = channel_update(HINGE_POINTS[0], 1.0, 1.0, 1.0, HINGE)
-        want = hinge_oracles.hinge_q1_hat(HINGE_POINTS[0], 1.0, 1.0)
+        want = oracles.hinge_q1_hat(HINGE_POINTS[0], 1.0, 1.0)
         assert generic.q1_hat == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("q0,q1,v", [(1.0, 0.5, 0.7), (0.6, 0.2, 1.5), (1.2, -0.2, 2.2), (2.0, 1.1, 0.4)])
     def test_pair_inner_matches_loop_reference(self, q0, q1, v):
         # same cells and arithmetic (zero-width cells add exact zeros)
         s = np.concatenate([np.linspace(-6.0, 2.5, 397), [2.0 - 2.0 * v, 2.0 - v, 1.0, 2.0]])
-        want = hinge_oracles.hinge_pair_inner_loop(s, q0, q1, v)
+        want = oracles.hinge_pair_inner_loop(s, q0, q1, v)
         np.testing.assert_array_equal(_hinge_pair_inner(s, q0, q1, v), want)
 
     def test_pair_inner_degenerate_correlation(self):

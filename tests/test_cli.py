@@ -7,9 +7,21 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from rfensemble import activation_coeffs, gauss_hermite_rule, kernel_ridge_closed_form, kernel_ridge_closed_form_derived
-from rfensemble.cli import main, parse_problem
+from rfensemble import (
+    ConjugateParams,
+    EnsembleCovariance,
+    FixedPoint,
+    OrderParams,
+    activation_coeffs,
+    classification_error_avg,
+    classification_error_bar,
+    gauss_hermite_rule,
+    mse_test_error,
+)
+from rfensemble.cli import main, observable_row, parse_problem
 from rfensemble.corpus import GoldenRecord, evaluate_record
+
+from oracles import kernel_ridge_closed_form, kernel_ridge_closed_form_derived
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -180,6 +192,39 @@ class TestShippedSweeps:
         out = tmp_path / "ridge_double_descent.csv"
         assert main(["sweep", "--config", str(ROOT / "configs" / "ridge_double_descent.json"), "--out", str(out)]) == 0
         assert out.read_bytes() == (ROOT / "tests" / "data" / "ridge_double_descent.csv").read_bytes()
+
+
+class TestObservableRow:
+    # fixed order parameters: every column is compared with == against the formula functions
+    PARAMS = OrderParams(m=0.41, q0=0.93, q1=0.57, v=1.3)
+    RHO = 1.3
+
+    def row(self, loss):
+        problem = parse_problem({"loss": loss, "rho": self.RHO, "lambda": 0.1, "alpha": 1.0, "K": [1, 2, 3, "inf"]})
+        fp = FixedPoint(params=self.PARAMS, conj=ConjugateParams(0.0, 0.0, 0.0, 0.0), iterations=0,
+                        residual=0.0, converged=True)
+        return observable_row(problem, fp)
+
+    def cov(self, K):
+        return EnsembleCovariance.from_params(self.PARAMS, self.RHO, K)
+
+    def test_square_columns_are_the_formula_values(self):
+        row = self.row("square")
+        for K in (1, 2, 3):
+            assert row[f"eps_g_K{K}"] == mse_test_error(self.cov(K))[0]
+        eps_g, eps_bar, delta_eps = mse_test_error(self.cov(1))
+        assert row["eps_g_Kinf"] == row["eps_bar"] == eps_bar
+        assert row["delta_eps"] == delta_eps
+        # the mean-estimator formula adds the fluctuation part to eps_bar
+        assert row["eps_g_K1"] == row["eps_bar"] + row["delta_eps"]
+
+    def test_logistic_columns_are_the_formula_values(self):
+        row = self.row("logistic")
+        for K in (1, 2, 3):
+            assert row[f"eps_g_K{K}"] == classification_error_avg(self.cov(K))
+        eps_bar = classification_error_bar(self.RHO, self.PARAMS.m, self.PARAMS.q1)
+        assert row["eps_g_Kinf"] == row["eps_bar"] == eps_bar
+        assert row["delta_eps"] == row["eps_g_K1"] - row["eps_bar"]
 
 
 SIM_CFG = {

@@ -19,10 +19,8 @@ REQUIRED = [
     "rfensemble.channels.channel_update_hinge_closed_form",
     "rfensemble.channels.training_loss",
     "rfensemble.priors.prior_update_spectral",
-    "rfensemble.priors.prior_update_matrix_oracle",
     "rfensemble.priors.kernel_channel_update",
     "rfensemble.priors.kernel_prior_update",
-    "rfensemble.priors.kernel_ridge_closed_form",
     "rfensemble.solver.solve_fixed_point",
     "rfensemble.solver.solve_kernel_limit",
     "rfensemble.observables.mse_test_error",
@@ -31,7 +29,7 @@ REQUIRED = [
     "rfensemble.observables.generic_gen_error",
     "rfensemble.observables.majority_vote_error",
     "rfensemble.observables.confidence_density",
-    "rfensemble.observables.error_decomposition_classification",
+    "rfensemble.observables.ensemble_test_error",
     "rfensemble.erm_lab.train_ridge",
     "rfensemble.erm_lab.train_logistic",
     "rfensemble.erm_lab.empirical_overlaps",

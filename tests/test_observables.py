@@ -12,7 +12,7 @@ from rfensemble import (
     classification_error_bar,
     confidence_density,
     disagreement_probability,
-    error_decomposition_classification,
+    ensemble_test_error,
     generic_gen_error,
     majority_vote_error,
     mse_test_error,
@@ -71,7 +71,7 @@ class TestClosedForms:
 
     def test_decomposition_identity_and_sign(self):
         pts = [OrderParams(m=0.4, q0=1.0, q1=q1, v=1.0) for q1 in (0.2, 0.5, 0.8, 1.0)]
-        out = error_decomposition_classification(pts, rho=1.0)
+        out = [ensemble_test_error(params, 1.0, "logistic", 1)[1:] for params in pts]
         for (eps_bar, delta), params in zip(out, pts):
             eps_k1 = math.acos(params.m / math.sqrt(params.q0)) / math.pi
             assert eps_bar + delta == pytest.approx(eps_k1, abs=1e-14)

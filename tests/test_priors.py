@@ -15,16 +15,15 @@ from rfensemble import (
     gauss_hermite_rule,
     kernel_channel_update,
     kernel_prior_update,
-    kernel_ridge_closed_form,
-    kernel_ridge_closed_form_derived,
     mp_spectral_model,
-    prior_update_matrix_oracle,
     prior_update_spectral,
     sample_feature_ensemble,
     solve_kernel_limit,
     spectral_integral,
     SolveOptions,
 )
+
+from oracles import kernel_ridge_closed_form, kernel_ridge_closed_form_derived, omega_diag, prior_update_matrix_oracle
 
 RULE = gauss_hermite_rule(201)
 COEFFS = activation_coeffs(erf, RULE)
@@ -152,7 +151,7 @@ class TestMatrixOracle:
         gamma = d / p
         from scipy.linalg import cho_factor, cho_solve
 
-        omega = ens.omega_diag(0)
+        omega = omega_diag(ens, 0)
         theta = omega.copy()
         theta[np.diag_indices(p)] -= COEFFS.kappa_star_sq
         cf = cho_factor(0.3 * np.eye(p) + conj.v_hat * omega)

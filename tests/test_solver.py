@@ -10,11 +10,12 @@ from rfensemble import (
     SolveOptions,
     activation_coeffs,
     gauss_hermite_rule,
-    kernel_ridge_closed_form_derived,
     mp_spectral_model,
     solve_fixed_point,
     solve_kernel_limit,
 )
+
+from oracles import kernel_ridge_closed_form_derived
 
 COEFFS = activation_coeffs(erf, gauss_hermite_rule(201))
 SQUARE = ChannelSpec(loss="square", teacher="linear")
