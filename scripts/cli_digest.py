@@ -9,7 +9,9 @@ It runs, with BLAS pinned to one thread and a fresh RFENSEMBLE_CACHE:
   it prints;
 - `confidence-density` on configs/confidence_density.json, hashing its CSV;
 - corpus.evaluate_record on every record in goldens/, hashing the repr of
-  the evaluation.
+  the evaluation in a canonical form: every float-like scalar is written as
+  `float(v).hex()`, so a float that becomes an np.float64 of the same value
+  (or back) leaves its line alone, while any change in the last bit shows.
 Each line is "<sha256>  <output> exit=<code>"; output on stderr gets a line
 of its own. Diff the output of the two checkouts to compare them.
 """
@@ -27,6 +29,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
@@ -38,6 +42,17 @@ AXIS_KEYS = {"delta": "n_over_d"}
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def canonical(value):
+    """`value` with dicts, lists and tuples walked and every float-like scalar written as float.hex."""
+    if isinstance(value, dict):
+        return {k: canonical(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [canonical(v) for v in value]
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    return value
 
 
 def run_cli(command: str, cfg: dict, label: str, tmp: Path) -> None:
@@ -78,7 +93,7 @@ def main() -> int:
                 result = corpus.evaluate_record(record)
             except RfensembleError as exc:
                 result = exc
-            print(f"{sha256(repr(result).encode())}  golden {record.name}", flush=True)
+            print(f"{sha256(repr(canonical(result)).encode())}  golden {record.name}", flush=True)
     return 0
 
 

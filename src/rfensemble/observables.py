@@ -82,12 +82,17 @@ def _acos_clipped(x: float) -> float:
 
 def classification_error_avg(cov: EnsembleCovariance) -> float:
     """Zero-one error of sign(sum_k mu_k) against the sign teacher."""
-    arg = math.sqrt(cov.K) * cov.m / math.sqrt(cov.rho * (cov.q0 - cov.q1 + cov.K * cov.q1))
+    score_var = cov.rho * (cov.q0 - cov.q1 + cov.K * cov.q1)
+    if not score_var > 0:
+        raise DomainError(f"rho (q0 - q1 + K q1) = {score_var} must be positive")
+    arg = math.sqrt(cov.K) * cov.m / math.sqrt(score_var)
     return _acos_clipped(arg) / math.pi
 
 
 def classification_error_bar(rho: float, m: float, q1: float) -> float:
     """Ensemble-limit zero-one error (the K -> infinity form)."""
+    if not rho * q1 > 0:
+        raise DomainError(f"rho q1 = {rho * q1} must be positive")
     return _acos_clipped(m / math.sqrt(rho * q1)) / math.pi
 
 

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
-
-import numpy as np
 
 from .channels import ChannelSpec, ConjugateParams, OrderParams, channel_update
 from .errors import ConfigError, DomainError
@@ -93,53 +92,62 @@ def _project(params: OrderParams, rho: float) -> tuple[OrderParams, bool]:
     """Pull an iterate back into the admissible set; reports if it moved."""
     m, q0, q1, v = params.m, params.q0, params.q1, params.v
     moved = False
-    if not np.isfinite(q0) or q0 > DIVERGENCE_Q0:
+    if not math.isfinite(q0) or q0 > DIVERGENCE_Q0:
         return params, False  # divergence handled by the caller
     if q0 <= 0:
         q0, moved = 1e-12, True
     if v <= 0:
         v, moved = 1e-12, True
     if abs(q1) > q0:
-        q1, moved = np.sign(q1) * q0, True
-    cap = np.sqrt(rho * q0)
+        q1, moved = math.copysign(q0, q1), True
+    cap = math.sqrt(rho * q0)
     if abs(m) > cap:
-        m, moved = np.sign(m) * cap * (1 - 1e-12), True
+        m, moved = math.copysign(cap, m) * (1 - 1e-12), True
     return OrderParams(m=m, q0=q0, q1=q1, v=v), moved
 
 
+def _sign(x: float) -> int:
+    return (x > 0) - (x < 0)
+
+
 def _iterate(step, init: OrderParams, rho: float, opts: SolveOptions) -> FixedPoint:
-    """Generic damped iteration; `step` maps OrderParams -> (OrderParams, ConjugateParams)."""
+    """Generic damped iteration; `step` maps OrderParams -> (OrderParams, ConjugateParams).
+
+    The 4-vector (m, q0, q1, v) is carried as Python floats: each solve takes
+    hundreds of cheap iterations, where numpy call overhead on 4-element
+    arrays would cost more than the arithmetic.
+    """
     params = init
-    cur_arr = init.as_array()
+    cur = [float(init.m), float(init.q0), float(init.q1), float(init.v)]
     damping = opts.damping
     projections = 0
-    residual = np.inf
-    prev_sign: Optional[np.ndarray] = None  # signs of the last q0 and v steps
+    residual = math.inf
+    prev_sign: Optional[tuple[int, int]] = None  # signs of the last q0 and v steps
     osc_count = 0
     conj = ConjugateParams(0.0, 0.0, 0.0, 0.0)
     for it in range(1, opts.max_iters + 1):
         update, conj = step(params)
-        new_arr = update.as_array()
-        if not np.isfinite(new_arr).all() or update.q0 > DIVERGENCE_Q0:
+        new = [float(update.m), float(update.q0), float(update.q1), float(update.v)]
+        if not all(map(math.isfinite, new)) or update.q0 > DIVERGENCE_Q0:
             return FixedPoint(params, conj, it, residual, False, "interpolation_divergence", projections)
-        delta = new_arr - cur_arr
-        residual = float(np.abs(delta).max())
+        delta = [a - b for a, b in zip(new, cur)]
+        residual = max(map(abs, delta))
         # tol below the float64 spacing of the iterate cannot be met: stop
         # within a few ulps of the largest component instead
-        if residual < max(opts.tol, 4.0 * np.spacing(np.abs(new_arr).max())):
+        if residual < max(opts.tol, 4.0 * math.ulp(max(map(abs, new)))):
             return FixedPoint(update, conj, it, residual, True, "converged", projections)
-        sign = np.sign(delta[1::2])
+        sign = (_sign(delta[1]), _sign(delta[3]))
         if prev_sign is not None:
-            if (sign == -prev_sign).all() and sign.any():
+            if sign == (-prev_sign[0], -prev_sign[1]) and sign != (0, 0):
                 osc_count += 1
                 if osc_count >= 3 and damping > 0.1:
                     damping = 0.1
             else:
                 osc_count = 0
         prev_sign = sign
-        params, moved = _project(OrderParams(*(damping * new_arr + (1 - damping) * cur_arr)), rho)
-        projections += int(moved)
-        cur_arr = params.as_array()
+        params, moved = _project(OrderParams(*[damping * a + (1 - damping) * b for a, b in zip(new, cur)]), rho)
+        projections += moved
+        cur = [params.m, params.q0, params.q1, params.v]
     return FixedPoint(params, conj, opts.max_iters, residual, False, "max_iters", projections)
 
 
@@ -168,6 +176,8 @@ def solve_kernel_limit(
     """Fixed point of the kernel-limit equations at fixed delta = n/d."""
     if not delta > 0:
         raise DomainError(f"delta must be positive, got {delta}")
+    if not rho > 0:
+        raise ConfigError(f"rho must be positive, got {rho}")
     if not lam > 0:
         raise ConfigError("kernel mode requires lam > 0")
     opts = opts or SolveOptions()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -95,7 +96,7 @@ class SpectralModel:
             if np.min(self.eigenvalues) < -1e-10:
                 raise DomainError("feature covariance must be PSD: negative eigenvalue found")
 
-    @property
+    @cached_property
     def support_min(self) -> float:
         if self.kind == "empirical":
             return float(np.min(self.eigenvalues))
@@ -110,11 +111,26 @@ class SpectralModel:
 
     @cached_property
     def bulk_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """(nodes, weights) of the closed-form bulk, built once per model, read-only."""
+        """(nodes, weights) of the closed-form bulk, built once per model, read-only.
+
+        Every weight is positive and finite, so a non-finite integrand value
+        anywhere on the bulk makes its weighted sum non-finite.
+        """
         nodes, weights = _mp_bulk_grid(self)
+        if not (np.isfinite(weights).all() and (weights > 0).all()):
+            raise NumericalError("MP bulk weights must be positive and finite")
         nodes.setflags(write=False)
         weights.setflags(write=False)
         return nodes, weights
+
+    @cached_property
+    def support_nodes(self) -> np.ndarray:
+        """The closed-form bulk nodes followed by the atom when it has mass, read-only."""
+        nodes = self.bulk_grid[0]
+        if self.atom_mass > 0:
+            nodes = np.append(nodes, self.atom_location)
+            nodes.setflags(write=False)
+        return nodes
 
     def total_mass(self) -> float:
         return spectral_integral(self, lambda s: np.ones_like(s))
@@ -233,10 +249,14 @@ def spectral_integral(model: SpectralModel, g: Callable[[np.ndarray], np.ndarray
 
     g maps the array s of support points either to one array of g(s), and
     the integral is a float, or to a stack of k rows of shape (k, len(s)),
-    one integrand per row, and the result is a list of k floats. Each row of
-    a stack is summed on its own (`row @ w` on the MP bulk, its mean on an
-    empirical spectrum), so it equals the single-integrand call bit for bit;
-    every row must be finite on the bulk and at the atom.
+    one integrand per row, and the result is a list of k floats. g is called
+    once: on the eigenvalues of an empirical spectrum, or on the MP bulk
+    nodes followed by the atom (`SpectralModel.support_nodes`). Each row of
+    a stack is summed on its own (`row[:n] @ w` over the n bulk nodes plus
+    atom_mass times its atom value, its mean on an empirical spectrum), so
+    it equals the single-integrand call bit for bit. Every row's bulk sum
+    and atom value must be finite: a non-finite value on the bulk, or a
+    finite row whose sum overflows, raises NumericalError.
     """
     if model.kind == "empirical":
         vals = np.asarray(g(model.eigenvalues), dtype=float)
@@ -244,14 +264,15 @@ def spectral_integral(model: SpectralModel, g: Callable[[np.ndarray], np.ndarray
             raise NumericalError("spectral integrand non-finite on empirical support")
         out = np.mean(vals, axis=-1)
         return [float(x) for x in out] if vals.ndim == 2 else float(out)
-    s, w = model.bulk_grid
-    vals = np.asarray(g(s), dtype=float)
-    if not np.isfinite(vals).all():
-        raise NumericalError("spectral integrand non-finite on MP bulk support")
+    w = model.bulk_grid[1]
+    n = len(w)
+    vals = np.asarray(g(model.support_nodes), dtype=float)
     rows = vals if vals.ndim == 2 else vals[np.newaxis]
-    out = [float(row @ w) for row in rows]
+    out = [float(row[:n] @ w) for row in rows]
+    if not all(map(math.isfinite, out)):
+        raise NumericalError("spectral integrand non-finite on MP bulk support")
     if model.atom_mass > 0:
-        atom_vals = np.asarray(g(np.array([model.atom_location])), dtype=float).reshape(len(out))
+        atom_vals = rows[:, n]
         if not np.isfinite(atom_vals).all():
             raise NumericalError(f"spectral integrand non-finite at atom s={model.atom_location}")
         out = [x + model.atom_mass * float(a) for x, a in zip(out, atom_vals)]

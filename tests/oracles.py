@@ -12,6 +12,9 @@
     over (W, W'), split on each axis at the proximal's branch boundaries, and
     evaluates prox_hinge at every node;
   - the same analytic inner integral written as a loop over s-nodes and cells.
+- The damped solver loop (row 26) on numpy 4-vectors, as it was before the
+  package carried the iterate as Python floats; the package loop must
+  return the same FixedPoint bit for bit.
 """
 
 import numpy as np
@@ -19,6 +22,8 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import erf
 
 from rfensemble import ConfigError, DomainError, NumericalError, OrderParams, prox_hinge, teacher_z0
+from rfensemble import solver
+from rfensemble.channels import ConjugateParams
 
 
 # ---------------------------------------------------------------------------
@@ -199,3 +204,60 @@ def hinge_pair_inner_loop(s, q0, q1, v):
             m0, m1, m2 = _trunc_moments(0.5 * si, var, a, b)
             out[i] += c_f[0] * c_g[0] * m0 + (c_f[0] * c_g[1] + c_f[1] * c_g[0]) * m1 + c_f[1] * c_g[1] * m2
     return out
+
+
+# ---------------------------------------------------------------------------
+# Damped solver loop on numpy arrays
+# ---------------------------------------------------------------------------
+
+
+def project_array_oracle(params, rho):
+    """`solver._project` on numpy scalars."""
+    m, q0, q1, v = params.m, params.q0, params.q1, params.v
+    moved = False
+    if not np.isfinite(q0) or q0 > solver.DIVERGENCE_Q0:
+        return params, False
+    if q0 <= 0:
+        q0, moved = 1e-12, True
+    if v <= 0:
+        v, moved = 1e-12, True
+    if abs(q1) > q0:
+        q1, moved = np.sign(q1) * q0, True
+    cap = np.sqrt(rho * q0)
+    if abs(m) > cap:
+        m, moved = np.sign(m) * cap * (1 - 1e-12), True
+    return OrderParams(m=m, q0=q0, q1=q1, v=v), moved
+
+
+def iterate_array_oracle(step, init, rho, opts):
+    """Drop-in for `solver._iterate`: the same damped loop on 4-element arrays."""
+    params = init
+    cur_arr = init.as_array()
+    damping = opts.damping
+    projections = 0
+    residual = np.inf
+    prev_sign = None
+    osc_count = 0
+    conj = ConjugateParams(0.0, 0.0, 0.0, 0.0)
+    for it in range(1, opts.max_iters + 1):
+        update, conj = step(params)
+        new_arr = update.as_array()
+        if not np.isfinite(new_arr).all() or update.q0 > solver.DIVERGENCE_Q0:
+            return solver.FixedPoint(params, conj, it, residual, False, "interpolation_divergence", projections)
+        delta = new_arr - cur_arr
+        residual = float(np.abs(delta).max())
+        if residual < max(opts.tol, 4.0 * np.spacing(np.abs(new_arr).max())):
+            return solver.FixedPoint(update, conj, it, residual, True, "converged", projections)
+        sign = np.sign(delta[1::2])
+        if prev_sign is not None:
+            if (sign == -prev_sign).all() and sign.any():
+                osc_count += 1
+                if osc_count >= 3 and damping > 0.1:
+                    damping = 0.1
+            else:
+                osc_count = 0
+        prev_sign = sign
+        params, moved = project_array_oracle(OrderParams(*(damping * new_arr + (1 - damping) * cur_arr)), rho)
+        projections += int(moved)
+        cur_arr = params.as_array()
+    return solver.FixedPoint(params, conj, opts.max_iters, residual, False, "max_iters", projections)

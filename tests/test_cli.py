@@ -92,6 +92,15 @@ class TestSolve:
         assert code == 3
         assert payload["converged"] is False
 
+    def test_negative_q1_classification_point_exits_3(self, tmp_path, capsys, monkeypatch):
+        # no shipped solve lands on q1 < 0; hand the command such a fixed point
+        params = OrderParams(m=0.1, q0=1.0, q1=-0.2, v=1.0)
+        fp = FixedPoint(params, ConjugateParams(0.1, 0.1, 0.1, 0.1), 1, 0.0, True)
+        monkeypatch.setattr("rfensemble.cli.solve_point", lambda *args, **kwargs: fp)
+        cfg = dict(RIDGE_CFG, loss="logistic", K=[1, 3, "inf"])
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg)]) == 3
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "nope.json")])
         assert code == 2

@@ -25,6 +25,17 @@ def cov(rho=1.0, m=0.5, q0=1.0, q1=0.5, K=2):
 
 
 class TestClosedForms:
+    @pytest.mark.parametrize("K", [1, 3, "inf"])
+    def test_classification_split_rejects_negative_q1(self, K):
+        with pytest.raises(DomainError):
+            ensemble_test_error(OrderParams(m=0.1, q0=1.0, q1=-0.2, v=1.0), 1.0, "logistic", K)
+
+    def test_classification_errors_reject_nonpositive_variance(self):
+        with pytest.raises(DomainError):
+            classification_error_bar(1.0, 0.1, 0.0)
+        with pytest.raises(DomainError):
+            classification_error_avg(cov(m=0.1, q0=1.0, q1=-0.6, K=3))
+
     def test_mse_null_predictor(self):
         for K in (1, 2, 7):
             assert mse_test_error(cov(m=0.0, q0=0.0, q1=0.0, K=K)) == (1.0, 1.0, 0.0)

@@ -1,8 +1,11 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from scipy.special import erf
 
 from rfensemble import (
+    FixedPoint,
     ChannelSpec,
     ConfigError,
     ModelConfig,
@@ -15,7 +18,8 @@ from rfensemble import (
     solve_kernel_limit,
 )
 
-from oracles import kernel_ridge_closed_form_derived
+from rfensemble import cli, solver
+from oracles import iterate_array_oracle, kernel_ridge_closed_form_derived, project_array_oracle
 
 COEFFS = activation_coeffs(erf, gauss_hermite_rule(201))
 SQUARE = ChannelSpec(loss="square", teacher="linear")
@@ -114,6 +118,10 @@ class TestSolveKernelLimit:
         assert fp.params.m == pytest.approx(m, rel=1e-6)
         assert fp.params.q0 == pytest.approx(q, rel=1e-6)
 
+    def test_rejects_nonpositive_rho(self):
+        with pytest.raises(ConfigError):
+            solve_kernel_limit(1.0, -1.0, 1e-2, SQUARE, COEFFS)
+
     def test_no_data_limit(self):
         fp = solve_kernel_limit(1e-8, 1.0, 1e-2, SQUARE, COEFFS, SolveOptions(tol=1e-12))
         assert fp.converged
@@ -124,3 +132,82 @@ class TestSolveKernelLimit:
         fp = solve_kernel_limit(2.0, 1.0, 1e-2, LOGISTIC, COEFFS, SolveOptions(tol=1e-10, max_iters=30000))
         assert fp.converged
         assert abs(fp.params.q0 - fp.params.q1) / fp.params.q0 < 1e-8
+
+
+RIDGE = {"loss": "square", "rho": 1.0, "lambda": 1e-6, "n_over_d": 2.0, "tol": 1e-10}
+
+
+class TestScalarLoopMatchesArrayOracle:
+    """The float loop of `solver._iterate` returns the array loop's FixedPoint bit for bit."""
+
+    @pytest.mark.parametrize(
+        "cfg, init, status",
+        [
+            ({**RIDGE, "p_over_n": 0.95}, None, "converged"),
+            ({**RIDGE, "p_over_n": 1.0}, None, "converged"),
+            ({**RIDGE, "p_over_n": 2.0}, None, "converged"),
+            ({**RIDGE, "p_over_n": 1.0, "max_iters": 40}, None, "max_iters"),
+            ({"loss": "square", "rho": 1.0, "lambda": 1e-6, "kernel": True, "n_over_d": 1.0, "tol": 1e-11},
+             None, "converged"),
+            ({"loss": "logistic", "rho": 1.0, "lambda": 1e-4, "n_over_d": 2.0, "p_over_n": 0.6}, None, "converged"),
+            ({"loss": "hinge", "rho": 1.0, "lambda": 0.1, "n_over_d": 2.0, "p_over_n": 1.0, "damping": 1.0},
+             None, "converged"),
+            ({"loss": "logistic", "rho": 1.0, "lambda": 1e-4, "kernel": True, "n_over_d": 4.0, "damping": 1.0},
+             OrderParams(m=0.0927, q0=0.0242, q1=-0.00696, v=0.0945), "converged"),
+        ],
+        ids=["ridge-0.95", "ridge-1.0", "ridge-2.0", "ridge-max-iters", "kernel-ulp-floor",
+             "logistic-0.6", "hinge-undamped", "kernel-logistic-projects"],
+    )
+    def test_fixed_point_fields_equal(self, cfg, init, status, monkeypatch):
+        problem = cli.parse_problem(cfg)
+        opts = cli.solve_options_from(cfg)
+        if init is not None:
+            opts = replace(opts, init=init)
+        new = cli.solve_point(problem, opts)
+        monkeypatch.setattr(solver, "_iterate", iterate_array_oracle)
+        old = cli.solve_point(problem, opts)
+        self.assert_same(new, old)
+        assert new.status == status
+        if cfg.get("kernel") and cfg["loss"] == "square":
+            # v is large here: the solve ends on the float64 spacing, not on tol
+            assert new.residual >= opts.tol
+        if init is not None:
+            assert new.projections > 0
+
+    def test_interpolation_divergence(self, monkeypatch):
+        monkeypatch.setattr(solver, "DIVERGENCE_Q0", 1e2)
+        cfg = ridge_config(alpha=1.0, gamma=0.5, lam=1e-10)
+        opts = SolveOptions(max_iters=20000)
+        new = solve_fixed_point(cfg, opts)
+        monkeypatch.setattr(solver, "_iterate", iterate_array_oracle)
+        old = solve_fixed_point(cfg, opts)
+        self.assert_same(new, old)
+        assert new.status == "interpolation_divergence"
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            OrderParams(m=0.3, q0=-1.0, q1=0.0, v=1.0),
+            OrderParams(m=0.3, q0=1.0, q1=0.5, v=-2.0),
+            OrderParams(m=0.3, q0=1.0, q1=1.5, v=1.0),
+            OrderParams(m=0.3, q0=1.0, q1=-1.5, v=1.0),
+            OrderParams(m=2.0, q0=1.0, q1=0.5, v=1.0),
+            OrderParams(m=-2.0, q0=1.0, q1=0.5, v=1.0),
+            OrderParams(m=0.3, q0=1.0, q1=0.5, v=1.0),
+            OrderParams(m=0.3, q0=float("nan"), q1=0.5, v=1.0),
+        ],
+    )
+    def test_projection_equals_array_projection(self, params):
+        new, moved = solver._project(params, 0.5)
+        old, old_moved = project_array_oracle(params, 0.5)
+        assert moved == old_moved
+        assert [float(x).hex() for x in vars(new).values()] == [float(x).hex() for x in vars(old).values()]
+
+    @staticmethod
+    def assert_same(new, old):
+        for field in fields(FixedPoint):
+            a, b = getattr(new, field.name), getattr(old, field.name)
+            if field.name in ("params", "conj"):
+                assert [float(x).hex() for x in vars(a).values()] == [float(x).hex() for x in vars(b).values()]
+            else:
+                assert a == b, field.name

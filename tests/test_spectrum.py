@@ -194,11 +194,70 @@ class TestStackedSpectralIntegral:
         with pytest.raises(NumericalError, match="atom"):
             spectral_integral(model, g)
 
+    def test_finite_row_whose_sum_overflows_raises(self):
+        # a one-node bulk grid at p/d = 2 carries weight 4/3, so the largest
+        # float is a finite integrand value whose weighted sum overflows
+        model = mp_spectral_model(1.0, 2.0, ERF_COEFFS, bulk_nodes=1)
+        assert model.bulk_grid[1][0] == pytest.approx(4.0 / 3.0)
+        g = lambda s: np.array([np.ones_like(s), np.full_like(s, np.finfo(float).max)])
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="bulk"):
+            spectral_integral(model, g)
+
     def test_empirical_non_finite_row_raises(self):
         model = empirical_spectral_model(5, 60, 30, ERF_COEFFS)
         g = lambda s: np.array([np.ones_like(s), np.where(s == s[0], np.nan, 1.0)])
         with pytest.raises(NumericalError, match="empirical"):
             spectral_integral(model, g)
+
+
+def _two_call_integral(model, g):
+    """The MP integral as it was taken before the one-call contract: g on the
+    bulk nodes, then g again on a one-element array holding the atom."""
+    s, w = model.bulk_grid
+    vals = np.asarray(g(s), dtype=float)
+    rows = vals if vals.ndim == 2 else vals[np.newaxis]
+    out = [float(row @ w) for row in rows]
+    if model.atom_mass > 0:
+        atom_vals = np.asarray(g(np.array([model.atom_location])), dtype=float).reshape(len(out))
+        out = [x + model.atom_mass * float(a) for x, a in zip(out, atom_vals)]
+    return out if vals.ndim == 2 else out[0]
+
+
+class TestOneCallIntegral:
+    @pytest.mark.parametrize(
+        "g",
+        [lambda s: s / (0.3 + 1.7 * s), _three_rows],
+        ids=["scalar", "three-rows"],
+    )
+    @pytest.mark.parametrize("gamma", [0.5, 2.0], ids=["atom", "no-atom"])
+    def test_one_call_on_bulk_and_atom_equals_two_call_form(self, g, gamma):
+        model = mp_spectral_model(1.0, gamma, ERF_COEFFS)
+        seen = []
+
+        def counting(s):
+            seen.append(np.array(s))
+            return g(s)
+
+        got = spectral_integral(model, counting)
+        assert len(seen) == 1
+        nodes = model.bulk_grid[0]
+        if model.atom_mass > 0:
+            np.testing.assert_array_equal(seen[0], np.append(nodes, model.atom_location))
+        else:
+            np.testing.assert_array_equal(seen[0], nodes)
+        want = _two_call_integral(model, g)
+        if isinstance(want, list):
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+        else:
+            assert got.hex() == want.hex()
+
+    def test_support_nodes_are_cached_and_read_only(self):
+        model = mp_spectral_model(1.0, 0.5, ERF_COEFFS)
+        nodes = model.support_nodes
+        assert model.support_nodes is nodes
+        assert len(nodes) == len(model.bulk_grid[0]) + 1
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
 
 
 class TestBulkGridCache:
