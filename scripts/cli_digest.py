@@ -8,6 +8,12 @@ It runs, with BLAS pinned to one thread and a fresh RFENSEMBLE_CACHE:
 - `solve` at the first grid point of each of those configs, hashing the JSON
   it prints;
 - `confidence-density` on configs/confidence_density.json, hashing its CSV;
+- `simulate` on configs/logistic_overlaps.json cut to two grid points and
+  three small trials each, hashing its CSV;
+- erm_lab.run_experiment on each ERM configuration of the benchmark's
+  erm-lab workload (rfbench/worker.py, round 0 at seed 0), on a tanh square
+  case (sampled test error) and on a hinge case (every trial fails), hashing
+  the records in the canonical form below;
 - corpus.evaluate_record on every record in goldens/, hashing the repr of
   the evaluation in a canonical form: every float-like scalar is written as
   `float(v).hex()`, so a float that becomes an np.float64 of the same value
@@ -22,6 +28,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -33,8 +40,12 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "rfbench"))
 
-from rfensemble import RfensembleError, cli, corpus  # noqa: E402
+from scipy.special import erf  # noqa: E402
+
+from rfensemble import RfensembleError, activation_coeffs, cli, corpus, erm_lab, gauss_hermite_rule  # noqa: E402
+from worker import ErmLab  # noqa: E402
 
 # the delta axis moves n_over_d; every other axis is the config key of its own name
 AXIS_KEYS = {"delta": "n_over_d"}
@@ -71,6 +82,16 @@ def run_cli(command: str, cfg: dict, label: str, tmp: Path) -> None:
         print(f"{sha256(stderr.getvalue().encode())}  {command} {label} stderr", flush=True)
 
 
+def run_erm(label: str, loss: str, activation, n, p, d, K, lam, trials, seeds, test_samples) -> None:
+    coeffs = activation_coeffs(activation, gauss_hermite_rule(201))
+    result = erm_lab.run_experiment(
+        ErmLab.spec(loss), coeffs, n=n, p=p, d=d, K=K, rho=1.0, lam=lam, trials=trials, seeds=seeds,
+        activation=activation, test_samples=test_samples,
+    )
+    records = [canonical(dataclasses.asdict(r)) for r in result.records]
+    print(f"{sha256(repr(records).encode())}  erm {label}", flush=True)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp_name:
         tmp = Path(tmp_name)
@@ -88,6 +109,15 @@ def main() -> int:
             run_cli("solve", point, f"{label}@{cfg['axis']}={cfg['grid'][0]}", tmp)
         density = ROOT / "configs" / "confidence_density.json"
         run_cli("confidence-density", json.loads(density.read_text()), str(density.relative_to(ROOT)), tmp)
+        simulate = ROOT / "configs" / "logistic_overlaps.json"
+        cfg = json.loads(simulate.read_text())
+        cfg.update(grid=[0.5, 1.5], simulate={"trials": 3, "d": 40, "seed": 0, "test_samples": 2000})
+        run_cli("simulate", cfg, f"{simulate.relative_to(ROOT)} (2 points, 3 trials, d 40)", tmp)
+        for idx, (tag, loss, n, p, d, K, lam, trials) in enumerate(ErmLab.CONFIGS):
+            seeds = [(0, 0, idx, t) for t in range(trials)]
+            run_erm(tag, loss, erf, n, p, d, K, lam, trials, seeds, ErmLab.TEST_SAMPLES)
+        run_erm("tanh-square", "square", np.tanh, 120, 100, 60, 2, 1e-2, 3, [(1, t) for t in range(3)], 2000)
+        run_erm("hinge", "hinge", erf, 60, 40, 30, 2, 1e-2, 2, [(2, t) for t in range(2)], 500)
         for record in corpus.load_corpus(ROOT / "goldens"):
             try:
                 result = corpus.evaluate_record(record)

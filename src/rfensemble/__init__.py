@@ -24,7 +24,6 @@ from .erm_lab import (
     ExperimentResult,
     Overlaps,
     SyntheticDataset,
-    TrainedEnsemble,
     empirical_overlaps,
     featurize,
     generate_dataset,
@@ -101,7 +100,6 @@ __all__ = [
     "SolveOptions",
     "SpectralModel",
     "SyntheticDataset",
-    "TrainedEnsemble",
     "activation_coeffs",
     "channel_update",
     "channel_update_hinge_closed_form",

@@ -38,6 +38,8 @@ _COSH_CLIP = 350.0
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 # h' nodes of the logistic proximal's starting table; sigmoid(40) is 1 to float64
 _START_GRID = np.linspace(-40.0, 40.0, 129)
+_PROX_TOL = 1e-12  # relative to the bracket magnitude
+_PROX_MAX_ITER = 300
 
 
 @dataclass(frozen=True)
@@ -57,10 +59,6 @@ class ChannelSpec:
             raise ConfigError("square loss pairs with the linear teacher")
         if self.loss in ("logistic", "hinge") and self.teacher != "sign":
             raise ConfigError(f"{self.loss} loss pairs with the sign teacher")
-
-    @property
-    def label_space(self) -> str:
-        return "real" if self.teacher == "linear" else "pm1"
 
 
 @dataclass(frozen=True)
@@ -101,14 +99,12 @@ class ProxResult(NamedTuple):
     df_domega: np.ndarray
 
 
-def teacher_z0(y: float, omega0, sigma0: float, teacher: str = "sign"):
+def teacher_z0(y: float, omega0, sigma0: float):
     """Gaussian-smoothed label likelihood for the sign teacher.
 
     The linear teacher never goes through this function: continuous labels
     are integrated out analytically inside the ridge channel.
     """
-    if teacher != "sign":
-        raise DomainError("teacher_z0 is only defined for the sign teacher")
     if not sigma0 > 0:
         raise DomainError(f"sigma0 must be positive, got {sigma0}")
     if y not in (-1, 1):
@@ -133,7 +129,7 @@ def prox_square(y, omega, v: float):
     return (np.asarray(omega) + v * np.asarray(y)) / (1.0 + v)
 
 
-def prox_logistic(y: float, omega, v: float, tol: float = 1e-12, max_iter: int = 300) -> ProxResult:
+def prox_logistic(y: float, omega, v: float) -> ProxResult:
     """Proximal of the logistic loss at label y.
 
     Solves h = omega + y v / (1 + exp(y h)) by Newton safeguarded with
@@ -160,7 +156,7 @@ def prox_logistic(y: float, omega, v: float, tol: float = 1e-12, max_iter: int =
     w = omega.reshape(-1)
     lo = np.minimum(w, w + y * v)
     hi = np.maximum(w, w + y * v)
-    tol_eff = tol * max(1.0, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
+    tol_eff = _PROX_TOL * max(1.0, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
     a_grid = _START_GRID - v * expit(-_START_GRID)
     h_out = np.clip(y * np.interp(y * w, a_grid, _START_GRID), lo, hi)
     # the active set: flat indices still iterating, with their own copies of
@@ -168,7 +164,7 @@ def prox_logistic(y: float, omega, v: float, tol: float = 1e-12, max_iter: int =
     idx = np.arange(w.size)
     h, dx_old = h_out, hi - lo
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_PROX_MAX_ITER):
         s = expit(-y * h)
         g = h - w - y * v * s
         done = np.abs(g) < tol_eff
@@ -194,7 +190,7 @@ def prox_logistic(y: float, omega, v: float, tol: float = 1e-12, max_iter: int =
         dx_old = np.where(bisect, 0.5 * (hi - lo), np.abs(g / gp))
         h = np.where(bisect, 0.5 * (lo + hi), h_newton)
     if not converged:
-        raise ConvergenceError(f"logistic proximal did not reach {tol} in {max_iter} iterations")
+        raise ConvergenceError(f"logistic proximal did not reach {_PROX_TOL} in {_PROX_MAX_ITER} iterations")
     h = h_out.reshape(omega.shape)
     f = (h - omega) / v
     df = -1.0 / (v + 4.0 * np.cosh(np.clip(y * h / 2.0, -_COSH_CLIP, _COSH_CLIP)) ** 2)

@@ -61,6 +61,14 @@ def _require(cfg: dict, key: str, path: str = ""):
     return cfg[key]
 
 
+def _number(value, key: str, kind=float):
+    """`kind(value)` for the config field `key`; a value that does not convert is a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field {key!r} must be a number, got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class TheoryProblem:
     """One theory point: the parsed problem, moved along a sweep axis by `at`.
@@ -91,13 +99,14 @@ class TheoryProblem:
                 raise ConfigError(
                     f"axis {axis!r} has no meaning in kernel mode (p/n is infinite); sweep 'delta' or 'lambda'"
                 )
-            return replace(self, alpha=1.0 / float(value) if axis == "p_over_n" else float(value))
+            value = _number(value, "grid")
+            return replace(self, alpha=1.0 / value if axis == "p_over_n" else value)
         if axis == "delta":
             if not self.kernel:
                 raise ConfigError("axis 'delta' requires kernel mode")
-            return replace(self, n_over_d=float(value))
+            return replace(self, n_over_d=_number(value, "grid"))
         if axis == "lambda":
-            return replace(self, lam=float(value))
+            return replace(self, lam=_number(value, "grid"))
         if axis == "K":
             raise ConfigError(
                 "axis 'K' is not a sweep axis: the fixed point does not depend on K; "
@@ -136,39 +145,39 @@ def parse_problem(cfg: dict) -> TheoryProblem:
     for k in k_raw:
         if k == "inf":
             K_list.append("inf")
-        elif isinstance(k, int) and k >= 1:
+        elif isinstance(k, int) and not isinstance(k, bool) and k >= 1:
             K_list.append(k)
         else:
             raise ConfigError(f"K entries must be positive integers or 'inf', got {k!r}")
     if "alpha" in cfg:
-        alpha = float(cfg["alpha"])
+        alpha = _number(cfg["alpha"], "alpha")
     elif "p_over_n" in cfg:
-        alpha = 1.0 / float(cfg["p_over_n"])
+        alpha = 1.0 / _number(cfg["p_over_n"], "p_over_n")
     else:
         alpha = None
     return TheoryProblem(
         spec=ChannelSpec(loss=loss, teacher=teacher),
         activation_name=activation_name,
         coeffs=activation_coeffs(ACTIVATIONS[activation_name], gauss_hermite_rule(201)),
-        rho=float(_require(cfg, "rho")),
-        lam=float(_require(cfg, "lambda")),
-        n_over_d=float(cfg.get("n_over_d", 2.0)),
+        rho=_number(_require(cfg, "rho"), "rho"),
+        lam=_number(_require(cfg, "lambda"), "lambda"),
+        n_over_d=_number(cfg.get("n_over_d", 2.0), "n_over_d"),
         alpha=alpha,
         K_list=tuple(K_list),
         kernel=bool(cfg.get("kernel", False)),
         spectrum_kind=cfg.get("spectrum", "closed_form_mp"),
-        spectrum_seed=int(cfg.get("spectrum_seed", 0)),
-        spectrum_p=int(cfg.get("spectrum_p", 2000)),
+        spectrum_seed=_number(cfg.get("spectrum_seed", 0), "spectrum_seed", int),
+        spectrum_p=_number(cfg.get("spectrum_p", 2000), "spectrum_p", int),
     )
 
 
 def solve_options_from(cfg: dict) -> SolveOptions:
     return SolveOptions(
-        damping=float(cfg.get("damping", 0.5)),
-        tol=float(cfg.get("tol", 1e-9)),
-        max_iters=int(cfg.get("max_iters", 50000)),
-        order_1d=int(cfg.get("order_1d", 101)),
-        order_2d=int(cfg.get("order_2d", 61)),
+        damping=_number(cfg.get("damping", 0.5), "damping"),
+        tol=_number(cfg.get("tol", 1e-9), "tol"),
+        max_iters=_number(cfg.get("max_iters", 50000), "max_iters", int),
+        order_1d=_number(cfg.get("order_1d", 101), "order_1d", int),
+        order_2d=_number(cfg.get("order_2d", 61), "order_2d", int),
     )
 
 
@@ -190,11 +199,12 @@ def observable_row(problem: TheoryProblem, fp: FixedPoint) -> dict:
 
 def cmd_solve(cfg: dict, args) -> int:
     problem = parse_problem(cfg)
-    fp = solve_point(problem, solve_options_from(cfg))
+    opts = solve_options_from(cfg)
+    fp = solve_point(problem, opts)
     payload = fp.as_dict()
     payload["observables"] = observable_row(problem, fp)
     try:
-        payload["train_loss"] = training_loss(fp.params, problem.rho, problem.spec)
+        payload["train_loss"] = training_loss(fp.params, problem.rho, problem.spec, opts.rules())
     except RfensembleError:
         payload["train_loss"] = math.nan
     print(json.dumps(payload, sort_keys=True))
@@ -214,7 +224,7 @@ def sweep_rows(cfg: dict) -> tuple[list, list, list]:
     grid = _require(cfg, "grid")
     if not isinstance(grid, list) or not grid:
         raise ConfigError("grid must be a nonempty list")
-    diffs = np.diff(np.asarray(grid, dtype=float))
+    diffs = np.diff([_number(value, "grid") for value in grid])
     if len(grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ConfigError("grid must be strictly monotone")
     points = [problem.at(axis, value) for value in grid]
@@ -266,7 +276,7 @@ SIM_EXTRA_COLUMNS = [
 
 def cmd_simulate(cfg: dict, args) -> int:
     sim = _require(cfg, "simulate")
-    trials = int(_require(sim, "trials", "simulate."))
+    trials = _number(_require(sim, "trials", "simulate."), "simulate.trials", int)
     axis = _require(cfg, "axis")
     if trials > 0 and axis not in ("p_over_n", "alpha"):
         raise ConfigError(
@@ -305,31 +315,25 @@ def cmd_simulate(cfg: dict, args) -> int:
 
 def _simulate_point(point: TheoryProblem, sim: dict, row: dict, seed_flag, map_fn) -> dict:
     """Train the ensembles at the finite sizes of one sweep row and score them against its theory."""
-    d = int(_require(sim, "d", "simulate."))
+    d = _number(_require(sim, "d", "simulate."), "simulate.d", int)
     n = int(round(d * point.n_over_d))
     p = int(round(n / point.alpha))
     trials = int(sim["trials"])
-    master_seed = int(seed_flag if seed_flag is not None else sim.get("seed", 0))
+    master_seed = _number(seed_flag if seed_flag is not None else sim.get("seed", 0), "simulate.seed", int)
     K = max([k for k in point.K_list if k != "inf"], default=1)
     result = erm_lab.run_experiment(
         point.spec, point.coeffs, n=n, p=p, d=d, K=K,
         rho=point.rho, lam=point.lam, trials=trials, master_seed=master_seed,
         estimator=sim.get("estimator"), activation=ACTIVATIONS[point.activation_name],
-        test_samples=int(sim.get("test_samples", erm_lab.DEFAULT_TEST_SAMPLES)),
+        test_samples=_number(sim.get("test_samples", erm_lab.DEFAULT_TEST_SAMPLES), "simulate.test_samples", int),
         seeds=sim.get("seeds"),
         map_fn=map_fn,
     )
     agg = result.aggregate()
-    out = {
-        "emp_m": agg["m"]["mean"], "emp_m_se": agg["m"]["std_error"],
-        "emp_q0": agg["q0"]["mean"], "emp_q0_se": agg["q0"]["std_error"],
-        "emp_q1": agg["q1"]["mean"], "emp_q1_se": agg["q1"]["std_error"],
-        "emp_test_error": agg["test_error"]["mean"], "emp_test_error_se": agg["test_error"]["std_error"],
-        "emp_train_loss": agg["train_loss"]["mean"], "emp_train_loss_se": agg["train_loss"]["std_error"],
-        "emp_disagreement": agg["disagreement"]["mean"], "emp_disagreement_se": agg["disagreement"]["std_error"],
-        "trials": trials, "failures": agg["failures"],
-        "sim_status": "ok" if agg["failures"] == 0 else f"{agg['failures']} failed trials",
-    }
+    out = {"trials": trials, "failures": agg["failures"]}
+    for name in ("m", "q0", "q1", "test_error", "train_loss", "disagreement"):
+        out[f"emp_{name}"], out[f"emp_{name}_se"] = agg[name]["mean"], agg[name]["std_error"]
+    out["sim_status"] = "ok" if agg["failures"] == 0 else f"{agg['failures']} failed trials"
     theory_eps = row.get(f"eps_g_K{K}", math.nan)
     for name, theory_val in (("m", row["m"]), ("q0", row["q0"]), ("q1", row["q1"]), ("test_error", theory_eps)):
         se = out[f"emp_{name}_se"]
@@ -355,7 +359,7 @@ def cmd_confidence_density(cfg: dict, args) -> int:
             file=sys.stderr,
         )
         return EXIT_NO_CONVERGENCE
-    resolution = int(cfg.get("resolution", 64))
+    resolution = _number(cfg.get("resolution", 64), "resolution", int)
     eps = 1.0 / (resolution + 1)
     grid = np.linspace(eps, 1 - eps, resolution)
     dens = confidence_density(fp.params.q0, fp.params.q1, grid)
@@ -394,10 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--jobs", type=int, default=1)
-        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--damping", type=float, default=None)
+        if name == "simulate":
+            sp.add_argument("--jobs", type=int, default=1)
+            sp.add_argument("--seed", type=int, default=None)
         sp.set_defaults(fn=fn)
     return parser
 

@@ -78,7 +78,7 @@ def _evaluate_mc(config: dict) -> dict:
         rho=config["rho"], m=config["m"], q0=config["q0"], q1=config["q1"], K=config["K"]
     )
     if config.get("estimator") == "majority":
-        est, se = majority_vote_error(cov, config["K"], config["samples"], config["seed"])
+        est, se = majority_vote_error(cov, config["samples"], config["seed"])
     else:
         est, se = generic_gen_error(
             cov, config["estimator"], config["metric"], config["samples"], config["seed"]

@@ -16,11 +16,10 @@ objective with an order-one lam has no nontrivial proportional limit.)
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -34,6 +33,11 @@ from .priors import FeatureEnsemble, sample_feature_ensemble
 from .spectrum import ActivationCoeffs
 
 DEFAULT_TEST_SAMPLES = 10_000
+# Newton stops at |grad| <= _NEWTON_GRAD_TOL sqrt(p) on the summed objective,
+# an order of magnitude below the 1e-8 sqrt(p) optimality contract and above
+# the float64 cancellation floor of the gradient sums
+_NEWTON_GRAD_TOL = 1e-9
+_NEWTON_MAX_ITER = 100
 
 
 def derive_seed(*parts) -> tuple:
@@ -71,16 +75,6 @@ class SyntheticDataset:
     X: np.ndarray
     theta: np.ndarray
     y: np.ndarray
-    teacher: str
-    seed: object
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.X.shape[1]
 
 
 def apply_teacher(z: np.ndarray, teacher: str) -> np.ndarray:
@@ -101,49 +95,15 @@ def generate_dataset(n: int, d: int, rho: float, teacher: str, seed) -> Syntheti
     theta = rng.normal(0.0, math.sqrt(rho), size=d)
     X = rng.standard_normal((n, d))
     y = apply_teacher(teacher_field(X, theta), teacher)
-    return SyntheticDataset(X=X, theta=theta, y=y, teacher=teacher, seed=seed)
+    return SyntheticDataset(X=X, theta=theta, y=y)
 
 
-def featurize(
-    dataset_or_X,
-    ensemble: FeatureEnsemble,
-    mode: str = "activation",
-    surrogate_seed: int = 0,
-) -> list[np.ndarray]:
-    """Per-learner feature blocks u_k = phi(F_k x / sqrt(d)), each n x p.
-
-    mode "gaussian_surrogate" swaps the nonlinearity for its Gaussian
-    equivalent kappa0 + kappa1 Fx/sqrt(d) + kappa_star z (ablation switch:
-    with it the equivalence principle itself is no longer under test).
-    """
-    X = dataset_or_X.X if isinstance(dataset_or_X, SyntheticDataset) else np.asarray(dataset_or_X)
+def featurize(X: np.ndarray, ensemble: FeatureEnsemble) -> list[np.ndarray]:
+    """Per-learner feature blocks u_k = phi(F_k x / sqrt(d)), each n x p."""
+    X = np.asarray(X)
     if X.shape[1] != ensemble.d:
         raise ConfigError(f"inputs have d={X.shape[1]} but ensemble expects d={ensemble.d}")
-    blocks = []
-    pre = [X @ F.T / math.sqrt(ensemble.d) for F in ensemble.F_list]
-    if mode == "activation":
-        phi = ensemble.activation if ensemble.activation is not None else erf
-        blocks = [phi(z) for z in pre]
-    elif mode == "gaussian_surrogate":
-        c = ensemble.coeffs
-        rng = np.random.default_rng(surrogate_seed)
-        for z in pre:
-            blocks.append(c.kappa0 + c.kappa1 * z + c.kappa_star * rng.standard_normal(z.shape))
-    else:
-        raise ConfigError(f"unknown featurize mode {mode!r}")
-    return blocks
-
-
-@dataclass(frozen=True)
-class TrainedEnsemble:
-    W: np.ndarray  # p x K
-    ensemble: FeatureEnsemble
-    grad_norms: np.ndarray
-    iterations: np.ndarray
-
-    @property
-    def K(self) -> int:
-        return self.W.shape[1]
+    return [ensemble.activation(X @ F.T / math.sqrt(ensemble.d)) for F in ensemble.F_list]
 
 
 def _ridge_cond(U: np.ndarray, lam: float) -> float:
@@ -197,18 +157,11 @@ def _logistic_objective(U: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float)
     return float(np.sum(np.logaddexp(0.0, -y * z)) + 0.5 * lam * w @ w)
 
 
-def train_logistic(
-    features: Sequence[np.ndarray],
-    y: np.ndarray,
-    lam: float,
-    max_iter: int = 100,
-    grad_tol_scale: float = 1e-9,
-):
+def train_logistic(features: Sequence[np.ndarray], y: np.ndarray, lam: float):
     """Newton with backtracking per learner, to near machine-precision gradients.
 
-    Convergence target: |grad| <= grad_tol_scale * sqrt(p) on the summed
-    objective, an order of magnitude below the 1e-8 sqrt(p) optimality
-    contract and above the float64 cancellation floor of the gradient sums.
+    Returns (W, gradient norms, Newton iterations), one column or entry per
+    learner; the convergence target is |grad| <= _NEWTON_GRAD_TOL sqrt(p).
     """
     if not lam > 0:
         raise ConfigError("lam must be positive")
@@ -218,11 +171,11 @@ def train_logistic(
     for U in features:
         n, p = U.shape
         sqrt_p = math.sqrt(p)
-        tol = grad_tol_scale * sqrt_p
+        tol = _NEWTON_GRAD_TOL * sqrt_p
         w = np.zeros(p)
         gn = np.inf
-        done_iters = max_iter
-        for it in range(max_iter):
+        done_iters = _NEWTON_MAX_ITER
+        for it in range(_NEWTON_MAX_ITER):
             z = preactivation(U, w)
             s = expit(-y * z)  # = -d loss / d (y z)
             g = -U.T @ (y * s) / sqrt_p + lam * w
@@ -289,23 +242,22 @@ def square_test_error_erf(theta: np.ndarray, ensemble: FeatureEnsemble, W: np.nd
 class Overlaps:
     m: float
     q0: float
-    q1: Optional[float]
+    q1: float  # nan for a single learner
 
 
-def empirical_overlaps(trained: TrainedEnsemble) -> Overlaps:
-    """Population overlaps of the trained weights via the equivalent Gaussian blocks.
+def empirical_overlaps(ens: FeatureEnsemble, W: np.ndarray) -> Overlaps:
+    """Population overlaps of the trained weights W (p x K) via the equivalent Gaussian blocks.
 
     m_k = w_k . (kappa1 F_k theta / sqrt(d)) / sqrt(p d)
     q_kk' = w_k . Omega_kk' . w_k' / p, with the cross blocks kappa1^2 F_k F_k'^T / d.
     """
-    ens = trained.ensemble
     p, d = ens.p, ens.d
     k1, ks2 = ens.coeffs.kappa1, ens.coeffs.kappa_star_sq
-    K = trained.K
+    K = W.shape[1]
     ms, q0s, q1s = [], [], []
-    projections = [ens.F_list[k].T @ trained.W[:, k] for k in range(K)]  # F_k^T w_k, shape d
+    projections = [ens.F_list[k].T @ W[:, k] for k in range(K)]  # F_k^T w_k, shape d
     for k in range(K):
-        w = trained.W[:, k]
+        w = W[:, k]
         ms.append(k1 * float(w @ (ens.F_list[k] @ ens.theta)) / (d * math.sqrt(p)))
         q0s.append(k1**2 * float(projections[k] @ projections[k]) / (d * p) + ks2 * float(w @ w) / p)
     for a in range(K):
@@ -314,7 +266,7 @@ def empirical_overlaps(trained: TrainedEnsemble) -> Overlaps:
     return Overlaps(
         m=float(np.mean(ms)),
         q0=float(np.mean(q0s)),
-        q1=float(np.mean(q1s)) if q1s else None,
+        q1=float(np.mean(q1s)) if q1s else math.nan,
     )
 
 
@@ -338,29 +290,9 @@ class TrialRecord:
     error: str = ""
 
 
-CSV_COLUMNS = [
-    "trial",
-    "seed",
-    "ok",
-    "m",
-    "q0",
-    "q1",
-    "train_loss",
-    "test_error",
-    "disagreement",
-    "grad_norm_max",
-    "error",
-]
-
-
 @dataclass
 class ExperimentResult:
     records: list
-    n: int
-    p: int
-    d: int
-    K: int
-    estimator: str
 
     @property
     def failures(self) -> int:
@@ -379,21 +311,6 @@ class ExperimentResult:
             out[name] = {"mean": float(np.mean(vals)), "std_error": se}
         return out
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            for r in self.records:
-                writer.writerow({c: getattr(r, c) for c in CSV_COLUMNS})
-
-    def summary_json(self) -> str:
-        payload = {
-            "sizes": {"n": self.n, "p": self.p, "d": self.d, "K": self.K},
-            "estimator": self.estimator,
-            "aggregate": self.aggregate(),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
 
 def _default_estimator(spec: ChannelSpec) -> str:
     return "mean" if spec.loss == "square" else "avg_sign"
@@ -411,7 +328,7 @@ def run_trial(
     rho: float,
     lam: float,
     estimator: str,
-    activation: Optional[Callable] = None,
+    activation: Callable = erf,
     test_samples: int = DEFAULT_TEST_SAMPLES,
 ) -> TrialRecord:
     try:
@@ -419,17 +336,14 @@ def run_trial(
         ensemble = sample_feature_ensemble(
             K, p, d, coeffs, dataset.theta, seed=derive_seed(seed, "features"), activation=activation
         )
-        features = featurize(dataset, ensemble)
+        features = featurize(dataset.X, ensemble)
         if spec.loss == "square":
             W, grad_norms = train_ridge(features, dataset.y, lam)
-            iters = np.zeros(K)
         elif spec.loss == "logistic":
-            W, grad_norms, iters = train_logistic(features, dataset.y, lam)
+            W, grad_norms, _ = train_logistic(features, dataset.y, lam)
         else:
             raise ConfigError(f"no trainer for loss {spec.loss!r}")
-        grad_max = float(np.max(grad_norms))
-        trained = TrainedEnsemble(W=W, ensemble=ensemble, grad_norms=grad_norms, iterations=iters)
-        overlaps = empirical_overlaps(trained)
+        overlaps = empirical_overlaps(ensemble, W)
 
         z_train = np.column_stack([preactivation(U, W[:, k]) for k, U in enumerate(features)])
         if spec.loss == "square":
@@ -438,12 +352,7 @@ def run_trial(
             train_loss = float(np.mean(np.logaddexp(0.0, -dataset.y[:, None] * z_train)))
 
         disagreement = math.nan
-        if (
-            spec.loss == "square"
-            and spec.teacher == "linear"
-            and estimator == "mean"
-            and (activation is None or activation is erf)
-        ):
+        if spec.loss == "square" and estimator == "mean" and activation is erf:
             test_error = square_test_error_erf(dataset.theta, ensemble, W)
         else:
             rng_test = np.random.default_rng(derive_seed(seed, "test"))
@@ -469,11 +378,11 @@ def run_trial(
             ok=True,
             m=overlaps.m,
             q0=overlaps.q0,
-            q1=overlaps.q1 if overlaps.q1 is not None else math.nan,
+            q1=overlaps.q1,
             train_loss=train_loss,
             test_error=test_error,
             disagreement=disagreement,
-            grad_norm_max=grad_max,
+            grad_norm_max=float(np.max(grad_norms)),
         )
     except (ConfigError, DomainError, NumericalError, ConvergenceError) as exc:
         return TrialRecord(trial=trial, seed=seed, ok=False, error=f"{type(exc).__name__}: {exc}")
@@ -491,7 +400,7 @@ def run_experiment(
     trials: int,
     master_seed: int = 0,
     estimator: Optional[str] = None,
-    activation: Optional[Callable] = None,
+    activation: Callable = erf,
     test_samples: int = DEFAULT_TEST_SAMPLES,
     seeds: Optional[Sequence] = None,
     map_fn=map,
@@ -508,19 +417,16 @@ def run_experiment(
         seeds = [(master_seed, t) for t in range(trials)]
     elif len(seeds) != trials:
         raise ConfigError("seed list length must equal trials")
-    jobs = [
-        (t, s, spec, coeffs, n, p, d, K, rho, lam, estimator, activation, test_samples)
-        for t, s in enumerate(seeds)
-    ]
-    records = list(map_fn(_trial_worker, jobs))
-    records.sort(key=lambda r: r.trial)
-    return ExperimentResult(records=records, n=n, p=p, d=d, K=K, estimator=estimator)
-
-
-def _trial_worker(args) -> TrialRecord:
-    """Module-level so experiment jobs pickle into process pools."""
-    (t, s, spec, coeffs, n, p, d, K, rho, lam, estimator, activation, test_samples) = args
-    return run_trial(
-        t, s, spec, coeffs, n, p, d, K, rho, lam, estimator,
-        activation=activation, test_samples=test_samples,
+    worker = partial(
+        _trial_worker, spec=spec, coeffs=coeffs, n=n, p=p, d=d, K=K, rho=rho, lam=lam,
+        estimator=estimator, activation=activation, test_samples=test_samples,
     )
+    records = list(map_fn(worker, list(enumerate(seeds))))
+    records.sort(key=lambda r: r.trial)
+    return ExperimentResult(records=records)
+
+
+def _trial_worker(job: tuple, **shared) -> TrialRecord:
+    """Run one (trial, seed) job; module-level so a partial of it pickles into process pools."""
+    trial, seed = job
+    return run_trial(trial, seed, **shared)

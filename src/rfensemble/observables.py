@@ -215,11 +215,9 @@ def generic_gen_error(
     return mean, math.sqrt(var / samples)
 
 
-def majority_vote_error(cov: EnsembleCovariance, K: int, samples: int, seed: int) -> tuple[float, float]:
-    """Zero-one error of the majority rule sign(sum_k sign(mu_k)); K odd."""
-    if K != cov.K:
-        raise ConfigError(f"K={K} does not match the covariance (K={cov.K})")
-    if K % 2 == 0:
+def majority_vote_error(cov: EnsembleCovariance, samples: int, seed: int) -> tuple[float, float]:
+    """Zero-one error of the majority rule sign(sum_k sign(mu_k)) over the cov.K learners; K odd."""
+    if cov.K % 2 == 0:
         raise ConfigError("majority vote needs odd K (even K leaves ties)")
     return generic_gen_error(cov, "majority", "zero_one", samples, seed)
 

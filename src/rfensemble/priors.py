@@ -10,9 +10,10 @@ kernel-ridge one-shot closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
+from scipy.special import erf
 
 from .channels import ChannelSpec, ConjugateParams, OrderParams, channel_update
 from .errors import ConfigError, DomainError, ResourceError
@@ -82,7 +83,7 @@ class FeatureEnsemble:
     coeffs: ActivationCoeffs
     theta: np.ndarray
     seeds: tuple
-    activation: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    activation: Callable[[np.ndarray], np.ndarray] = erf
 
     def __post_init__(self):
         shapes = {F.shape for F in self.F_list}
@@ -114,7 +115,7 @@ def sample_feature_ensemble(
     coeffs: ActivationCoeffs,
     theta: np.ndarray,
     seed: int,
-    activation: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    activation: Callable[[np.ndarray], np.ndarray] = erf,
 ) -> FeatureEnsemble:
     """Sample K independent feature matrices from child streams of `seed`."""
     if K < 1:

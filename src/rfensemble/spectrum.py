@@ -48,9 +48,6 @@ class ActivationCoeffs:
     def kappa_star_sq(self) -> float:
         return self.kappa_star**2
 
-    def scaled(self, c: float) -> "ActivationCoeffs":
-        return ActivationCoeffs(c * self.kappa0, c * self.kappa1, abs(c) * self.kappa_star)
-
 
 def activation_coeffs(activation: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> ActivationCoeffs:
     """Gaussian-equivalent coefficients of a scalar activation."""
@@ -132,9 +129,6 @@ class SpectralModel:
             nodes.setflags(write=False)
         return nodes
 
-    def total_mass(self) -> float:
-        return spectral_integral(self, lambda s: np.ones_like(s))
-
 
 def mp_spectral_model(alpha: float, gamma: float, coeffs: ActivationCoeffs, bulk_nodes: int = DEFAULT_BULK_NODES) -> SpectralModel:
     """Closed-form shifted Marchenko-Pastur model for Gaussian feature matrices.
@@ -176,7 +170,6 @@ def empirical_spectral_model(
     p: int,
     d: int,
     coeffs: ActivationCoeffs,
-    cache: bool = True,
 ) -> SpectralModel:
     """Exact eigenvalues of (kappa1^2/d) F F^T + kappa_star^2 I_p as p atoms of mass 1/p.
 
@@ -198,7 +191,7 @@ def empirical_spectral_model(
     npy_path = _cache_dir() / f"spectrum_{key}.npy"
     json_path = _cache_dir() / f"spectrum_{key}.json"
     eigs = None
-    if cache and npy_path.exists() and json_path.exists():
+    if npy_path.exists() and json_path.exists():
         try:
             if json.loads(json_path.read_text()) == meta:
                 eigs = np.load(npy_path)
@@ -209,11 +202,10 @@ def empirical_spectral_model(
         omega = (coeffs.kappa1**2 / d) * (F @ F.T)
         omega[np.diag_indices(p)] += coeffs.kappa_star_sq
         eigs = np.linalg.eigvalsh(omega)
-        if cache:
-            tmp = npy_path.with_suffix(".tmp.npy")
-            np.save(tmp, eigs)
-            os.replace(tmp, npy_path)
-            json_path.write_text(json.dumps(meta, sort_keys=True))
+        tmp = npy_path.with_suffix(".tmp.npy")
+        np.save(tmp, eigs)
+        os.replace(tmp, npy_path)
+        json_path.write_text(json.dumps(meta, sort_keys=True))
     eigs = np.sort(np.maximum(eigs, 0.0))
     eigs.setflags(write=False)
     return SpectralModel(

@@ -159,7 +159,7 @@ def ridge_erm():
             ds = generate_dataset(n, d, RHO, "linear", seed)
             ens = sample_feature_ensemble(4, p, d, COEFFS, ds.theta,
                                           seed=derive_seed(seed, "features"), activation=erf)
-            W, _ = train_ridge(featurize(ds, ens), ds.y, 1e-6)
+            W, _ = train_ridge(featurize(ds.X, ens), ds.y, 1e-6)
             # the exact population MSE of the first K learners' mean predictor
             for K in K_LIST:
                 first_k = dataclasses.replace(ens, F_list=ens.F_list[:K], seeds=ens.seeds[:K])
@@ -247,7 +247,7 @@ def test_criterion_4_majority_never_beats_score_average(logistic_theory):
     margins = []
     for pn, fp in logistic_theory.items():
         cov = EnsembleCovariance.from_params(fp.params, RHO, 3)
-        maj, se = majority_vote_error(cov, 3, 10**6, seed=17)
+        maj, se = majority_vote_error(cov, 10**6, seed=17)
         avg = classification_error_avg(cov)
         margins.append((pn, maj - avg, se))
         assert maj >= avg - 3 * se, f"majority beat score average at p/n={pn}"

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import erf
 
 from rfensemble import (
+    ChannelSpec,
     ConjugateParams,
     EnsembleCovariance,
     FixedPoint,
@@ -17,8 +18,9 @@ from rfensemble import (
     classification_error_bar,
     gauss_hermite_rule,
     mse_test_error,
+    training_loss,
 )
-from rfensemble.cli import main, observable_row, parse_problem
+from rfensemble.cli import main, observable_row, parse_problem, solve_options_from, solve_point
 from rfensemble.corpus import GoldenRecord, evaluate_record
 
 from oracles import kernel_ridge_closed_form, kernel_ridge_closed_form_derived
@@ -100,6 +102,17 @@ class TestSolve:
         cfg = dict(RIDGE_CFG, loss="logistic", K=[1, 3, "inf"])
         assert main(["solve", "--config", write_cfg(tmp_path, cfg)]) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_train_loss_uses_the_config_quadrature_orders(self, tmp_path, capsys):
+        cfg = {"loss": "logistic", "rho": 1.0, "lambda": 1e-2, "p_over_n": 0.8, "n_over_d": 2.0, "K": [1],
+               "tol": 1e-10, "order_1d": 21, "order_2d": 21}
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg)]) == 0
+        printed = json.loads(capsys.readouterr().out)["train_loss"]
+        opts = solve_options_from(cfg)
+        params = solve_point(parse_problem(cfg), opts).params
+        spec = ChannelSpec(loss="logistic", teacher="sign")
+        assert printed == training_loss(params, 1.0, spec, opts.rules())
+        assert printed != training_loss(params, 1.0, spec)  # the default orders 101/61
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "nope.json")])
@@ -308,6 +321,16 @@ class TestSimulate:
         assert main(["simulate", "--config", path, "--out", str(out2), "--jobs", "2"]) == 0
         assert out1.read_text() == out2.read_text()
 
+    def test_seed_flag_equals_config_seed(self, tmp_path):
+        flag, config, base = tmp_path / "flag.csv", tmp_path / "config.csv", tmp_path / "base.csv"
+        path = write_cfg(tmp_path, SIM_CFG)
+        assert main(["simulate", "--config", path, "--out", str(flag), "--seed", "7"]) == 0
+        seeded = dict(SIM_CFG, simulate={**SIM_CFG["simulate"], "seed": 7})
+        assert main(["simulate", "--config", write_cfg(tmp_path, seeded, "s7.json"), "--out", str(config)]) == 0
+        assert main(["simulate", "--config", path, "--out", str(base)]) == 0
+        assert flag.read_bytes() == config.read_bytes()
+        assert flag.read_bytes() != base.read_bytes()
+
     def test_jobs_flag_gives_same_rows(self, tmp_path):
         out1 = tmp_path / "s1.csv"
         out2 = tmp_path / "s2.csv"
@@ -408,6 +431,23 @@ class TestResolver:
         assert fix in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command,cfg,key",
+        [
+            ("sweep", dict(SWEEP_CFG, grid=["a"]), "'grid'"),
+            ("solve", dict(RIDGE_CFG, rho="one"), "'rho'"),
+            ("simulate", dict(SIM_CFG, simulate={"trials": "x", "d": 40}), "'simulate.trials'"),
+            ("sweep", dict(SWEEP_CFG, K=[True]), "K entries"),
+            ("solve", dict(RIDGE_CFG, K=[1, True]), "K entries"),
+        ],
+        ids=["grid-string", "rho-string", "trials-string", "K-bool-sweep", "K-bool-solve"],
+    )
+    def test_non_numeric_value_exits_2_naming_the_key(self, tmp_path, capsys, command, cfg, key):
+        code = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_kernel_lambda_sweep(self, tmp_path):
         cfg = dict(KERNEL_CFG, axis="lambda", grid=[1e-3, 1e-2, 1e-1])
         out = tmp_path / "kernel_lambda.csv"
@@ -456,3 +496,11 @@ class TestSolverFlags:
         config = json.loads(capsys.readouterr().out)
         assert flag["iterations"] != base["iterations"]
         assert flag == config
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "confidence-density"])
+    @pytest.mark.parametrize("flag", ["--jobs", "--seed"])
+    def test_jobs_and_seed_belong_to_simulate(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", write_cfg(tmp_path, RIDGE_CFG), flag, "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -10,7 +10,6 @@ from rfensemble import (
     FeatureEnsemble,
     ModelConfig,
     SolveOptions,
-    TrainedEnsemble,
     activation_coeffs,
     empirical_overlaps,
     featurize,
@@ -70,25 +69,17 @@ class TestFeaturize:
     def test_erf_features_bounded(self):
         ds = generate_dataset(50, 30, 1.0, "sign", seed=4)
         ens = sample_feature_ensemble(2, 40, 30, COEFFS, ds.theta, seed=5, activation=erf)
-        for U in featurize(ds, ens):
+        for U in featurize(ds.X, ens):
             assert np.all(np.abs(U) < 1.0)
 
     def test_column_second_moment_matches_coefficients(self):
         n, p, d = 6000, 60, 600
         ds = generate_dataset(n, d, 1.0, "sign", seed=6)
         ens = sample_feature_ensemble(1, p, d, COEFFS, ds.theta, seed=7, activation=erf)
-        U = featurize(ds, ens)[0]
+        U = featurize(ds.X, ens)[0]
         want = COEFFS.kappa1**2 + COEFFS.kappa_star_sq
         got = np.mean(U**2)
         assert got == pytest.approx(want, abs=6 / math.sqrt(n))
-
-    def test_gaussian_surrogate_moments(self):
-        n, p, d = 4000, 50, 400
-        ds = generate_dataset(n, d, 1.0, "sign", seed=8)
-        ens = sample_feature_ensemble(1, p, d, COEFFS, ds.theta, seed=9, activation=erf)
-        U = featurize(ds, ens, mode="gaussian_surrogate", surrogate_seed=1)
-        want = COEFFS.kappa1**2 + COEFFS.kappa_star_sq
-        assert np.mean(U[0] ** 2) == pytest.approx(want, abs=6 / math.sqrt(n))
 
     def test_shape_mismatch_rejected(self):
         ens = sample_feature_ensemble(1, 10, 8, COEFFS, np.zeros(8), seed=0)
@@ -100,7 +91,7 @@ class TestTrainRidge:
     def test_weights_shrink_like_inverse_lambda(self):
         ds = generate_dataset(100, 40, 1.0, "linear", seed=10)
         ens = sample_feature_ensemble(1, 60, 40, COEFFS, ds.theta, seed=11, activation=erf)
-        feats = featurize(ds, ens)
+        feats = featurize(ds.X, ens)
         w3, _ = train_ridge(feats, ds.y, 1e3)
         w4, _ = train_ridge(feats, ds.y, 1e4)
         ratio = np.linalg.norm(w3) / np.linalg.norm(w4)
@@ -109,13 +100,13 @@ class TestTrainRidge:
     def test_interpolation_rank_dichotomy(self):
         ds = generate_dataset(80, 40, 1.0, "linear", seed=12)
         ens = sample_feature_ensemble(1, 160, 40, COEFFS, ds.theta, seed=13, activation=erf)
-        feats = featurize(ds, ens)
+        feats = featurize(ds.X, ens)
         W, _ = train_ridge(feats, ds.y, 1e-6)
         mse = np.mean((ds.y - preactivation(feats[0], W[:, 0])) ** 2)
         assert mse <= 1e-10
 
         ens_small = sample_feature_ensemble(1, 40, 40, COEFFS, ds.theta, seed=14, activation=erf)
-        feats_small = featurize(ds, ens_small)
+        feats_small = featurize(ds.X, ens_small)
         W2, _ = train_ridge(feats_small, ds.y, 1e-6)
         mse2 = np.mean((ds.y - preactivation(feats_small[0], W2[:, 0])) ** 2)
         assert mse2 > 1e-6
@@ -137,7 +128,7 @@ class TestTrainRidge:
     def test_min_norm_limit_stable(self):
         ds = generate_dataset(60, 30, 1.0, "linear", seed=15)
         ens = sample_feature_ensemble(1, 120, 30, COEFFS, ds.theta, seed=16, activation=erf)
-        feats = featurize(ds, ens)
+        feats = featurize(ds.X, ens)
         w_a, _ = train_ridge(feats, ds.y, 1e-6)
         w_b, _ = train_ridge(feats, ds.y, 1e-6 + 1e-9)
         rel = np.linalg.norm(w_a - w_b) / np.linalg.norm(w_a)
@@ -149,7 +140,7 @@ class TestTrainRidge:
         # formed explicitly and solved by LU with one refinement step
         ds = generate_dataset(90, 40, 1.0, "linear", seed=30)
         ens = sample_feature_ensemble(2, 150, 40, COEFFS, ds.theta, seed=31, activation=erf)
-        feats = featurize(ds, ens)
+        feats = featurize(ds.X, ens)
         W, _ = train_ridge(feats, ds.y, lam)
         for k, U in enumerate(feats):
             p = U.shape[1]
@@ -164,7 +155,7 @@ class TestTrainLogistic:
     def test_large_lambda_null_predictor(self):
         ds = generate_dataset(200, 30, 1.0, "sign", seed=17)
         ens = sample_feature_ensemble(1, 50, 30, COEFFS, ds.theta, seed=18, activation=erf)
-        feats = featurize(ds, ens)
+        feats = featurize(ds.X, ens)
         W, gns, _ = train_logistic(feats, ds.y, 1e4)
         assert np.linalg.norm(W) < 1e-2
         loss = np.mean(np.logaddexp(0, -ds.y * preactivation(feats[0], W[:, 0])))
@@ -173,7 +164,7 @@ class TestTrainLogistic:
     def test_separable_margins_nonnegative(self):
         ds = generate_dataset(40, 20, 1.0, "sign", seed=19)
         ens = sample_feature_ensemble(1, 200, 20, COEFFS, ds.theta, seed=20, activation=erf)
-        feats = featurize(ds, ens)
+        feats = featurize(ds.X, ens)
         W, _, _ = train_logistic(feats, ds.y, 1e-4)
         margins = ds.y * preactivation(feats[0], W[:, 0])
         assert np.all(margins >= 0)
@@ -182,7 +173,7 @@ class TestTrainLogistic:
         # oracle: central differences of the summed objective
         ds = generate_dataset(60, 15, 1.0, "sign", seed=21)
         ens = sample_feature_ensemble(1, 25, 15, COEFFS, ds.theta, seed=22, activation=erf)
-        U = featurize(ds, ens)[0]
+        U = featurize(ds.X, ens)[0]
         lam = 0.3
         W, gns, _ = train_logistic([U], ds.y, lam)
         w = W[:, 0]
@@ -203,8 +194,7 @@ class TestTrainLogistic:
 class TestEmpiricalOverlaps:
     def test_zero_weights(self):
         ens = sample_feature_ensemble(2, 30, 20, COEFFS, np.zeros(20), seed=24)
-        trained = TrainedEnsemble(W=np.zeros((30, 2)), ensemble=ens, grad_norms=np.zeros(2), iterations=np.zeros(2))
-        ov = empirical_overlaps(trained)
+        ov = empirical_overlaps(ens, np.zeros((30, 2)))
         assert ov.m == ov.q0 == ov.q1 == 0.0
 
     def test_identical_learners(self):
@@ -213,8 +203,7 @@ class TestEmpiricalOverlaps:
         F = rng.standard_normal((30, d))
         ens = FeatureEnsemble(F_list=(F, F), coeffs=COEFFS, theta=rng.standard_normal(d), seeds=(0, 0), activation=erf)
         w = rng.standard_normal(30)
-        trained = TrainedEnsemble(W=np.column_stack([w, w]), ensemble=ens, grad_norms=np.zeros(2), iterations=np.zeros(2))
-        ov = empirical_overlaps(trained)
+        ov = empirical_overlaps(ens, np.column_stack([w, w]))
         # same F and same weights: the cross overlap only misses the
         # kappa_star^2 |w|^2/p piece that the diagonal block carries
         assert ov.q1 == pytest.approx(ov.q0 - COEFFS.kappa_star_sq * w @ w / 30, rel=1e-12)
@@ -225,8 +214,8 @@ class TestEmpiricalOverlaps:
         theta = rng.standard_normal(d)
         ens = sample_feature_ensemble(1, p, d, COEFFS, theta, seed=27, activation=erf)
         w = rng.standard_normal(p)
-        trained = TrainedEnsemble(W=w[:, None], ensemble=ens, grad_norms=np.zeros(1), iterations=np.zeros(1))
-        ov = empirical_overlaps(trained)
+        ov = empirical_overlaps(ens, w[:, None])
+        assert math.isnan(ov.q1)  # no pair of learners
         X = rng.standard_normal((n_fresh, d))
         scores = preactivation(featurize(X, ens)[0], w)
         mc = scores**2
@@ -264,17 +253,6 @@ class TestRunExperiment:
         assert res.failures == 2
         assert all(not r.ok and "ConfigError" in r.error for r in res.records)
 
-    def test_csv_roundtrip(self, tmp_path):
-        res = run_experiment(SQUARE, COEFFS, n=40, p=30, d=20, K=2, rho=1.0, lam=0.5,
-                             trials=2, master_seed=1, activation=erf, test_samples=200)
-        out = tmp_path / "trials.csv"
-        res.write_csv(out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0].startswith("trial,seed,ok,m,q0,q1,")
-        assert len(lines) == 3
-        summary = res.summary_json()
-        assert '"failures": 0' in summary
-
     def test_empirical_error_matches_gaussian_model_at_empirical_overlaps(self):
         res = run_experiment(LOGISTIC, COEFFS, n=300, p=200, d=150, K=2, rho=1.0, lam=1e-2,
                              trials=8, master_seed=2, activation=erf, test_samples=4000)
@@ -306,7 +284,7 @@ class TestRunExperiment:
 def _trained_ensemble(seed, n, p, d, K, lam=1e-2):
     ds = generate_dataset(n, d, 1.0, "linear", seed)
     ens = sample_feature_ensemble(K, p, d, COEFFS, ds.theta, seed=derive_seed(seed, "features"), activation=erf)
-    W, _ = train_ridge(featurize(ds, ens), ds.y, lam)
+    W, _ = train_ridge(featurize(ds.X, ens), ds.y, lam)
     return ds, ens, W
 
 
@@ -318,7 +296,7 @@ class TestSquareTestErrorErf:
         rng = np.random.default_rng(41)
         errs = []
         for _ in range(8):
-            X = rng.standard_normal((50_000, ds.d))
+            X = rng.standard_normal((50_000, ds.theta.size))
             scores = np.column_stack([preactivation(U, W[:, k]) for k, U in enumerate(featurize(X, ens))])
             errs.append((teacher_field(X, ds.theta) - scores.mean(axis=1)) ** 2)
         errs = np.concatenate(errs)
@@ -364,9 +342,9 @@ class TestRunTrialTestError:
                         estimator="avg_sign", activation=erf, test_samples=samples)
         ds = generate_dataset(n, d, 1.0, "sign", seed)
         ens = sample_feature_ensemble(K, p, d, COEFFS, ds.theta, seed=derive_seed(seed, "features"), activation=erf)
-        feats = featurize(ds, ens)
-        W, gns, iters = train_logistic(feats, ds.y, lam)
-        ov = empirical_overlaps(TrainedEnsemble(W=W, ensemble=ens, grad_norms=gns, iterations=iters))
+        feats = featurize(ds.X, ens)
+        W, gns, _ = train_logistic(feats, ds.y, lam)
+        ov = empirical_overlaps(ens, W)
         z_train = np.column_stack([preactivation(U, W[:, k]) for k, U in enumerate(feats)])
         X = np.random.default_rng(derive_seed(seed, "test")).standard_normal((samples, d))
         y = np.where(teacher_field(X, ds.theta) >= 0, 1.0, -1.0)

@@ -137,16 +137,16 @@ class TestMonteCarlo:
 
     def test_majority_k1_equals_closed_form(self):
         c = cov(m=0.5, q0=1.0, q1=1.0, K=1)
-        est, se = majority_vote_error(c, 1, 200_000, seed=4)
+        est, se = majority_vote_error(c, 200_000, seed=4)
         assert abs(est - classification_error_avg(c)) <= 3 * se
 
     def test_majority_requires_odd_K(self):
         with pytest.raises(ConfigError):
-            majority_vote_error(cov(K=2), 2, 10**4, seed=0)
+            majority_vote_error(cov(K=2), 10**4, seed=0)
 
     def test_majority_never_beats_score_average(self):
         c = cov(m=0.5, q0=1.0, q1=0.5, K=3)
-        maj, se = majority_vote_error(c, 3, 10**6, seed=5)
+        maj, se = majority_vote_error(c, 10**6, seed=5)
         avg = classification_error_avg(c)
         assert maj >= avg - 3 * se
 
@@ -155,8 +155,8 @@ class TestMonteCarlo:
         # the two estimators' errors coincide as K grows, so their
         # fluctuation decompositions coincide too
         bar = classification_error_bar(1.0, 0.5, 0.5)
-        maj51, _ = majority_vote_error(cov(m=0.5, q0=1.0, q1=0.5, K=51), 51, 400_000, seed=21)
-        maj301, _ = majority_vote_error(cov(m=0.5, q0=1.0, q1=0.5, K=301), 301, 400_000, seed=22)
+        maj51, _ = majority_vote_error(cov(m=0.5, q0=1.0, q1=0.5, K=51), 400_000, seed=21)
+        maj301, _ = majority_vote_error(cov(m=0.5, q0=1.0, q1=0.5, K=301), 400_000, seed=22)
         assert abs(maj301 - bar) < 0.005
         assert abs(maj301 - bar) < abs(maj51 - bar)
 

@@ -78,7 +78,7 @@ class TestMpSpectralModel:
     @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0, 2.0, 10.0])
     def test_mass_conservation(self, gamma):
         model = mp_spectral_model(1.0, gamma, ERF_COEFFS)
-        assert model.total_mass() == pytest.approx(1.0, abs=1e-8)
+        assert spectral_integral(model, np.ones_like) == pytest.approx(1.0, abs=1e-8)
 
     def test_rejects_noncentered_activation(self):
         shifted = activation_coeffs(lambda x: erf(x) + 0.3, RULE)
