@@ -69,6 +69,14 @@ def _number(value, key: str, kind=float):
         raise ConfigError(f"field {key!r} must be a number, got {value!r}") from exc
 
 
+def _alpha_from_p_over_n(value, key: str) -> float:
+    """alpha = n/p from the p/n value of the config field `key`, which must be positive."""
+    p_over_n = _number(value, key)
+    if not p_over_n > 0:
+        raise ConfigError(f"field {key!r} must be a positive p/n, got {value!r}")
+    return 1.0 / p_over_n
+
+
 @dataclass(frozen=True)
 class TheoryProblem:
     """One theory point: the parsed problem, moved along a sweep axis by `at`.
@@ -99,8 +107,8 @@ class TheoryProblem:
                 raise ConfigError(
                     f"axis {axis!r} has no meaning in kernel mode (p/n is infinite); sweep 'delta' or 'lambda'"
                 )
-            value = _number(value, "grid")
-            return replace(self, alpha=1.0 / value if axis == "p_over_n" else value)
+            alpha = _alpha_from_p_over_n(value, "grid") if axis == "p_over_n" else _number(value, "grid")
+            return replace(self, alpha=alpha)
         if axis == "delta":
             if not self.kernel:
                 raise ConfigError("axis 'delta' requires kernel mode")
@@ -152,9 +160,12 @@ def parse_problem(cfg: dict) -> TheoryProblem:
     if "alpha" in cfg:
         alpha = _number(cfg["alpha"], "alpha")
     elif "p_over_n" in cfg:
-        alpha = 1.0 / _number(cfg["p_over_n"], "p_over_n")
+        alpha = _alpha_from_p_over_n(cfg["p_over_n"], "p_over_n")
     else:
         alpha = None
+    kernel = cfg.get("kernel", False)
+    if not isinstance(kernel, bool):
+        raise ConfigError(f"field 'kernel' must be true or false, got {kernel!r}")
     return TheoryProblem(
         spec=ChannelSpec(loss=loss, teacher=teacher),
         activation_name=activation_name,
@@ -164,7 +175,7 @@ def parse_problem(cfg: dict) -> TheoryProblem:
         n_over_d=_number(cfg.get("n_over_d", 2.0), "n_over_d"),
         alpha=alpha,
         K_list=tuple(K_list),
-        kernel=bool(cfg.get("kernel", False)),
+        kernel=kernel,
         spectrum_kind=cfg.get("spectrum", "closed_form_mp"),
         spectrum_seed=_number(cfg.get("spectrum_seed", 0), "spectrum_seed", int),
         spectrum_p=_number(cfg.get("spectrum_p", 2000), "spectrum_p", int),

@@ -143,8 +143,9 @@ def _sample_block(cov: EnsembleCovariance, block: int, count: int, seed: int):
     """
     K = cov.K
     width = K + 1
-    u = np.random.Generator(np.random.Philox(key=(seed, block))).random((count, width))
-    z = ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
+    z = np.random.Generator(np.random.Philox(key=(seed, block))).random((count, width))
+    np.clip(z, 1e-16, 1.0 - 1e-16, out=z)
+    ndtri(z, out=z)
     z0 = z[:, 0]
     xi = z[:, 1:]
     nu = math.sqrt(cov.rho) * z0
@@ -153,7 +154,13 @@ def _sample_block(cov: EnsembleCovariance, block: int, count: int, seed: int):
     diag = math.sqrt(max(cov.q0 - cov.q1, 0.0))
     row = max(q0t + (K - 1) * q1t, 0.0)
     coupling = (math.sqrt(row) - diag) / K
-    mu = (cov.m / math.sqrt(cov.rho)) * z0[:, None] + diag * xi + coupling * xi.sum(axis=1, keepdims=True)
+    # mu = (a z0 + diag xi) + coupling sum(xi), built in place; each element
+    # is summed in that order (float addition commutes, it does not associate)
+    shared = xi.sum(axis=1, keepdims=True)
+    shared *= coupling
+    mu = np.multiply(diag, xi)
+    mu += (cov.m / math.sqrt(cov.rho)) * z0[:, None]
+    mu += shared
     return nu, mu
 
 
@@ -207,8 +214,10 @@ def generic_gen_error(
         y = nu if teacher == "linear" else _sign_pm1(nu)
         y_hat = np.asarray(f_hat(mu), dtype=float)
         delta = (y - y_hat) ** 2 if metric == "mse" else (y != y_hat).astype(float)
-        total += float(delta.sum())
-        total_sq += float((delta**2).sum())
+        block_sum = float(delta.sum())
+        total += block_sum
+        # a zero-one loss is 0 or 1, so its square is itself
+        total_sq += float((delta**2).sum()) if metric == "mse" else block_sum
         done += count
     mean = total / samples
     var = max(total_sq / samples - mean**2, 0.0)

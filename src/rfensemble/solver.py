@@ -1,10 +1,17 @@
-"""Damped fixed-point iteration alternating channel and prior updates."""
+"""Damped fixed-point iteration alternating channel and prior updates.
+
+Margin losses are solved in two stages. The channel's m_hat, q0_hat, v_hat
+do not read q1 and the prior's m, q0, v do not read q1_hat, so (m, q0, v) is
+the single-learner problem: it is iterated with q1 pinned to q0, where the
+channel takes its exact 1-D branch instead of the pair integral. The cross
+overlap is then the root of one scalar equation at fixed (m, q0, v).
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .channels import ChannelSpec, ConjugateParams, OrderParams, channel_update
 from .errors import ConfigError, DomainError
@@ -15,6 +22,9 @@ from .spectrum import ActivationCoeffs, SpectralModel
 DIVERGENCE_Q0 = 1e12
 
 DEFAULT_INIT = OrderParams(m=0.01, q0=1.0, q1=0.5, v=1.0)
+
+# evaluations of the scalar q1 equation before a margin-loss solve gives up
+Q1_MAX_EVALS = 60
 
 
 @dataclass(frozen=True)
@@ -67,7 +77,7 @@ class FixedPoint:
     iterations: int
     residual: float
     converged: bool
-    status: str = "converged"  # converged | max_iters | interpolation_divergence
+    status: str = "converged"  # converged | max_iters | interpolation_divergence | q1_unbracketed
     projections: int = 0
 
     def as_dict(self) -> dict:
@@ -162,7 +172,98 @@ def solve_fixed_point(config: ModelConfig, opts: SolveOptions | None = None) -> 
         return update, conj
 
     init, _ = _project(opts.init, config.rho)
-    return _iterate(step, init, config.rho, opts)
+    if config.spec.loss == "square":
+        return _iterate(step, init, config.rho, opts)
+    return _solve_two_stage(step, init, config.rho, opts)
+
+
+class _Q1Point(NamedTuple):
+    """One evaluation of g(q1) = F(q1) - q1, with the map step it came from."""
+
+    x: float
+    g: float
+    done: bool  # |g| meets the stopping rule of the damped loop
+    update: OrderParams
+    conj: ConjugateParams
+
+
+def _solve_two_stage(step, init: OrderParams, rho: float, opts: SolveOptions) -> FixedPoint:
+    """Margin-loss solve: iterate (m, q0, v) with q1 pinned to q0, then solve for q1.
+
+    `iterations` counts the stage-1 map steps plus the q1 evaluations; the
+    last evaluation, at the root, is the final map step whose parameters and
+    conjugates are returned. The residual is the larger of the stage-1 step
+    and |g| at the root.
+    """
+
+    def single(params: OrderParams):
+        update, conj = step(replace(params, q1=params.q0))
+        return replace(update, q1=update.q0), conj
+
+    fp = _iterate(single, replace(init, q1=init.q0), rho, opts)
+    if not fp.converged:
+        return fp
+    m, q0, v = fp.params.m, fp.params.q0, fp.params.v
+
+    def evaluate(q1: float) -> _Q1Point:
+        update, conj = step(OrderParams(m=m, q0=q0, q1=q1, v=v))
+        g = float(update.q1) - q1
+        scale = max(abs(m), abs(q0), abs(update.q1), abs(v))
+        return _Q1Point(q1, g, abs(g) < max(opts.tol, 4.0 * math.ulp(scale)), update, conj)
+
+    # below 2 m^2/rho - q0 the pair teacher variance rho - 2 m^2/(q0 + q1) is negative
+    lo = max(0.0, 2.0 * m * m / rho - q0)
+    lo += 1e-9 * (q0 - lo)
+    point, evals, status = _solve_q1(evaluate, lo, q0, init.q1)
+    iterations = fp.iterations + evals
+    if status != "converged":
+        return FixedPoint(fp.params, fp.conj, iterations, abs(point.g), False, status, fp.projections)
+    return FixedPoint(
+        point.update, point.conj, iterations, max(fp.residual, abs(point.g)), True, "converged", fp.projections
+    )
+
+
+def _solve_q1(evaluate, lo: float, hi: float, guess: float) -> tuple[_Q1Point, int, str]:
+    """Root of g on [lo, hi] by secant steps kept inside a sign-change bracket.
+
+    The upper end q1 = q0 goes first: the channel takes its 1-D branch there,
+    so it costs no pair integral. Then `guess` (the initial q1, a warm start's
+    root) and the lower end only if those two agree in sign. Each step is the
+    secant through the last two evaluations, or the bracket's midpoint when
+    the secant leaves the bracket. When no float is left inside the bracket
+    the end with the smaller |g| is the root.
+    Returns (point, evaluations, status).
+    """
+    upper = evaluate(hi)
+    if upper.done:
+        return upper, 1, "converged"
+    first = evaluate(guess if lo < guess < hi else 0.5 * (lo + hi))
+    evals = 2
+    if first.done:
+        return first, evals, "converged"
+    prev, cur = upper, first
+    if (first.g > 0) == (upper.g > 0):
+        prev, cur = first, evaluate(lo)
+        evals += 1
+        if (cur.g > 0) == (first.g > 0) and not cur.done:
+            return min(upper, first, cur, key=lambda p: abs(p.g)), evals, "q1_unbracketed"
+    a, b = prev, cur  # the ends of the bracket, g(a) and g(b) of opposite sign
+    while not cur.done:
+        if evals >= Q1_MAX_EVALS:
+            return cur, evals, "max_iters"
+        left, right = min(a.x, b.x), max(a.x, b.x)
+        x = cur.x - cur.g * (cur.x - prev.x) / (cur.g - prev.g) if cur.g != prev.g else left
+        if not left < x < right:
+            x = 0.5 * (left + right)
+            if not left < x < right:
+                return min(a, b, key=lambda p: abs(p.g)), evals, "converged"
+        prev, cur = cur, evaluate(x)
+        evals += 1
+        if (cur.g > 0) == (a.g > 0):
+            a = cur
+        else:
+            b = cur
+    return cur, evals, "converged"
 
 
 def solve_kernel_limit(

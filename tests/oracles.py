@@ -15,15 +15,24 @@
 - The damped solver loop (row 26) on numpy 4-vectors, as it was before the
   package carried the iterate as Python floats; the package loop must
   return the same FixedPoint bit for bit.
+- The damped solve of the full (m, q0, q1, v) map, as margin losses were
+  solved before the two-stage solve: the accuracy reference for it.
+- The Monte Carlo block sampler and error estimate (row 24) as they were
+  before the sampler worked in place; the package must draw the same
+  samples and return the same estimate bit for bit.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import erf
+from scipy.special import erf, ndtri
 
 from rfensemble import ConfigError, DomainError, NumericalError, OrderParams, prox_hinge, teacher_z0
 from rfensemble import solver
-from rfensemble.channels import ConjugateParams
+from rfensemble.channels import ConjugateParams, channel_update
+from rfensemble.observables import MC_BLOCK, resolve_estimator
+from rfensemble.priors import prior_update_spectral
 
 
 # ---------------------------------------------------------------------------
@@ -261,3 +270,57 @@ def iterate_array_oracle(step, init, rho, opts):
         projections += int(moved)
         cur_arr = params.as_array()
     return solver.FixedPoint(params, conj, opts.max_iters, residual, False, "max_iters", projections)
+
+
+def damped_solve_oracle(config, opts):
+    """The damped loop on the full map, q1 iterated with (m, q0, v)."""
+    rules = opts.rules()
+
+    def step(params):
+        conj = channel_update(params, config.rho, config.alpha, config.gamma, config.spec, rules)
+        return prior_update_spectral(conj, config.lam, config.gamma, config.spectrum, config.coeffs), conj
+
+    init, _ = solver._project(opts.init, config.rho)
+    return solver._iterate(step, init, config.rho, opts)
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo over the limiting Gaussian, out-of-place
+# ---------------------------------------------------------------------------
+
+
+def sample_block_oracle(cov, block, count, seed):
+    """`observables._sample_block` with every intermediate a new array."""
+    K = cov.K
+    width = K + 1
+    u = np.random.Generator(np.random.Philox(key=(seed, block))).random((count, width))
+    z = ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
+    z0 = z[:, 0]
+    xi = z[:, 1:]
+    nu = math.sqrt(cov.rho) * z0
+    q0t = cov.q0 - cov.m**2 / cov.rho
+    q1t = cov.q1 - cov.m**2 / cov.rho
+    diag = math.sqrt(max(cov.q0 - cov.q1, 0.0))
+    row = max(q0t + (K - 1) * q1t, 0.0)
+    coupling = (math.sqrt(row) - diag) / K
+    mu = (cov.m / math.sqrt(cov.rho)) * z0[:, None] + diag * xi + coupling * xi.sum(axis=1, keepdims=True)
+    return nu, mu
+
+
+def gen_error_oracle(cov, estimator, metric, samples, seed):
+    """`observables.generic_gen_error` on the oracle sampler, squaring every loss."""
+    f_hat, teacher = resolve_estimator(estimator)
+    total = total_sq = 0.0
+    done = block = 0
+    while done < samples:
+        count = min(MC_BLOCK, samples - done)
+        nu, mu = sample_block_oracle(cov, block, count, seed)
+        block += 1
+        y = nu if teacher == "linear" else np.where(nu >= 0, 1.0, -1.0)
+        y_hat = np.asarray(f_hat(mu), dtype=float)
+        delta = (y - y_hat) ** 2 if metric == "mse" else (y != y_hat).astype(float)
+        total += float(delta.sum())
+        total_sq += float((delta**2).sum())
+        done += count
+    mean = total / samples
+    return mean, math.sqrt(max(total_sq / samples - mean**2, 0.0) / samples)

@@ -9,6 +9,7 @@ from scipy.special import erf
 
 from rfensemble import (
     ChannelSpec,
+    ConfigError,
     ConjugateParams,
     EnsembleCovariance,
     FixedPoint,
@@ -447,6 +448,52 @@ class TestResolver:
         assert code == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command,cfg,key",
+        [
+            ("solve", {"loss": "square", "rho": 1, "lambda": 0.1, "p_over_n": 0, "K": [1]}, "'p_over_n'"),
+            ("sweep", dict(SWEEP_CFG, grid=[0.0, 1.0]), "'grid'"),
+            ("sweep", dict(SWEEP_CFG, grid=[1.0, 0.5, 0.0]), "'grid'"),
+        ],
+        ids=["solve-p_over_n-0", "sweep-grid-starts-at-0", "sweep-grid-ends-at-0"],
+    )
+    def test_zero_p_over_n_exits_2_naming_the_key(self, tmp_path, capsys, command, cfg, key):
+        code = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and "positive p/n" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_parse_problem_rejects_nonpositive_p_over_n(self):
+        cfg = {k: v for k, v in RIDGE_CFG.items() if k != "alpha"}
+        assert parse_problem(dict(cfg, p_over_n=2.0)).alpha == 0.5
+        for value in (0, 0.0, -1.0):
+            with pytest.raises(ConfigError, match="p_over_n"):
+                parse_problem(dict(cfg, p_over_n=value))
+
+    def test_at_rejects_nonpositive_p_over_n(self):
+        problem = parse_problem(SWEEP_CFG)
+        assert problem.at("p_over_n", 2.0).alpha == 0.5
+        for value in (0, 0.0, -0.5):
+            with pytest.raises(ConfigError, match="grid"):
+                problem.at("p_over_n", value)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [True]], ids=repr)
+    def test_non_boolean_kernel_exits_2(self, tmp_path, capsys, value):
+        cfg = {"loss": "square", "rho": 1.0, "lambda": 0.1, "p_over_n": 0.5, "K": [1], "kernel": value}
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "'kernel' must be true or false" in captured.err
+        assert captured.out == ""
+        with pytest.raises(ConfigError, match="kernel"):
+            parse_problem(cfg)
+
+    def test_boolean_kernel_values_are_read(self):
+        cfg = {"loss": "square", "rho": 1.0, "lambda": 0.1, "p_over_n": 0.5, "K": [1]}
+        assert parse_problem(dict(cfg, kernel=True)).kernel is True
+        assert parse_problem(dict(cfg, kernel=False)).kernel is False
+        assert parse_problem(cfg).kernel is False
 
     def test_kernel_lambda_sweep(self, tmp_path):
         cfg = dict(KERNEL_CFG, axis="lambda", grid=[1e-3, 1e-2, 1e-1])

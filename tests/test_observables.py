@@ -17,7 +17,9 @@ from rfensemble import (
     majority_vote_error,
     mse_test_error,
 )
-from rfensemble.observables import _sample_block
+from rfensemble.observables import MC_BLOCK, _sample_block
+
+from oracles import gen_error_oracle, sample_block_oracle
 
 
 def cov(rho=1.0, m=0.5, q0=1.0, q1=0.5, K=2):
@@ -195,6 +197,24 @@ class TestMonteCarlo:
         est, se = generic_gen_error(c, lambda mu: np.where(mu.sum(axis=1) >= 0, 1.0, -1.0),
                                     "zero_one", 10**5, seed=8, teacher="sign")
         assert abs(est - classification_error_avg(c)) <= 4 * se
+
+    @pytest.mark.parametrize("K", [1, 3, 5])
+    def test_block_sampler_equals_out_of_place_oracle(self, K):
+        c = cov(m=7.78, q0=140.55, q1=83.63, K=K)
+        for block, count in ((0, MC_BLOCK), (3, MC_BLOCK), (7, 1000)):
+            nu, mu = _sample_block(c, block, count, seed=11)
+            want_nu, want_mu = sample_block_oracle(c, block, count, seed=11)
+            assert np.array_equal(nu, want_nu) and np.array_equal(mu, want_mu)
+
+    @pytest.mark.parametrize(
+        "estimator,metric,K",
+        [("avg_sign", "zero_one", 3), ("majority", "zero_one", 3), ("mean", "mse", 2)],
+    )
+    def test_estimate_equals_oracle(self, estimator, metric, K):
+        # 150,000 samples: two full blocks and a partial one
+        c = cov(m=0.4, q0=1.1, q1=0.6, K=K)
+        got = generic_gen_error(c, estimator, metric, 150_000, seed=12)
+        assert got == gen_error_oracle(c, estimator, metric, 150_000, seed=12)
 
     def test_rejects_non_psd(self):
         with pytest.raises(DomainError):

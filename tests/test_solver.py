@@ -19,7 +19,12 @@ from rfensemble import (
 )
 
 from rfensemble import cli, solver
-from oracles import iterate_array_oracle, kernel_ridge_closed_form_derived, project_array_oracle
+from oracles import (
+    damped_solve_oracle,
+    iterate_array_oracle,
+    kernel_ridge_closed_form_derived,
+    project_array_oracle,
+)
 
 COEFFS = activation_coeffs(erf, gauss_hermite_rule(201))
 SQUARE = ChannelSpec(loss="square", teacher="linear")
@@ -211,3 +216,164 @@ class TestScalarLoopMatchesArrayOracle:
                 assert [float(x).hex() for x in vars(a).values()] == [float(x).hex() for x in vars(b).values()]
             else:
                 assert a == b, field.name
+
+
+MARGIN_POINTS = {
+    "logistic-1e-4-0.6": {"loss": "logistic", "rho": 1.0, "lambda": 1e-4, "n_over_d": 2.0, "p_over_n": 0.6},
+    "logistic-1e-4-0.55": {"loss": "logistic", "rho": 1.0, "lambda": 1e-4, "n_over_d": 2.0, "p_over_n": 0.55},
+    "logistic-1e-2-1.0": {"loss": "logistic", "rho": 1.0, "lambda": 1e-2, "n_over_d": 2.0, "p_over_n": 1.0},
+    "hinge-0.1-1.0": {"loss": "hinge", "rho": 1.0, "lambda": 0.1, "n_over_d": 2.0, "p_over_n": 1.0, "damping": 1.0},
+}
+
+
+def margin_point(name, **solver_keys):
+    cfg = {**MARGIN_POINTS[name], **solver_keys}
+    return cli.parse_problem(cfg).model(), cli.solve_options_from(cfg)
+
+
+def rel_distance(params, ref):
+    a, b = params.as_array(), ref.as_array()
+    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
+
+
+class TestTwoStageMarginSolve:
+    """Margin losses: (m, q0, v) iterated with q1 = q0, then the scalar q1 equation."""
+
+    @pytest.mark.parametrize("name", list(MARGIN_POINTS))
+    def test_at_least_as_close_to_tight_reference_as_damped_solve(self, name):
+        config, opts = margin_point(name, tol=1e-9)
+        _, ref_opts = margin_point(name, tol=1e-13)
+        ref = damped_solve_oracle(config, ref_opts)
+        damped = damped_solve_oracle(config, opts)
+        fp = solve_fixed_point(config, opts)
+        assert ref.converged and damped.converged and fp.converged
+        assert fp.status == "converged"
+        assert rel_distance(fp.params, ref.params) <= rel_distance(damped.params, ref.params)
+        assert rel_distance(fp.params, ref.params) < 1e-9
+
+    @pytest.mark.parametrize("name", list(MARGIN_POINTS))
+    def test_returned_parameters_are_the_prior_of_the_returned_conjugates(self, name):
+        config, opts = margin_point(name, tol=1e-9)
+        fp = solve_fixed_point(config, opts)
+        again = solver.prior_update_spectral(fp.conj, config.lam, config.gamma, config.spectrum, config.coeffs)
+        assert [float(x).hex() for x in vars(again).values()] == [float(x).hex() for x in vars(fp.params).values()]
+        assert 0 < fp.params.q1 < fp.params.q0
+
+    def test_pair_integral_runs_at_most_12_times(self, monkeypatch):
+        from rfensemble import channels
+
+        calls = []
+        inner = channels.expect_2d_correlated
+        monkeypatch.setattr(channels, "expect_2d_correlated", lambda *a, **k: calls.append(1) or inner(*a, **k))
+        config, opts = margin_point("logistic-1e-4-0.6", tol=1e-9)
+        fp = solve_fixed_point(config, opts)
+        assert fp.converged and fp.iterations > 200
+        assert 1 <= len(calls) <= 12
+        calls.clear()
+        config, _ = margin_point("logistic-1e-4-0.55")
+        warm = solve_fixed_point(config, solver.warm_options(opts, fp))
+        assert warm.converged
+        assert 1 <= len(calls) <= 12
+
+    def test_iterations_count_stage_one_steps_and_q1_evaluations(self, monkeypatch):
+        stage_one = []
+        inner = solver._iterate
+        monkeypatch.setattr(solver, "_iterate", lambda *a: stage_one.append(inner(*a)) or stage_one[-1])
+        evaluations = []
+        inner_solve_q1 = solver._solve_q1
+        monkeypatch.setattr(solver, "_solve_q1", lambda *a: evaluations.append(inner_solve_q1(*a)) or evaluations[-1])
+        config, opts = margin_point("logistic-1e-2-1.0", tol=1e-9)
+        fp = solve_fixed_point(config, opts)
+        (first,) = stage_one
+        (root,) = evaluations
+        assert first.params.q1 == first.params.q0
+        assert fp.iterations == first.iterations + root[1]
+        assert fp.projections == first.projections
+        assert fp.residual == max(first.residual, abs(root[0].g))
+
+    def test_warm_restart_at_a_converged_point_takes_one_stage_one_step(self, monkeypatch):
+        config, opts = margin_point("logistic-1e-4-0.6", tol=1e-9)
+        fp = solve_fixed_point(config, opts)
+        stage_one = []
+        inner = solver._iterate
+        monkeypatch.setattr(solver, "_iterate", lambda *a: stage_one.append(inner(*a)) or stage_one[-1])
+        again = solve_fixed_point(config, replace(opts, init=fp.params))
+        assert [s.iterations for s in stage_one] == [1]
+        assert again.converged
+        assert rel_distance(again.params, fp.params) < 1e-9
+
+    def test_unbracketed_root_is_a_named_status(self, monkeypatch):
+        # a prior whose q1 exceeds every q1 on [lo, q0]: g > 0 on the whole bracket
+        inner = solver.prior_update_spectral
+
+        def shifted(*args):
+            out = inner(*args)
+            return replace(out, q1=out.q1 + 1e3)
+
+        monkeypatch.setattr(solver, "prior_update_spectral", shifted)
+        config, opts = margin_point("logistic-1e-2-1.0", tol=1e-9)
+        fp = solve_fixed_point(config, opts)
+        assert fp.status == "q1_unbracketed"
+        assert not fp.converged
+        assert fp.params.q1 == fp.params.q0
+        assert fp.residual > 1e2
+
+    def test_q1_evaluation_cap_is_max_iters(self, monkeypatch):
+        monkeypatch.setattr(solver, "Q1_MAX_EVALS", 3)
+        config, opts = margin_point("logistic-1e-2-1.0", tol=1e-9)
+        fp = solve_fixed_point(config, opts)
+        assert fp.status == "max_iters" and not fp.converged
+
+    def test_square_loss_keeps_the_damped_loop(self):
+        fp = solve_fixed_point(ridge_config(), SolveOptions(tol=1e-10))
+        ref = damped_solve_oracle(ridge_config(), SolveOptions(tol=1e-10))
+        TestScalarLoopMatchesArrayOracle.assert_same(fp, ref)
+
+
+def point_at(x, g):
+    params = OrderParams(m=0.0, q0=1.0, q1=x, v=1.0)
+    return solver._Q1Point(x, g, abs(g) < 1e-12, params, None)
+
+
+class TestSolveQ1:
+    """The bracketed secant on scalar functions with known roots."""
+
+    @pytest.mark.parametrize(
+        "fn,root",
+        [
+            (lambda x: 2.0 - x, 2.0),
+            (lambda x: np.cos(x) - x, 0.7390851332151607),
+            (lambda x: 4.0 * np.exp(-x) - x, 1.2021678731970429),
+        ],
+        ids=["linear", "cos", "exp"],
+    )
+    @pytest.mark.parametrize("guess", [0.5, 3.0, -1.0])
+    def test_finds_the_root(self, fn, root, guess):
+        seen = []
+
+        def evaluate(x):
+            seen.append(x)
+            return point_at(x, float(fn(x)))
+
+        point, evals, status = solver._solve_q1(evaluate, 0.0, 5.0, guess)
+        assert status == "converged"
+        assert point.x == pytest.approx(root, abs=1e-11)
+        assert evals == len(seen) <= 12
+        assert seen[0] == 5.0 and all(0.0 <= x <= 5.0 for x in seen)
+
+    def test_root_at_the_upper_end_costs_one_evaluation(self):
+        point, evals, status = solver._solve_q1(lambda x: point_at(x, 5.0 - x), 0.0, 5.0, 1.0)
+        assert (point.x, evals, status) == (5.0, 1, "converged")
+
+    def test_no_sign_change_is_unbracketed(self):
+        point, evals, status = solver._solve_q1(lambda x: point_at(x, 10.0 - x), 0.0, 5.0, 1.0)
+        assert status == "q1_unbracketed"
+        assert evals == 3
+        assert point.x == 5.0  # the smaller |g|
+
+    def test_jump_stops_when_no_float_is_left_in_the_bracket(self):
+        # g changes sign without a root: the bracket closes on the jump at 1
+        point, evals, status = solver._solve_q1(lambda x: point_at(x, 1.0 if x < 1.0 else -1.0), 0.0, 5.0, 3.0)
+        assert status == "converged"
+        assert abs(point.x - 1.0) <= 2 * np.spacing(1.0)
+        assert evals <= solver.Q1_MAX_EVALS
