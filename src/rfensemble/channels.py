@@ -313,9 +313,9 @@ def channel_update(
     if spec.loss == "hinge":
         q1h = 2.0 * alpha * _hinge_pair_expectation(m, q0, q1, v, s_pair)
     elif q1 >= q0 * (1 - 1e-12):
-        # perfectly correlated pair: same integrand as q0_hat, and it must
-        # ride the same nodes or a spurious q0_hat - q1_hat gap at the
-        # quadrature-difference level stalls the kernel-limit solver
+        # perfectly correlated pair (solver stage 1 and stage 2's first q1
+        # evaluation): q0_hat's integrand on its nodes, so q1_hat == q0_hat to
+        # the bit and, in the kernel limit, that first evaluation is the root
         q1h = 2.0 * alpha * float(wt @ (teacher_z0(1.0, m * (w + w) / (q0 + q1), s_pair) * pr.f**2))
     else:
 

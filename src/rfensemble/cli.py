@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import json
 import math
 import sys
@@ -54,6 +55,13 @@ ACTIVATIONS = {
 
 SWEEP_AXES = ("p_over_n", "alpha", "lambda", "delta")
 
+# every key some command reads; docs/config_schema.md has a table row for each
+_CONFIG_KEYS = frozenset(
+    "loss teacher activation rho lambda n_over_d K kernel alpha p_over_n spectrum spectrum_seed spectrum_p "
+    "damping tol max_iters order_1d order_2d axis grid out resolution simulate".split()
+)
+_SIMULATE_KEYS = frozenset("trials d seed test_samples estimator seeds".split())
+
 
 def _require(cfg: dict, key: str, path: str = ""):
     if key not in cfg:
@@ -69,12 +77,12 @@ def _number(value, key: str, kind=float):
         raise ConfigError(f"field {key!r} must be a number, got {value!r}") from exc
 
 
-def _alpha_from_p_over_n(value, key: str) -> float:
-    """alpha = n/p from the p/n value of the config field `key`, which must be positive."""
-    p_over_n = _number(value, key)
-    if not p_over_n > 0:
-        raise ConfigError(f"field {key!r} must be a positive p/n, got {value!r}")
-    return 1.0 / p_over_n
+def _positive(value, key: str, ratio: str) -> float:
+    """The number `value` of the config field `key`, which must be a positive `ratio`."""
+    number = _number(value, key)
+    if not number > 0:
+        raise ConfigError(f"field {key!r} must be a positive {ratio}, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -107,12 +115,12 @@ class TheoryProblem:
                 raise ConfigError(
                     f"axis {axis!r} has no meaning in kernel mode (p/n is infinite); sweep 'delta' or 'lambda'"
                 )
-            alpha = _alpha_from_p_over_n(value, "grid") if axis == "p_over_n" else _number(value, "grid")
+            alpha = 1.0 / _positive(value, "grid", "p/n") if axis == "p_over_n" else _number(value, "grid")
             return replace(self, alpha=alpha)
         if axis == "delta":
             if not self.kernel:
                 raise ConfigError("axis 'delta' requires kernel mode")
-            return replace(self, n_over_d=_number(value, "grid"))
+            return replace(self, n_over_d=_positive(value, "grid", "n/d"))
         if axis == "lambda":
             return replace(self, lam=_number(value, "grid"))
         if axis == "K":
@@ -160,7 +168,7 @@ def parse_problem(cfg: dict) -> TheoryProblem:
     if "alpha" in cfg:
         alpha = _number(cfg["alpha"], "alpha")
     elif "p_over_n" in cfg:
-        alpha = _alpha_from_p_over_n(cfg["p_over_n"], "p_over_n")
+        alpha = 1.0 / _positive(cfg["p_over_n"], "p_over_n", "p/n")
     else:
         alpha = None
     kernel = cfg.get("kernel", False)
@@ -172,7 +180,7 @@ def parse_problem(cfg: dict) -> TheoryProblem:
         coeffs=activation_coeffs(ACTIVATIONS[activation_name], gauss_hermite_rule(201)),
         rho=_number(_require(cfg, "rho"), "rho"),
         lam=_number(_require(cfg, "lambda"), "lambda"),
-        n_over_d=_number(cfg.get("n_over_d", 2.0), "n_over_d"),
+        n_over_d=_positive(cfg.get("n_over_d", 2.0), "n_over_d", "n/d"),
         alpha=alpha,
         K_list=tuple(K_list),
         kernel=kernel,
@@ -394,6 +402,20 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
+def _check_keys(cfg) -> None:
+    """Reject a config key that no command reads, naming the nearest known key."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("a config must be a JSON object")
+    sim = cfg.get("simulate")
+    sim = sim if isinstance(sim, dict) else {}  # only an object has keys to check
+    for path, block, known in (("", cfg, _CONFIG_KEYS), ("simulate.", sim, _SIMULATE_KEYS)):
+        for key in block:
+            if key not in known:
+                near = difflib.get_close_matches(key, known, n=1)
+                hint = f"did you mean {path + near[0]!r}?" if near else f"known: {sorted(known)}"
+                raise ConfigError(f"unknown field {path + key!r}; {hint}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rfensemble",
@@ -422,6 +444,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
+        _check_keys(cfg)
         # the flags override the config's solver block for every command
         for key in ("tol", "damping"):
             if getattr(args, key) is not None:

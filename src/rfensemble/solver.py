@@ -1,10 +1,12 @@
-"""Damped fixed-point iteration alternating channel and prior updates.
+"""Fixed point of the channel and prior updates, solved in two stages.
 
-Margin losses are solved in two stages. The channel's m_hat, q0_hat, v_hat
-do not read q1 and the prior's m, q0, v do not read q1_hat, so (m, q0, v) is
-the single-learner problem: it is iterated with q1 pinned to q0, where the
-channel takes its exact 1-D branch instead of the pair integral. The cross
-overlap is then the root of one scalar equation at fixed (m, q0, v).
+The channel's m_hat, q0_hat, v_hat do not read q1 and the prior's m, q0, v
+do not read q1_hat, so (m, q0, v) is the single-learner problem, for every
+loss and in the kernel limit alike. Stage 1 iterates it by a damped loop
+with q1 pinned to q0, where the channel takes its exact 1-D branch instead
+of the pair integral. Stage 2 solves one scalar equation for the cross
+overlap q1 at those fixed (m, q0, v). In the kernel limit q1 = q0 is the
+root, and the first evaluation of stage 2 finds it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ DIVERGENCE_Q0 = 1e12
 
 DEFAULT_INIT = OrderParams(m=0.01, q0=1.0, q1=0.5, v=1.0)
 
-# evaluations of the scalar q1 equation before a margin-loss solve gives up
+# evaluations of the scalar q1 equation before a solve gives up
 Q1_MAX_EVALS = 60
 
 
@@ -99,21 +101,20 @@ class FixedPoint:
 
 
 def _project(params: OrderParams, rho: float) -> tuple[OrderParams, bool]:
-    """Pull an iterate back into the admissible set; reports if it moved."""
-    m, q0, q1, v = params.m, params.q0, params.q1, params.v
+    """The single-learner point of `params`, q1 pinned to q0, with (m, q0, v)
+    pulled back into the admissible set; reports if (m, q0, v) moved."""
+    m, q0, v = params.m, params.q0, params.v
     moved = False
     if not math.isfinite(q0) or q0 > DIVERGENCE_Q0:
-        return params, False  # divergence handled by the caller
+        return OrderParams(m=m, q0=q0, q1=q0, v=v), False  # divergence handled by the caller
     if q0 <= 0:
         q0, moved = 1e-12, True
     if v <= 0:
         v, moved = 1e-12, True
-    if abs(q1) > q0:
-        q1, moved = math.copysign(q0, q1), True
     cap = math.sqrt(rho * q0)
     if abs(m) > cap:
         m, moved = math.copysign(cap, m) * (1 - 1e-12), True
-    return OrderParams(m=m, q0=q0, q1=q1, v=v), moved
+    return OrderParams(m=m, q0=q0, q1=q0, v=v), moved
 
 
 def _sign(x: float) -> int:
@@ -121,14 +122,15 @@ def _sign(x: float) -> int:
 
 
 def _iterate(step, init: OrderParams, rho: float, opts: SolveOptions) -> FixedPoint:
-    """Generic damped iteration; `step` maps OrderParams -> (OrderParams, ConjugateParams).
+    """Damped iteration of the single learner; `step` maps OrderParams -> (OrderParams, ConjugateParams).
 
-    The 4-vector (m, q0, q1, v) is carried as Python floats: each solve takes
-    hundreds of cheap iterations, where numpy call overhead on 4-element
-    arrays would cost more than the arithmetic.
+    The state (m, q0, v) starts at the projection of `init` and is carried as
+    Python floats: a solve takes hundreds of cheap iterations, where numpy
+    call overhead would cost more than the arithmetic. The step sees q1 = q0
+    and its q1 is dropped, so the returned parameters carry q1 = q0.
     """
-    params = init
-    cur = [float(init.m), float(init.q0), float(init.q1), float(init.v)]
+    params, _ = _project(init, rho)
+    cur = [float(params.m), float(params.q0), float(params.v)]
     damping = opts.damping
     projections = 0
     residual = math.inf
@@ -137,7 +139,7 @@ def _iterate(step, init: OrderParams, rho: float, opts: SolveOptions) -> FixedPo
     conj = ConjugateParams(0.0, 0.0, 0.0, 0.0)
     for it in range(1, opts.max_iters + 1):
         update, conj = step(params)
-        new = [float(update.m), float(update.q0), float(update.q1), float(update.v)]
+        new = [float(update.m), float(update.q0), float(update.v)]
         if not all(map(math.isfinite, new)) or update.q0 > DIVERGENCE_Q0:
             return FixedPoint(params, conj, it, residual, False, "interpolation_divergence", projections)
         delta = [a - b for a, b in zip(new, cur)]
@@ -145,8 +147,9 @@ def _iterate(step, init: OrderParams, rho: float, opts: SolveOptions) -> FixedPo
         # tol below the float64 spacing of the iterate cannot be met: stop
         # within a few ulps of the largest component instead
         if residual < max(opts.tol, 4.0 * math.ulp(max(map(abs, new)))):
-            return FixedPoint(update, conj, it, residual, True, "converged", projections)
-        sign = (_sign(delta[1]), _sign(delta[3]))
+            final = OrderParams(new[0], new[1], new[1], new[2])
+            return FixedPoint(final, conj, it, residual, True, "converged", projections)
+        sign = (_sign(delta[1]), _sign(delta[2]))
         if prev_sign is not None:
             if sign == (-prev_sign[0], -prev_sign[1]) and sign != (0, 0):
                 osc_count += 1
@@ -155,9 +158,10 @@ def _iterate(step, init: OrderParams, rho: float, opts: SolveOptions) -> FixedPo
             else:
                 osc_count = 0
         prev_sign = sign
-        params, moved = _project(OrderParams(*[damping * a + (1 - damping) * b for a, b in zip(new, cur)]), rho)
+        m, q0, v = (damping * a + (1 - damping) * b for a, b in zip(new, cur))
+        params, moved = _project(OrderParams(m, q0, q0, v), rho)
         projections += moved
-        cur = [params.m, params.q0, params.q1, params.v]
+        cur = [params.m, params.q0, params.v]
     return FixedPoint(params, conj, opts.max_iters, residual, False, "max_iters", projections)
 
 
@@ -171,10 +175,7 @@ def solve_fixed_point(config: ModelConfig, opts: SolveOptions | None = None) -> 
         update = prior_update_spectral(conj, config.lam, config.gamma, config.spectrum, config.coeffs)
         return update, conj
 
-    init, _ = _project(opts.init, config.rho)
-    if config.spec.loss == "square":
-        return _iterate(step, init, config.rho, opts)
-    return _solve_two_stage(step, init, config.rho, opts)
+    return _solve_two_stage(step, opts.init, config.rho, opts)
 
 
 class _Q1Point(NamedTuple):
@@ -188,19 +189,14 @@ class _Q1Point(NamedTuple):
 
 
 def _solve_two_stage(step, init: OrderParams, rho: float, opts: SolveOptions) -> FixedPoint:
-    """Margin-loss solve: iterate (m, q0, v) with q1 pinned to q0, then solve for q1.
+    """Iterate (m, q0, v) with q1 pinned to q0, then solve for q1.
 
     `iterations` counts the stage-1 map steps plus the q1 evaluations; the
     last evaluation, at the root, is the final map step whose parameters and
     conjugates are returned. The residual is the larger of the stage-1 step
     and |g| at the root.
     """
-
-    def single(params: OrderParams):
-        update, conj = step(replace(params, q1=params.q0))
-        return replace(update, q1=update.q0), conj
-
-    fp = _iterate(single, replace(init, q1=init.q0), rho, opts)
+    fp = _iterate(step, init, rho, opts)
     if not fp.converged:
         return fp
     m, q0, v = fp.params.m, fp.params.q0, fp.params.v
@@ -289,8 +285,7 @@ def solve_kernel_limit(
         update = kernel_prior_update(conj, lam, delta, coeffs)
         return update, conj
 
-    init, _ = _project(opts.init, rho)
-    return _iterate(step, init, rho, opts)
+    return _solve_two_stage(step, opts.init, rho, opts)
 
 
 def warm_options(opts: SolveOptions, fp: FixedPoint) -> SolveOptions:

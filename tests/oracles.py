@@ -12,11 +12,12 @@
     over (W, W'), split on each axis at the proximal's branch boundaries, and
     evaluates prox_hinge at every node;
   - the same analytic inner integral written as a loop over s-nodes and cells.
-- The damped solver loop (row 26) on numpy 4-vectors, as it was before the
-  package carried the iterate as Python floats; the package loop must
-  return the same FixedPoint bit for bit.
-- The damped solve of the full (m, q0, q1, v) map, as margin losses were
-  solved before the two-stage solve: the accuracy reference for it.
+- The damped single-learner loop (row 26) written on numpy (m, q0, v)
+  arrays; the package's loop on Python floats must return the same
+  FixedPoint bit for bit.
+- The damped solve of the full (m, q0, q1, v) map, at finite ratio and in
+  the kernel limit, as every loss was solved before the two-stage solve:
+  the accuracy reference for it.
 - The Monte Carlo block sampler and error estimate (row 24) as they were
   before the sampler worked in place; the package must draw the same
   samples and return the same estimate bit for bit.
@@ -32,7 +33,7 @@ from rfensemble import ConfigError, DomainError, NumericalError, OrderParams, pr
 from rfensemble import solver
 from rfensemble.channels import ConjugateParams, channel_update
 from rfensemble.observables import MC_BLOCK, resolve_estimator
-from rfensemble.priors import prior_update_spectral
+from rfensemble.priors import kernel_channel_update, kernel_prior_update, prior_update_spectral
 
 
 # ---------------------------------------------------------------------------
@@ -216,32 +217,35 @@ def hinge_pair_inner_loop(s, q0, q1, v):
 
 
 # ---------------------------------------------------------------------------
-# Damped solver loop on numpy arrays
+# Damped solver loops on numpy arrays
 # ---------------------------------------------------------------------------
 
 
 def project_array_oracle(params, rho):
     """`solver._project` on numpy scalars."""
-    m, q0, q1, v = params.m, params.q0, params.q1, params.v
+    m, q0, v = params.m, params.q0, params.v
     moved = False
     if not np.isfinite(q0) or q0 > solver.DIVERGENCE_Q0:
-        return params, False
+        return OrderParams(m=m, q0=q0, q1=q0, v=v), False
     if q0 <= 0:
         q0, moved = 1e-12, True
     if v <= 0:
         v, moved = 1e-12, True
-    if abs(q1) > q0:
-        q1, moved = np.sign(q1) * q0, True
     cap = np.sqrt(rho * q0)
     if abs(m) > cap:
         m, moved = np.sign(m) * cap * (1 - 1e-12), True
-    return OrderParams(m=m, q0=q0, q1=q1, v=v), moved
+    return OrderParams(m=m, q0=q0, q1=q0, v=v), moved
+
+
+def _pinned(x):
+    """OrderParams of the (m, q0, v) array x with q1 = q0."""
+    return OrderParams(m=x[0], q0=x[1], q1=x[1], v=x[2])
 
 
 def iterate_array_oracle(step, init, rho, opts):
-    """Drop-in for `solver._iterate`: the same damped loop on 4-element arrays."""
-    params = init
-    cur_arr = init.as_array()
+    """Drop-in for `solver._iterate`: the same damped loop on (m, q0, v) arrays, q1 pinned to q0."""
+    params, _ = project_array_oracle(init, rho)
+    cur = np.array([params.m, params.q0, params.v], dtype=float)
     damping = opts.damping
     projections = 0
     residual = np.inf
@@ -250,12 +254,54 @@ def iterate_array_oracle(step, init, rho, opts):
     conj = ConjugateParams(0.0, 0.0, 0.0, 0.0)
     for it in range(1, opts.max_iters + 1):
         update, conj = step(params)
-        new_arr = update.as_array()
-        if not np.isfinite(new_arr).all() or update.q0 > solver.DIVERGENCE_Q0:
+        new = np.array([update.m, update.q0, update.v], dtype=float)
+        if not np.isfinite(new).all() or update.q0 > solver.DIVERGENCE_Q0:
             return solver.FixedPoint(params, conj, it, residual, False, "interpolation_divergence", projections)
-        delta = new_arr - cur_arr
+        delta = new - cur
         residual = float(np.abs(delta).max())
-        if residual < max(opts.tol, 4.0 * np.spacing(np.abs(new_arr).max())):
+        if residual < max(opts.tol, 4.0 * np.spacing(np.abs(new).max())):
+            return solver.FixedPoint(_pinned(new), conj, it, residual, True, "converged", projections)
+        sign = np.sign(delta[1:])
+        if prev_sign is not None:
+            if (sign == -prev_sign).all() and sign.any():
+                osc_count += 1
+                if osc_count >= 3 and damping > 0.1:
+                    damping = 0.1
+            else:
+                osc_count = 0
+        prev_sign = sign
+        params, moved = project_array_oracle(_pinned(damping * new + (1 - damping) * cur), rho)
+        projections += int(moved)
+        cur = np.array([params.m, params.q0, params.v])
+    return solver.FixedPoint(params, conj, opts.max_iters, residual, False, "max_iters", projections)
+
+
+def damped_full_map_oracle(step, init, rho, opts):
+    """The damped loop on the full (m, q0, q1, v) map, q1 iterated with the
+    rest and held in [-q0, q0]: how every loss was solved before the
+    two-stage solve."""
+
+    def project(params):
+        pinned, moved = project_array_oracle(params, rho)
+        q1 = np.sign(params.q1) * pinned.q0 if abs(params.q1) > pinned.q0 else params.q1
+        return OrderParams(pinned.m, pinned.q0, q1, pinned.v), moved or q1 != params.q1
+
+    params, _ = project(init)
+    cur = params.as_array()
+    damping = opts.damping
+    projections = 0
+    residual = np.inf
+    prev_sign = None
+    osc_count = 0
+    conj = ConjugateParams(0.0, 0.0, 0.0, 0.0)
+    for it in range(1, opts.max_iters + 1):
+        update, conj = step(params)
+        new = update.as_array()
+        if not np.isfinite(new).all() or update.q0 > solver.DIVERGENCE_Q0:
+            return solver.FixedPoint(params, conj, it, residual, False, "interpolation_divergence", projections)
+        delta = new - cur
+        residual = float(np.abs(delta).max())
+        if residual < max(opts.tol, 4.0 * np.spacing(np.abs(new).max())):
             return solver.FixedPoint(update, conj, it, residual, True, "converged", projections)
         sign = np.sign(delta[1::2])
         if prev_sign is not None:
@@ -266,22 +312,32 @@ def iterate_array_oracle(step, init, rho, opts):
             else:
                 osc_count = 0
         prev_sign = sign
-        params, moved = project_array_oracle(OrderParams(*(damping * new_arr + (1 - damping) * cur_arr)), rho)
+        params, moved = project(OrderParams(*(damping * new + (1 - damping) * cur)))
         projections += int(moved)
-        cur_arr = params.as_array()
+        cur = params.as_array()
     return solver.FixedPoint(params, conj, opts.max_iters, residual, False, "max_iters", projections)
 
 
 def damped_solve_oracle(config, opts):
-    """The damped loop on the full map, q1 iterated with (m, q0, v)."""
+    """`damped_full_map_oracle` on the finite-ratio map of `config`."""
     rules = opts.rules()
 
     def step(params):
         conj = channel_update(params, config.rho, config.alpha, config.gamma, config.spec, rules)
         return prior_update_spectral(conj, config.lam, config.gamma, config.spectrum, config.coeffs), conj
 
-    init, _ = solver._project(opts.init, config.rho)
-    return solver._iterate(step, init, config.rho, opts)
+    return damped_full_map_oracle(step, opts.init, config.rho, opts)
+
+
+def damped_kernel_oracle(delta, rho, lam, spec, coeffs, opts):
+    """`damped_full_map_oracle` on the kernel-limit map at delta = n/d."""
+    rules = opts.rules()
+
+    def step(params):
+        conj = kernel_channel_update(params, rho, delta, spec, rules)
+        return kernel_prior_update(conj, lam, delta, coeffs), conj
+
+    return damped_full_map_oracle(step, opts.init, rho, opts)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from rfensemble import (
     mse_test_error,
     training_loss,
 )
+from rfensemble import cli
 from rfensemble.cli import main, observable_row, parse_problem, solve_options_from, solve_point
 from rfensemble.corpus import GoldenRecord, evaluate_record
 
@@ -210,8 +211,9 @@ class TestShippedSweeps:
                 assert float(r[name]) == pytest.approx(want, rel=1e-12)
 
     def test_ridge_double_descent_bytes_unchanged(self, tmp_path):
-        # recorded before the float64-resolution stop: at tol = 1e-10 and
-        # v <= 7e4 the resolution floor stays below tol, so no point moves
+        # written by the two-stage solve; every point is at least as close
+        # to a tol-1e-13 damped reference as the damped solve that wrote it
+        # before (per-point table in CHANGES.md)
         out = tmp_path / "ridge_double_descent.csv"
         assert main(["sweep", "--config", str(ROOT / "configs" / "ridge_double_descent.json"), "--out", str(out)]) == 0
         assert out.read_bytes() == (ROOT / "tests" / "data" / "ridge_double_descent.csv").read_bytes()
@@ -478,6 +480,68 @@ class TestResolver:
         for value in (0, 0.0, -0.5):
             with pytest.raises(ConfigError, match="grid"):
                 problem.at("p_over_n", value)
+
+    @pytest.mark.parametrize(
+        "command,cfg,key",
+        [
+            ("solve", dict(KERNEL_CFG, n_over_d=0), "'n_over_d'"),
+            ("solve", dict(RIDGE_CFG, n_over_d=0), "'n_over_d'"),
+            ("sweep", dict(KERNEL_CFG, axis="delta", grid=[0.0, 1.0]), "'grid'"),
+        ],
+        ids=["kernel-n_over_d-0", "finite-n_over_d-0", "sweep-delta-grid-0"],
+    )
+    def test_zero_n_over_d_exits_2_naming_the_key(self, tmp_path, capsys, command, cfg, key):
+        code = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and "positive n/d" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("kernel", [False, True])
+    def test_parse_problem_rejects_nonpositive_n_over_d(self, kernel):
+        cfg = dict(RIDGE_CFG, kernel=kernel)
+        assert parse_problem(dict(cfg, n_over_d=1.5)).n_over_d == 1.5
+        for value in (0, 0.0, -1.0):
+            with pytest.raises(ConfigError, match="n_over_d"):
+                parse_problem(dict(cfg, n_over_d=value))
+
+    def test_at_rejects_nonpositive_delta(self):
+        problem = parse_problem(KERNEL_CFG)
+        assert problem.at("delta", 2.0).n_over_d == 2.0
+        for value in (0, 0.0, -0.5):
+            with pytest.raises(ConfigError, match="grid"):
+                problem.at("delta", value)
+
+    @pytest.mark.parametrize(
+        "command,cfg,key,near",
+        [
+            ("solve", dict(RIDGE_CFG, dampning=0.2), "'dampning'", "'damping'"),
+            ("sweep", dict(SWEEP_CFG, gird=[1.0]), "'gird'", "'grid'"),
+            ("simulate", dict(SIM_CFG, simulate={"trails": 2, "d": 40}), "'simulate.trails'", "'simulate.trials'"),
+        ],
+        ids=["solve-dampning", "sweep-gird", "simulate-trails"],
+    )
+    def test_unknown_key_exits_2_naming_the_nearest_known_key(self, tmp_path, capsys, command, cfg, key, near):
+        code = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "x.csv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"unknown field {key}; did you mean {near}?" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_unknown_key_with_no_near_match_lists_the_known_keys(self, tmp_path, capsys):
+        assert main(["solve", "--config", write_cfg(tmp_path, dict(RIDGE_CFG, zzz=1))]) == 2
+        assert "unknown field 'zzz'; known: ['K', 'activation'," in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((ROOT / "configs").glob("*.json")) + sorted((ROOT / "rfbench" / "configs").glob("*.json"))
+        + [p for p in sorted((ROOT / "goldens").glob("*.json")) if "sweep" in json.loads(p.read_text())["config"]],
+        ids=lambda p: f"{p.parent.name}/{p.stem}",
+    )
+    def test_shipped_configs_and_golden_sweeps_have_known_keys(self, path):
+        cfg = json.loads(path.read_text())
+        cli._check_keys(cfg["config"]["sweep"] if path.parent.name == "goldens" else cfg)
 
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [True]], ids=repr)
     def test_non_boolean_kernel_exits_2(self, tmp_path, capsys, value):

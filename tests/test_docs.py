@@ -3,7 +3,10 @@ import re
 from collections import Counter
 from pathlib import Path
 
+from rfensemble import cli
+
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "formula_map.md"
+SCHEMA = DOCS.parent / "config_schema.md"
 
 # operations that must each appear exactly once in the formula map
 REQUIRED = [
@@ -55,3 +58,24 @@ def test_required_operations_each_appear_exactly_once():
     duplicated = [ref for ref in REQUIRED if counts[ref] > 1]
     assert not missing, f"unmapped operations: {missing}"
     assert not duplicated, f"operations mapped more than once: {duplicated}"
+
+
+def schema_table_keys():
+    """Backticked names in the first column of the config schema's tables: (top-level, simulate.*)."""
+    top, sim = set(), set()
+    section = ""
+    for line in SCHEMA.read_text().splitlines():
+        if line.startswith("## "):
+            section = line
+        elif line.startswith("| `"):
+            keys = re.findall(r"`([^`]+)`", line.split("|")[1])
+            (sim if section.startswith("## Simulate block") else top).update(keys)
+    return top, sim
+
+
+def test_config_schema_tables_match_the_known_keys():
+    top, sim = schema_table_keys()
+    assert sorted(top - cli._CONFIG_KEYS) == [], "documented keys the CLI rejects"
+    assert sorted(cli._CONFIG_KEYS - top) == [], "known keys with no row in docs/config_schema.md"
+    assert sorted(sim - cli._SIMULATE_KEYS) == [], "documented simulate keys the CLI rejects"
+    assert sorted(cli._SIMULATE_KEYS - sim) == [], "known simulate keys with no row in docs/config_schema.md"

@@ -20,6 +20,7 @@ from rfensemble import (
 
 from rfensemble import cli, solver
 from oracles import (
+    damped_kernel_oracle,
     damped_solve_oracle,
     iterate_array_oracle,
     kernel_ridge_closed_form_derived,
@@ -52,11 +53,15 @@ class TestSolveFixedPoint:
         assert fp.iterations < 200
         assert fp.residual <= 1e-10
 
-    def test_idempotent_at_fixed_point(self):
+    def test_idempotent_at_fixed_point(self, monkeypatch):
         opts = SolveOptions(tol=1e-10)
         fp = solve_fixed_point(ridge_config(), opts)
+        stage_one = []
+        inner = solver._iterate
+        monkeypatch.setattr(solver, "_iterate", lambda *a: stage_one.append(inner(*a)) or stage_one[-1])
         again = solve_fixed_point(ridge_config(), SolveOptions(tol=1e-10, init=fp.params))
-        assert again.iterations == 1
+        assert [s.iterations for s in stage_one] == [1]
+        assert again.iterations <= 1 + 3
         np.testing.assert_allclose(again.params.as_array(), fp.params.as_array(), atol=1e-9)
 
     @pytest.mark.parametrize("config_fn", [ridge_config, logistic_config])
@@ -143,7 +148,7 @@ RIDGE = {"loss": "square", "rho": 1.0, "lambda": 1e-6, "n_over_d": 2.0, "tol": 1
 
 
 class TestScalarLoopMatchesArrayOracle:
-    """The float loop of `solver._iterate` returns the array loop's FixedPoint bit for bit."""
+    """The float loop of `solver._iterate` returns the array loop's FixedPoint bit for bit, in either stage."""
 
     @pytest.mark.parametrize(
         "cfg, init, status",
@@ -158,7 +163,7 @@ class TestScalarLoopMatchesArrayOracle:
             ({"loss": "hinge", "rho": 1.0, "lambda": 0.1, "n_over_d": 2.0, "p_over_n": 1.0, "damping": 1.0},
              None, "converged"),
             ({"loss": "logistic", "rho": 1.0, "lambda": 1e-4, "kernel": True, "n_over_d": 4.0, "damping": 1.0},
-             OrderParams(m=0.0927, q0=0.0242, q1=-0.00696, v=0.0945), "converged"),
+             OrderParams(m=0.0927, q0=-0.0242, q1=-0.00696, v=-0.0945), "converged"),
         ],
         ids=["ridge-0.95", "ridge-1.0", "ridge-2.0", "ridge-max-iters", "kernel-ulp-floor",
              "logistic-0.6", "hinge-undamped", "kernel-logistic-projects"],
@@ -177,7 +182,8 @@ class TestScalarLoopMatchesArrayOracle:
             # v is large here: the solve ends on the float64 spacing, not on tol
             assert new.residual >= opts.tol
         if init is not None:
-            assert new.projections > 0
+            # the map keeps (m, q0, v) admissible, so only the init is projected
+            assert solver._project(init, problem.rho)[1]
 
     def test_interpolation_divergence(self, monkeypatch):
         monkeypatch.setattr(solver, "DIVERGENCE_Q0", 1e2)
@@ -324,10 +330,56 @@ class TestTwoStageMarginSolve:
         fp = solve_fixed_point(config, opts)
         assert fp.status == "max_iters" and not fp.converged
 
-    def test_square_loss_keeps_the_damped_loop(self):
-        fp = solve_fixed_point(ridge_config(), SolveOptions(tol=1e-10))
-        ref = damped_solve_oracle(ridge_config(), SolveOptions(tol=1e-10))
-        TestScalarLoopMatchesArrayOracle.assert_same(fp, ref)
+
+RIDGE_POINTS = {f"ridge-{pn}": {**RIDGE, "p_over_n": pn} for pn in (0.95, 1.0, 2.0)}
+KERNEL = {"loss": "square", "rho": 1.0, "lambda": 1e-6, "kernel": True, "tol": 1e-11}
+KERNEL_POINTS = {f"kernel-{delta}": {**KERNEL, "n_over_d": delta} for delta in (0.25, 1.0, 4.0)}
+
+
+class TestTwoStageSquareAndKernelSolve:
+    """Ridge and the kernel limit take the two-stage solve of the margin losses."""
+
+    @pytest.mark.parametrize("name", list(RIDGE_POINTS))
+    def test_ridge_at_least_as_close_to_tight_reference_as_damped_solve(self, name):
+        cfg = RIDGE_POINTS[name]
+        config, opts = cli.parse_problem(cfg).model(), cli.solve_options_from(cfg)
+        ref = damped_solve_oracle(config, replace(opts, tol=1e-13))
+        damped = damped_solve_oracle(config, opts)
+        fp = solve_fixed_point(config, opts)
+        assert ref.converged and damped.converged and fp.converged
+        assert rel_distance(fp.params, ref.params) <= rel_distance(damped.params, ref.params)
+
+    @pytest.mark.parametrize("name", list(KERNEL_POINTS))
+    def test_kernel_at_least_as_close_to_closed_form_as_damped_solve(self, name):
+        cfg = KERNEL_POINTS[name]
+        problem, opts = cli.parse_problem(cfg), cli.solve_options_from(cfg)
+        args = (problem.n_over_d, problem.rho, problem.lam, problem.spec, problem.coeffs)
+        v, m, q = kernel_ridge_closed_form_derived(problem.lam, problem.n_over_d, problem.rho, problem.coeffs)
+        ref = OrderParams(m=m, q0=q, q1=q, v=v)
+        damped = damped_kernel_oracle(*args, opts)
+        fp = solve_kernel_limit(*args, opts)
+        assert damped.converged and fp.converged
+        assert rel_distance(fp.params, ref) <= rel_distance(damped.params, ref)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [*KERNEL_POINTS.values(), {"loss": "logistic", "rho": 1.0, "lambda": 1e-2, "kernel": True, "n_over_d": 2.0}],
+        ids=[*KERNEL_POINTS, "kernel-logistic"],
+    )
+    def test_kernel_solves_return_q1_equal_to_q0(self, cfg):
+        fp = cli.solve_point(cli.parse_problem(cfg), cli.solve_options_from(cfg))
+        assert fp.converged
+        assert fp.params.q1 == fp.params.q0
+
+    @pytest.mark.parametrize("name", list(RIDGE_POINTS))
+    def test_ridge_takes_at_most_3_q1_evaluations(self, name, monkeypatch):
+        evaluations = []
+        inner = solver._solve_q1
+        monkeypatch.setattr(solver, "_solve_q1", lambda *a: evaluations.append(inner(*a)) or evaluations[-1])
+        fp = cli.solve_point(cli.parse_problem(RIDGE_POINTS[name]), cli.solve_options_from(RIDGE_POINTS[name]))
+        ((_, evals, status),) = evaluations
+        assert fp.converged and status == "converged"
+        assert evals <= 3
 
 
 def point_at(x, g):
