@@ -17,7 +17,11 @@ It runs, with BLAS pinned to one thread and a fresh RFENSEMBLE_CACHE:
 - corpus.evaluate_record on every record in goldens/, hashing the repr of
   the evaluation in a canonical form: every float-like scalar is written as
   `float(v).hex()`, so a float that becomes an np.float64 of the same value
-  (or back) leaves its line alone, while any change in the last bit shows.
+  (or back) leaves its line alone, while any change in the last bit shows;
+- observables.generic_gen_error at 150,000 samples (two full Monte Carlo
+  blocks and a partial one): avg_sign and majority zero-one error at K = 3
+  and mean squared error at K = 2, hashing (estimate, std_error) in the
+  same canonical form.
 Each line is "<sha256>  <output> exit=<code>"; output on stderr gets a line
 of its own. Diff the output of the two checkouts to compare them.
 """
@@ -44,7 +48,16 @@ sys.path.insert(0, str(ROOT / "rfbench"))
 
 from scipy.special import erf  # noqa: E402
 
-from rfensemble import RfensembleError, activation_coeffs, cli, corpus, erm_lab, gauss_hermite_rule  # noqa: E402
+from rfensemble import (  # noqa: E402
+    EnsembleCovariance,
+    RfensembleError,
+    activation_coeffs,
+    cli,
+    corpus,
+    erm_lab,
+    gauss_hermite_rule,
+    generic_gen_error,
+)
 from worker import ErmLab  # noqa: E402
 
 # the delta axis moves n_over_d; every other axis is the config key of its own name
@@ -124,6 +137,10 @@ def main() -> int:
             except RfensembleError as exc:
                 result = exc
             print(f"{sha256(repr(canonical(result)).encode())}  golden {record.name}", flush=True)
+        for estimator, metric, K in (("avg_sign", "zero_one", 3), ("majority", "zero_one", 3), ("mean", "mse", 2)):
+            cov = EnsembleCovariance(rho=1.0, m=0.4, q0=1.1, q1=0.6, K=K)
+            result = generic_gen_error(cov, estimator, metric, 150_000, seed=12)
+            print(f"{sha256(repr(canonical(result)).encode())}  mc {estimator} {metric} K={K}", flush=True)
     return 0
 
 

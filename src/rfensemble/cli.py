@@ -352,7 +352,8 @@ def _simulate_point(point: TheoryProblem, sim: dict, row: dict, seed_flag, map_f
     out = {"trials": trials, "failures": agg["failures"]}
     for name in ("m", "q0", "q1", "test_error", "train_loss", "disagreement"):
         out[f"emp_{name}"], out[f"emp_{name}_se"] = agg[name]["mean"], agg[name]["std_error"]
-    out["sim_status"] = "ok" if agg["failures"] == 0 else f"{agg['failures']} failed trials"
+    failed = [r for r in result.records if not r.ok]
+    out["sim_status"] = f"{len(failed)} failed trials; first: {failed[0].error}" if failed else "ok"
     theory_eps = row.get(f"eps_g_K{K}", math.nan)
     for name, theory_val in (("m", row["m"]), ("q0", row["q0"]), ("q1", row["q1"]), ("test_error", theory_eps)):
         se = out[f"emp_{name}_se"]
@@ -406,8 +407,9 @@ def _check_keys(cfg) -> None:
     """Reject a config key that no command reads, naming the nearest known key."""
     if not isinstance(cfg, dict):
         raise ConfigError("a config must be a JSON object")
-    sim = cfg.get("simulate")
-    sim = sim if isinstance(sim, dict) else {}  # only an object has keys to check
+    sim = cfg.get("simulate", {})
+    if not isinstance(sim, dict):
+        raise ConfigError(f"field 'simulate' must be a JSON object, got {sim!r}")
     for path, block, known in (("", cfg, _CONFIG_KEYS), ("simulate.", sim, _SIMULATE_KEYS)):
         for key in block:
             if key not in known:

@@ -134,38 +134,55 @@ def ensemble_test_error(params: OrderParams, rho: float, loss: str, K) -> tuple[
 MC_BLOCK = 1 << 16
 
 
-def _sample_block(cov: EnsembleCovariance, block: int, count: int, seed: int):
-    """Draw the first `count` samples of fixed-size block `block`.
+def _sample_block(cov: EnsembleCovariance, block: int, count: int, seed: int, u=None, z=None):
+    """Draw the first `count` samples of fixed-size block `block` as (nu, mu).
 
     Each block owns an independent stream keyed by (seed, block index) and a
     sample consumes exactly K+1 inverse-CDF normals, so the draws depend only
     on (seed, block, position): reproducible and shard-invariant.
+
+    The work is field-major: the uniforms, drawn sample-major as (count, K+1)
+    into `u`, go through `ndtri` straight into the (K+1, count) field buffer
+    `z`, row 0 the teacher and rows 1..K the learners. Both buffers may be
+    passed in (at least `count` samples wide) to be reused across blocks; the
+    returned nu (count,) and mu (count, K) are views of `z`, overwritten by
+    the next block drawn into it. The learners' shared term sums their
+    normals left to right, xi_1 + xi_2 + ... + xi_K, for every K.
     """
     K = cov.K
     width = K + 1
-    z = np.random.Generator(np.random.Philox(key=(seed, block))).random((count, width))
-    np.clip(z, 1e-16, 1.0 - 1e-16, out=z)
-    ndtri(z, out=z)
-    z0 = z[:, 0]
-    xi = z[:, 1:]
-    nu = math.sqrt(cov.rho) * z0
+    u = np.empty((count, width)) if u is None else u[:count]
+    z = np.empty((width, count)) if z is None else z[:, :count]
+    np.random.Generator(np.random.Philox(key=(seed, block))).random(out=u)
+    np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
+    ndtri(u, out=z.T)
+    z0 = z[0]
+    xi = z[1:]
     q0t = cov.q0 - cov.m**2 / cov.rho
     q1t = cov.q1 - cov.m**2 / cov.rho
     diag = math.sqrt(max(cov.q0 - cov.q1, 0.0))
     row = max(q0t + (K - 1) * q1t, 0.0)
     coupling = (math.sqrt(row) - diag) / K
-    # mu = (a z0 + diag xi) + coupling sum(xi), built in place; each element
-    # is summed in that order (float addition commutes, it does not associate)
-    shared = xi.sum(axis=1, keepdims=True)
+    # mu = (a z0 + diag xi) + coupling sum(xi), built in place on the learner
+    # rows; each element is summed in that order (float addition commutes, it
+    # does not associate)
+    shared = np.add.reduce(xi, axis=0)
     shared *= coupling
-    mu = np.multiply(diag, xi)
-    mu += (cov.m / math.sqrt(cov.rho)) * z0[:, None]
-    mu += shared
-    return nu, mu
+    teacher_part = np.multiply(cov.m / math.sqrt(cov.rho), z0)
+    xi *= diag
+    xi += teacher_part
+    xi += shared
+    z0 *= math.sqrt(cov.rho)
+    return z0, xi.T
 
 
 def _sign_pm1(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, -1.0)
+
+
+def _majority(mu: np.ndarray) -> np.ndarray:
+    # the K signs sum to 2 (number of nonnegative scores) - K
+    return _sign_pm1(2 * np.count_nonzero(mu >= 0, axis=1) - mu.shape[1])
 
 
 def resolve_estimator(estimator: Estimator):
@@ -177,7 +194,7 @@ def resolve_estimator(estimator: Estimator):
     if estimator == "avg_sign":
         return (lambda mu: _sign_pm1(mu.sum(axis=1))), "sign"
     if estimator == "majority":
-        return (lambda mu: _sign_pm1(_sign_pm1(mu).sum(axis=1))), "sign"
+        return _majority, "sign"
     raise ConfigError(f"unknown estimator {estimator!r}")
 
 
@@ -192,7 +209,11 @@ def generic_gen_error(
     """Monte Carlo test error for any estimator/error measure pair.
 
     Returns (estimate, std_error). Deterministic for a fixed seed and
-    invariant to how blocks are distributed across workers.
+    invariant to how blocks are distributed across workers. Samples come in
+    blocks of MC_BLOCK from `_sample_block`, into one uniform buffer and one
+    field-major (K+1, MC_BLOCK) buffer allocated per call and reused by every
+    block; the estimator sees each block's scores as a (count, K) view of the
+    field buffer, so a sum over learners runs left to right.
     """
     if samples < 10_000:
         raise ConfigError("use at least 1e4 samples; below that the MC band is not meaningful")
@@ -203,21 +224,28 @@ def generic_gen_error(
         raise ConfigError(f"unknown teacher {teacher!r}")
     if metric not in ("mse", "zero_one"):
         raise ConfigError(f"unknown metric {metric!r}")
+    size = min(MC_BLOCK, samples)
+    u = np.empty((size, cov.K + 1))
+    z = np.empty((cov.K + 1, size))
     total = 0.0
     total_sq = 0.0
     done = 0
     block = 0
     while done < samples:
         count = min(MC_BLOCK, samples - done)
-        nu, mu = _sample_block(cov, block, count, seed)
+        nu, mu = _sample_block(cov, block, count, seed, u, z)
         block += 1
         y = nu if teacher == "linear" else _sign_pm1(nu)
         y_hat = np.asarray(f_hat(mu), dtype=float)
-        delta = (y - y_hat) ** 2 if metric == "mse" else (y != y_hat).astype(float)
-        block_sum = float(delta.sum())
-        total += block_sum
-        # a zero-one loss is 0 or 1, so its square is itself
-        total_sq += float((delta**2).sum()) if metric == "mse" else block_sum
+        if metric == "mse":
+            delta = (y - y_hat) ** 2
+            total += float(delta.sum())
+            total_sq += float((delta**2).sum())
+        else:
+            # a zero-one loss is 0 or 1, so its square is itself
+            mismatches = int(np.count_nonzero(y != y_hat))
+            total += mismatches
+            total_sq += mismatches
         done += count
     mean = total / samples
     var = max(total_sq / samples - mean**2, 0.0)

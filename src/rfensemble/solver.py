@@ -112,7 +112,7 @@ def _project(params: OrderParams, rho: float) -> tuple[OrderParams, bool]:
     if v <= 0:
         v, moved = 1e-12, True
     cap = math.sqrt(rho * q0)
-    if abs(m) > cap:
+    if abs(m) >= cap:
         m, moved = math.copysign(cap, m) * (1 - 1e-12), True
     return OrderParams(m=m, q0=q0, q1=q0, v=v), moved
 

@@ -32,7 +32,7 @@ from scipy.special import erf, ndtri
 from rfensemble import ConfigError, DomainError, NumericalError, OrderParams, prox_hinge, teacher_z0
 from rfensemble import solver
 from rfensemble.channels import ConjugateParams, channel_update
-from rfensemble.observables import MC_BLOCK, resolve_estimator
+from rfensemble.observables import MC_BLOCK
 from rfensemble.priors import kernel_channel_update, kernel_prior_update, prior_update_spectral
 
 
@@ -232,7 +232,7 @@ def project_array_oracle(params, rho):
     if v <= 0:
         v, moved = 1e-12, True
     cap = np.sqrt(rho * q0)
-    if abs(m) > cap:
+    if abs(m) >= cap:
         m, moved = np.sign(m) * cap * (1 - 1e-12), True
     return OrderParams(m=m, q0=q0, q1=q0, v=v), moved
 
@@ -345,8 +345,30 @@ def damped_kernel_oracle(delta, rho, lam, spec, coeffs, opts):
 # ---------------------------------------------------------------------------
 
 
+def _sum_left_to_right(cols):
+    """Sum of the columns of a (samples, K) array, first column first."""
+    total = cols[:, 0].copy()
+    for k in range(1, cols.shape[1]):
+        total = total + cols[:, k]
+    return total
+
+
+def _sign_pm1_oracle(x):
+    return np.where(x >= 0, 1.0, -1.0)
+
+
+# (f_hat on (samples, K) scores, default teacher) of each named estimator,
+# written from the formulas: the mean of the scores, the sign of the summed
+# scores and the sign of the summed signs, with 0 mapping to +1
+ESTIMATOR_ORACLES = {
+    "mean": (lambda mu: _sum_left_to_right(mu) / mu.shape[1], "linear"),
+    "avg_sign": (lambda mu: _sign_pm1_oracle(_sum_left_to_right(mu)), "sign"),
+    "majority": (lambda mu: _sign_pm1_oracle(_sum_left_to_right(_sign_pm1_oracle(mu))), "sign"),
+}
+
+
 def sample_block_oracle(cov, block, count, seed):
-    """`observables._sample_block` with every intermediate a new array."""
+    """`observables._sample_block` sample-major, with every intermediate a new array."""
     K = cov.K
     width = K + 1
     u = np.random.Generator(np.random.Philox(key=(seed, block))).random((count, width))
@@ -359,21 +381,22 @@ def sample_block_oracle(cov, block, count, seed):
     diag = math.sqrt(max(cov.q0 - cov.q1, 0.0))
     row = max(q0t + (K - 1) * q1t, 0.0)
     coupling = (math.sqrt(row) - diag) / K
-    mu = (cov.m / math.sqrt(cov.rho)) * z0[:, None] + diag * xi + coupling * xi.sum(axis=1, keepdims=True)
+    shared = coupling * _sum_left_to_right(xi)
+    mu = (cov.m / math.sqrt(cov.rho)) * z0[:, None] + diag * xi + shared[:, None]
     return nu, mu
 
 
 def gen_error_oracle(cov, estimator, metric, samples, seed):
-    """`observables.generic_gen_error` on the oracle sampler, squaring every loss."""
-    f_hat, teacher = resolve_estimator(estimator)
+    """`observables.generic_gen_error` of a named estimator on the oracle sampler, squaring every loss."""
+    f_hat, teacher = ESTIMATOR_ORACLES[estimator]
     total = total_sq = 0.0
     done = block = 0
     while done < samples:
         count = min(MC_BLOCK, samples - done)
         nu, mu = sample_block_oracle(cov, block, count, seed)
         block += 1
-        y = nu if teacher == "linear" else np.where(nu >= 0, 1.0, -1.0)
-        y_hat = np.asarray(f_hat(mu), dtype=float)
+        y = nu if teacher == "linear" else _sign_pm1_oracle(nu)
+        y_hat = f_hat(mu)
         delta = (y - y_hat) ** 2 if metric == "mse" else (y != y_hat).astype(float)
         total += float(delta.sum())
         total_sq += float((delta**2).sum())

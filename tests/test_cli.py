@@ -314,7 +314,14 @@ class TestSimulate:
         assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 4
         header, rows = read_csv(out)
         assert int(rows[0][header.index("failures")]) == 2
-        assert rows[0][header.index("sim_status")] == "2 failed trials"
+        assert rows[0][header.index("sim_status")] == "2 failed trials; first: ConfigError: no trainer for loss 'hinge'"
+
+    @pytest.mark.parametrize("block", [3, [], "x", None], ids=["number", "list", "string", "null"])
+    def test_simulate_block_not_an_object_exits_2(self, tmp_path, capsys, block):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", write_cfg(tmp_path, dict(SIM_CFG, simulate=block)), "--out", str(out)]) == 2
+        assert f"field 'simulate' must be a JSON object, got {block!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_jobs_flag_with_identity_activation(self, tmp_path):
         out1 = tmp_path / "s1.csv"

@@ -22,6 +22,9 @@ from rfensemble.observables import MC_BLOCK, _sample_block
 from oracles import gen_error_oracle, sample_block_oracle
 
 
+ORACLE_KS = [1, 3, 5, 7, 8, 33]
+
+
 def cov(rho=1.0, m=0.5, q0=1.0, q1=0.5, K=2):
     return EnsembleCovariance(rho=rho, m=m, q0=q0, q1=q1, K=K)
 
@@ -198,17 +201,21 @@ class TestMonteCarlo:
                                     "zero_one", 10**5, seed=8, teacher="sign")
         assert abs(est - classification_error_avg(c)) <= 4 * se
 
-    @pytest.mark.parametrize("K", [1, 3, 5])
+    @pytest.mark.parametrize("K", ORACLE_KS)
     def test_block_sampler_equals_out_of_place_oracle(self, K):
+        # learner sums run left to right for every K, so K >= 8 (where a
+        # numpy row sum pairs its terms) is pinned too
         c = cov(m=7.78, q0=140.55, q1=83.63, K=K)
+        u, z = np.empty((MC_BLOCK, K + 1)), np.empty((K + 1, MC_BLOCK))
         for block, count in ((0, MC_BLOCK), (3, MC_BLOCK), (7, 1000)):
-            nu, mu = _sample_block(c, block, count, seed=11)
             want_nu, want_mu = sample_block_oracle(c, block, count, seed=11)
-            assert np.array_equal(nu, want_nu) and np.array_equal(mu, want_mu)
+            for buffers in ((), (u, z)):
+                nu, mu = _sample_block(c, block, count, 11, *buffers)
+                assert np.array_equal(nu, want_nu) and np.array_equal(mu, want_mu)
 
+    @pytest.mark.parametrize("K", ORACLE_KS)
     @pytest.mark.parametrize(
-        "estimator,metric,K",
-        [("avg_sign", "zero_one", 3), ("majority", "zero_one", 3), ("mean", "mse", 2)],
+        "estimator,metric", [("avg_sign", "zero_one"), ("majority", "zero_one"), ("mean", "mse")]
     )
     def test_estimate_equals_oracle(self, estimator, metric, K):
         # 150,000 samples: two full blocks and a partial one

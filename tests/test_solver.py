@@ -164,9 +164,13 @@ class TestScalarLoopMatchesArrayOracle:
              None, "converged"),
             ({"loss": "logistic", "rho": 1.0, "lambda": 1e-4, "kernel": True, "n_over_d": 4.0, "damping": 1.0},
              OrderParams(m=0.0927, q0=-0.0242, q1=-0.00696, v=-0.0945), "converged"),
+            # m = sqrt(rho q0) exactly: on the cap, the first step would leave
+            # the teacher no conditional variance
+            ({"loss": "logistic", "rho": 1.0, "lambda": 1e-4, "kernel": True, "n_over_d": 4.0, "damping": 1.0},
+             OrderParams(m=0.01, q0=1e-4, q1=0.0, v=10.0), "converged"),
         ],
         ids=["ridge-0.95", "ridge-1.0", "ridge-2.0", "ridge-max-iters", "kernel-ulp-floor",
-             "logistic-0.6", "hinge-undamped", "kernel-logistic-projects"],
+             "logistic-0.6", "hinge-undamped", "kernel-logistic-projects", "kernel-logistic-m-on-cap"],
     )
     def test_fixed_point_fields_equal(self, cfg, init, status, monkeypatch):
         problem = cli.parse_problem(cfg)
@@ -206,6 +210,8 @@ class TestScalarLoopMatchesArrayOracle:
             OrderParams(m=-2.0, q0=1.0, q1=0.5, v=1.0),
             OrderParams(m=0.3, q0=1.0, q1=0.5, v=1.0),
             OrderParams(m=0.3, q0=float("nan"), q1=0.5, v=1.0),
+            OrderParams(m=1.0, q0=2.0, q1=0.5, v=1.0),
+            OrderParams(m=-1.0, q0=2.0, q1=0.5, v=1.0),
         ],
     )
     def test_projection_equals_array_projection(self, params):
