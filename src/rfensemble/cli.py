@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .channels import ChannelSpec, training_loss
+from .channels import LOSSES, ChannelSpec, training_loss
 from .errors import ConfigError, RfensembleError
 from .observables import confidence_density, disagreement_probability, ensemble_test_error
 from .quadrature import gauss_hermite_rule
@@ -33,7 +33,7 @@ from .solver import (
     solve_kernel_limit,
     warm_options,
 )
-from .spectrum import ActivationCoeffs, activation_coeffs, empirical_spectral_model, mp_spectral_model
+from .spectrum import ActivationCoeffs, activation_coeffs, mp_spectral_model
 from . import erm_lab
 
 EXIT_OK = 0
@@ -55,34 +55,67 @@ ACTIVATIONS = {
 
 SWEEP_AXES = ("p_over_n", "alpha", "lambda", "delta")
 
-# every key some command reads; docs/config_schema.md has a table row for each
-_CONFIG_KEYS = frozenset(
-    "loss teacher activation rho lambda n_over_d K kernel alpha p_over_n spectrum spectrum_seed spectrum_p "
-    "damping tol max_iters order_1d order_2d axis grid out resolution simulate".split()
-)
-_SIMULATE_KEYS = frozenset("trials d seed test_samples estimator seeds".split())
+_REQUIRED = object()
+
+# key -> (type or allowed values, default or _REQUIRED[, exclusive lower bound]), `simulate.*` inside the
+# simulate block; `_read` is the only reader, and docs/config_schema.md has a row for each key
+_SCHEMA = {
+    "loss": (LOSSES, _REQUIRED),
+    "activation": (tuple(ACTIVATIONS), "erf"),
+    "rho": (float, _REQUIRED, 0),
+    "lambda": (float, _REQUIRED, 0),
+    "n_over_d": (float, 2.0, 0),
+    "alpha": (float, None, 0),
+    "p_over_n": (float, None, 0),
+    "K": (object, [1]),  # parse_problem checks the entries
+    "kernel": (bool, False),
+    "damping": (float, SolveOptions.damping),
+    "tol": (float, SolveOptions.tol),
+    "max_iters": (int, 50000),
+    "order_1d": (int, SolveOptions.order_1d),
+    "order_2d": (int, SolveOptions.order_2d),
+    "axis": (str, _REQUIRED),
+    "grid": (list, _REQUIRED),
+    "out": (str, _REQUIRED),
+    "resolution": (int, 64, 0),
+    "simulate": (dict, _REQUIRED),
+    "simulate.trials": (int, _REQUIRED, -1),
+    "simulate.d": (int, _REQUIRED, 0),
+    "simulate.seed": (int, 0, -1),
+    "simulate.test_samples": (int, erm_lab.DEFAULT_TEST_SAMPLES, 0),
+    "simulate.estimator": (("mean", "avg_sign", "majority"), None),
+    "simulate.seeds": (list, None),
+}
+
+_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string", list: "a list", dict: "a JSON object"}
 
 
-def _require(cfg: dict, key: str, path: str = ""):
-    if key not in cfg:
-        raise ConfigError(f"missing field {path + key!r} in config")
-    return cfg[key]
+def _check(name: str, value, key: str):
+    """`value` of the config field `name`, checked against and converted by the row of `key`."""
+    kind, _, *low = _SCHEMA[key]
+    number = kind in (int, float)
+    if isinstance(kind, tuple):
+        fits, must = value in kind, f"one of {list(kind)}"
+    else:
+        # booleans are not numbers, and an integer field takes no fraction
+        fits = type(value) in (int, float) and (kind is float or value % 1 == 0) if number else isinstance(value, kind)
+        must = _KINDS.get(kind)
+    if not fits:
+        raise ConfigError(f"field {name!r} must be {must}, got {value!r}")
+    checked = kind(value) if number else value
+    if low and not checked > low[0]:
+        # a ratio `x_over_y` is a positive x/y
+        what = f"a positive {key.replace('_over_', '/')}" if "_over_" in key else f"above {low[0]}"
+        raise ConfigError(f"field {name!r} must be {what}, got {value!r}")
+    return checked
 
 
-def _number(value, key: str, kind=float):
-    """`kind(value)` for the config field `key`; a value that does not convert is a config error."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field {key!r} must be a number, got {value!r}") from exc
-
-
-def _positive(value, key: str, ratio: str) -> float:
-    """The number `value` of the config field `key`, which must be a positive `ratio`."""
-    number = _number(value, key)
-    if not number > 0:
-        raise ConfigError(f"field {key!r} must be a positive {ratio}, got {value!r}")
-    return number
+def _read(cfg: dict, key: str):
+    """The config field `key` checked against its row, or its default; `simulate.x` reads `x` of the block `cfg`."""
+    field, default = key.rpartition(".")[2], _SCHEMA[key][1]
+    if field not in cfg and default is _REQUIRED:
+        raise ConfigError(f"missing field {key!r} in config")
+    return _check(key, cfg[field], key) if field in cfg else default
 
 
 @dataclass(frozen=True)
@@ -104,25 +137,22 @@ class TheoryProblem:
     alpha: Optional[float]
     K_list: tuple
     kernel: bool = False
-    spectrum_kind: str = "closed_form_mp"
-    spectrum_seed: int = 0
-    spectrum_p: int = 2000
 
     def at(self, axis: str, value) -> "TheoryProblem":
-        """The point at `value` on a sweep axis; the only place an axis is read."""
+        """The point at `value` on a sweep axis, checked as the key the axis moves; the only place an axis is read."""
         if axis in ("p_over_n", "alpha"):
             if self.kernel:
                 raise ConfigError(
                     f"axis {axis!r} has no meaning in kernel mode (p/n is infinite); sweep 'delta' or 'lambda'"
                 )
-            alpha = 1.0 / _positive(value, "grid", "p/n") if axis == "p_over_n" else _number(value, "grid")
-            return replace(self, alpha=alpha)
+            value = _check("grid", value, axis)
+            return replace(self, alpha=1.0 / value if axis == "p_over_n" else value)
         if axis == "delta":
             if not self.kernel:
                 raise ConfigError("axis 'delta' requires kernel mode")
-            return replace(self, n_over_d=_positive(value, "grid", "n/d"))
+            return replace(self, n_over_d=_check("grid", value, "n_over_d"))
         if axis == "lambda":
-            return replace(self, lam=_number(value, "grid"))
+            return replace(self, lam=_check("grid", value, "lambda"))
         if axis == "K":
             raise ConfigError(
                 "axis 'K' is not a sweep axis: the fixed point does not depend on K; "
@@ -135,69 +165,38 @@ class TheoryProblem:
         if self.alpha is None:
             raise ConfigError("the finite-ratio solve needs 'alpha' or 'p_over_n' in the config")
         gamma = self.alpha / self.n_over_d
-        if self.spectrum_kind == "closed_form_mp":
-            spectrum = mp_spectral_model(self.alpha, gamma, self.coeffs)
-        elif self.spectrum_kind == "empirical":
-            p = self.spectrum_p
-            spectrum = empirical_spectral_model(self.spectrum_seed, p, max(int(round(p * gamma)), 1), self.coeffs)
-        else:
-            raise ConfigError(f"unknown spectrum kind {self.spectrum_kind!r}")
         return ModelConfig(
-            alpha=self.alpha, gamma=gamma, rho=self.rho, lam=self.lam,
-            K=1, spec=self.spec, spectrum=spectrum, coeffs=self.coeffs,
+            alpha=self.alpha, gamma=gamma, rho=self.rho, lam=self.lam, K=1, spec=self.spec,
+            spectrum=mp_spectral_model(self.alpha, gamma, self.coeffs), coeffs=self.coeffs,
         )
 
 
 def parse_problem(cfg: dict) -> TheoryProblem:
-    loss = _require(cfg, "loss")
-    teacher = cfg.get("teacher", "linear" if loss == "square" else "sign")
-    activation_name = cfg.get("activation", "erf")
-    if activation_name not in ACTIVATIONS:
-        raise ConfigError(f"unknown activation {activation_name!r}; known: {sorted(ACTIVATIONS)}")
-    k_raw = cfg.get("K", [1])
-    if not isinstance(k_raw, list):
-        k_raw = [k_raw]
-    K_list = []
-    for k in k_raw:
-        if k == "inf":
-            K_list.append("inf")
-        elif isinstance(k, int) and not isinstance(k, bool) and k >= 1:
-            K_list.append(k)
-        else:
+    loss = _read(cfg, "loss")
+    activation_name = _read(cfg, "activation")
+    K_list = _read(cfg, "K")
+    K_list = tuple(K_list if isinstance(K_list, list) else [K_list])
+    for k in K_list:
+        if k != "inf" and not (type(k) is int and k >= 1):
             raise ConfigError(f"K entries must be positive integers or 'inf', got {k!r}")
-    if "alpha" in cfg:
-        alpha = _number(cfg["alpha"], "alpha")
-    elif "p_over_n" in cfg:
-        alpha = 1.0 / _positive(cfg["p_over_n"], "p_over_n", "p/n")
-    else:
-        alpha = None
-    kernel = cfg.get("kernel", False)
-    if not isinstance(kernel, bool):
-        raise ConfigError(f"field 'kernel' must be true or false, got {kernel!r}")
+    alpha, p_over_n = _read(cfg, "alpha"), _read(cfg, "p_over_n")
+    if alpha is None and p_over_n is not None:
+        alpha = 1.0 / p_over_n
     return TheoryProblem(
-        spec=ChannelSpec(loss=loss, teacher=teacher),
+        spec=ChannelSpec(loss=loss, teacher="linear" if loss == "square" else "sign"),
         activation_name=activation_name,
         coeffs=activation_coeffs(ACTIVATIONS[activation_name], gauss_hermite_rule(201)),
-        rho=_number(_require(cfg, "rho"), "rho"),
-        lam=_number(_require(cfg, "lambda"), "lambda"),
-        n_over_d=_positive(cfg.get("n_over_d", 2.0), "n_over_d", "n/d"),
+        rho=_read(cfg, "rho"),
+        lam=_read(cfg, "lambda"),
+        n_over_d=_read(cfg, "n_over_d"),
         alpha=alpha,
-        K_list=tuple(K_list),
-        kernel=kernel,
-        spectrum_kind=cfg.get("spectrum", "closed_form_mp"),
-        spectrum_seed=_number(cfg.get("spectrum_seed", 0), "spectrum_seed", int),
-        spectrum_p=_number(cfg.get("spectrum_p", 2000), "spectrum_p", int),
+        K_list=K_list,
+        kernel=_read(cfg, "kernel"),
     )
 
 
 def solve_options_from(cfg: dict) -> SolveOptions:
-    return SolveOptions(
-        damping=_number(cfg.get("damping", 0.5), "damping"),
-        tol=_number(cfg.get("tol", 1e-9), "tol"),
-        max_iters=_number(cfg.get("max_iters", 50000), "max_iters", int),
-        order_1d=_number(cfg.get("order_1d", 101), "order_1d", int),
-        order_2d=_number(cfg.get("order_2d", 61), "order_2d", int),
-    )
+    return SolveOptions(**{key: _read(cfg, key) for key in ("damping", "tol", "max_iters", "order_1d", "order_2d")})
 
 
 def solve_point(problem: TheoryProblem, opts: SolveOptions) -> FixedPoint:
@@ -239,14 +238,13 @@ def sweep_rows(cfg: dict) -> tuple[list, list, list]:
     Returns (rows, fixed points, point problems), one of each per grid value.
     """
     problem = parse_problem(cfg)
-    axis = _require(cfg, "axis")
-    grid = _require(cfg, "grid")
-    if not isinstance(grid, list) or not grid:
+    axis, grid = _read(cfg, "axis"), _read(cfg, "grid")
+    if not grid:
         raise ConfigError("grid must be a nonempty list")
-    diffs = np.diff([_number(value, "grid") for value in grid])
-    if len(grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
-        raise ConfigError("grid must be strictly monotone")
     points = [problem.at(axis, value) for value in grid]
+    diffs = np.diff(np.array(grid, dtype=float))
+    if not (np.all(diffs > 0) or np.all(diffs < 0)):
+        raise ConfigError("grid must be strictly monotone")
     opts = solve_options_from(cfg)
     rows, fps = [], []
     for value, point in zip(grid, points):
@@ -277,8 +275,8 @@ def _write_csv(path: str, columns: Sequence[str], rows: Sequence[dict]) -> None:
 
 
 def cmd_sweep(cfg: dict, args) -> int:
+    out = args.out or _read(cfg, "out")
     rows, fps, points = sweep_rows(cfg)
-    out = args.out or _require(cfg, "out")
     _write_csv(out, _theory_columns(points[0]), rows)
     if not all(fp.converged for fp in fps):
         return EXIT_NO_CONVERGENCE
@@ -294,19 +292,25 @@ SIM_EXTRA_COLUMNS = [
 
 
 def cmd_simulate(cfg: dict, args) -> int:
-    sim = _require(cfg, "simulate")
-    trials = _number(_require(sim, "trials", "simulate."), "simulate.trials", int)
-    axis = _require(cfg, "axis")
-    if trials > 0 and axis not in ("p_over_n", "alpha"):
+    # the simulate block becomes the keywords of erm_lab.run_experiment, all read before any point is solved
+    sim = _read(cfg, "simulate")
+    run = {key: _read(sim, "simulate." + key) for key in ("trials", "d", "test_samples", "estimator", "seeds")}
+    run["master_seed"] = _read(sim, "simulate.seed") if args.seed is None else _check("--seed", args.seed, "simulate.seed")
+    for seed in run["seeds"] or []:  # one per trial, each a seed as `simulate.seed` is
+        _check("simulate.seeds", seed, "simulate.seed")
+    if run["seeds"] is not None and len(run["seeds"]) != run["trials"]:
+        raise ConfigError(f"field 'simulate.seeds' must hold one seed per trial, got {len(run['seeds'])}")
+    axis = _read(cfg, "axis")
+    if run["trials"] > 0 and axis not in ("p_over_n", "alpha"):
         raise ConfigError(
             f"simulate needs the sizes to move along the sweep: axis must be 'p_over_n' or 'alpha', got {axis!r}"
         )
+    out = args.out or _read(cfg, "out")
     rows, fps, points = sweep_rows(cfg)
     # a degenerate simulate block produces exactly the theory-only sweep file
-    columns = _theory_columns(points[0]) + (SIM_EXTRA_COLUMNS if trials > 0 else [])
-    out = args.out or _require(cfg, "out")
+    columns = _theory_columns(points[0]) + (SIM_EXTRA_COLUMNS if run["trials"] > 0 else [])
     sim_failed = False
-    if trials > 0:
+    if run["trials"] > 0:
         executor = None
         map_fn = map
         if args.jobs and args.jobs > 1:
@@ -315,8 +319,8 @@ def cmd_simulate(cfg: dict, args) -> int:
         try:
             for row, point in zip(rows, points):
                 try:
-                    row.update(_simulate_point(point, sim, row, args.seed, map_fn))
-                    if row["failures"] == trials:
+                    row.update(_simulate_point(point, run, row, map_fn))
+                    if row["failures"] == run["trials"]:
                         sim_failed = True
                 except RfensembleError as exc:
                     row["sim_status"] = f"failed: {exc}"
@@ -332,24 +336,17 @@ def cmd_simulate(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _simulate_point(point: TheoryProblem, sim: dict, row: dict, seed_flag, map_fn) -> dict:
+def _simulate_point(point: TheoryProblem, run: dict, row: dict, map_fn) -> dict:
     """Train the ensembles at the finite sizes of one sweep row and score them against its theory."""
-    d = _number(_require(sim, "d", "simulate."), "simulate.d", int)
-    n = int(round(d * point.n_over_d))
+    n = int(round(run["d"] * point.n_over_d))
     p = int(round(n / point.alpha))
-    trials = int(sim["trials"])
-    master_seed = _number(seed_flag if seed_flag is not None else sim.get("seed", 0), "simulate.seed", int)
     K = max([k for k in point.K_list if k != "inf"], default=1)
     result = erm_lab.run_experiment(
-        point.spec, point.coeffs, n=n, p=p, d=d, K=K,
-        rho=point.rho, lam=point.lam, trials=trials, master_seed=master_seed,
-        estimator=sim.get("estimator"), activation=ACTIVATIONS[point.activation_name],
-        test_samples=_number(sim.get("test_samples", erm_lab.DEFAULT_TEST_SAMPLES), "simulate.test_samples", int),
-        seeds=sim.get("seeds"),
-        map_fn=map_fn,
+        point.spec, point.coeffs, n=n, p=p, K=K, rho=point.rho, lam=point.lam,
+        activation=ACTIVATIONS[point.activation_name], map_fn=map_fn, **run,
     )
     agg = result.aggregate()
-    out = {"trials": trials, "failures": agg["failures"]}
+    out = {"trials": run["trials"], "failures": agg["failures"]}
     for name in ("m", "q0", "q1", "test_error", "train_loss", "disagreement"):
         out[f"emp_{name}"], out[f"emp_{name}_se"] = agg[name]["mean"], agg[name]["std_error"]
     failed = [r for r in result.records if not r.ok]
@@ -371,6 +368,8 @@ def cmd_confidence_density(cfg: dict, args) -> int:
             "confidence density needs a finite p/n: in kernel mode q1 = q0 and the density is a line mass; "
             "drop 'kernel' and set 'alpha' or 'p_over_n'"
         )
+    resolution = _read(cfg, "resolution")
+    out = args.out or _read(cfg, "out")
     fp = solve_point(problem, solve_options_from(cfg))
     if not fp.converged:
         # no density is written for an unconverged point; say why
@@ -379,11 +378,9 @@ def cmd_confidence_density(cfg: dict, args) -> int:
             file=sys.stderr,
         )
         return EXIT_NO_CONVERGENCE
-    resolution = _number(cfg.get("resolution", 64), "resolution", int)
     eps = 1.0 / (resolution + 1)
     grid = np.linspace(eps, 1 - eps, resolution)
     dens = confidence_density(fp.params.q0, fp.params.q1, grid)
-    out = args.out or _require(cfg, "out")
     with open(out, "w", newline="") as fh:
         fh.write(f"# q0={float(fp.params.q0)!r} q1={float(fp.params.q1)!r} p_over_n={1.0 / problem.alpha!r}\n")
         writer = csv.writer(fh)
@@ -403,19 +400,19 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
-def _check_keys(cfg) -> None:
-    """Reject a config key that no command reads, naming the nearest known key."""
-    if not isinstance(cfg, dict):
+def _check_keys(block, path: str = "") -> None:
+    """Reject a key with no row in the table, naming the nearest known key, and any value its row rejects."""
+    if not isinstance(block, dict):
         raise ConfigError("a config must be a JSON object")
-    sim = cfg.get("simulate", {})
-    if not isinstance(sim, dict):
-        raise ConfigError(f"field 'simulate' must be a JSON object, got {sim!r}")
-    for path, block, known in (("", cfg, _CONFIG_KEYS), ("simulate.", sim, _SIMULATE_KEYS)):
-        for key in block:
-            if key not in known:
-                near = difflib.get_close_matches(key, known, n=1)
-                hint = f"did you mean {path + near[0]!r}?" if near else f"known: {sorted(known)}"
-                raise ConfigError(f"unknown field {path + key!r}; {hint}")
+    known = [key[len(path):] for key in _SCHEMA if key.rpartition(".")[0] == path[:-1]]
+    for key in block:
+        if key not in known:
+            near = difflib.get_close_matches(key, known, n=1)
+            hint = f"did you mean {path + near[0]!r}?" if near else f"known: {sorted(known)}"
+            raise ConfigError(f"unknown field {path + key!r}; {hint}")
+        _read(block, path + key)
+        if _SCHEMA[path + key][0] is dict:
+            _check_keys(block[key], path + key + ".")
 
 
 def build_parser() -> argparse.ArgumentParser:

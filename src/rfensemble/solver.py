@@ -67,6 +67,8 @@ class SolveOptions:
             raise ConfigError("damping must lie in (0, 1]")
         if not self.tol > 0:
             raise ConfigError("tol must be positive")
+        if not self.max_iters >= 1:
+            raise ConfigError("max_iters must be at least 1")
 
     def rules(self) -> QuadratureSet:
         return QuadratureSet.with_orders(self.order_1d, self.order_2d)

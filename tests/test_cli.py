@@ -341,6 +341,12 @@ class TestSimulate:
         assert flag.read_bytes() == config.read_bytes()
         assert flag.read_bytes() != base.read_bytes()
 
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", write_cfg(tmp_path, SIM_CFG), "--out", str(out), "--seed", "-1"]) == 2
+        assert "'--seed'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jobs_flag_gives_same_rows(self, tmp_path):
         out1 = tmp_path / "s1.csv"
         out2 = tmp_path / "s2.csv"
@@ -461,6 +467,56 @@ class TestResolver:
     @pytest.mark.parametrize(
         "command,cfg,key",
         [
+            ("confidence-density", dict(LOGISTIC_POINT_CFG, resolution=-1), "'resolution'"),
+            ("confidence-density", dict(LOGISTIC_POINT_CFG, resolution=0), "'resolution'"),
+            ("solve", dict(RIDGE_CFG, activation=["erf"]), "'activation'"),
+            ("sweep", dict(SWEEP_CFG, out=9), "'out'"),
+            ("sweep", dict(SWEEP_CFG, out=1), "'out'"),
+            ("solve", dict(RIDGE_CFG, tol=True), "'tol'"),
+            ("solve", dict(RIDGE_CFG, max_iters=-3), "max_iters"),
+            ("sweep", dict(SWEEP_CFG, max_iters=0), "max_iters"),
+            ("simulate", dict(SIM_CFG, simulate={"trials": -2, "d": 40}), "'simulate.trials'"),
+            ("simulate", dict(SIM_CFG, simulate={"trials": 2.7, "d": 40}), "'simulate.trials'"),
+            ("simulate", dict(SIM_CFG, simulate={"trials": 2, "d": 0}), "'simulate.d'"),
+            ("simulate", dict(SIM_CFG, simulate={"trials": 2}), "'simulate.d'"),
+            ("simulate", dict(SIM_CFG, loss="logistic", simulate={"trials": 2, "d": 20, "test_samples": -5}),
+             "'simulate.test_samples'"),
+            ("simulate", dict(SIM_CFG, loss="logistic", simulate={"trials": 2, "d": 20, "test_samples": 0}),
+             "'simulate.test_samples'"),
+            ("simulate", dict(SIM_CFG, simulate={"trials": 2, "d": 20, "estimator": "medain"}),
+             "'simulate.estimator'"),
+            ("simulate", dict(SIM_CFG, simulate={"trials": 2, "d": 20, "seeds": 5}), "'simulate.seeds'"),
+            ("simulate", dict(SIM_CFG, simulate={"trials": 2, "d": 20, "seeds": [1, 2, 3]}), "'simulate.seeds'"),
+            ("sweep", dict(SWEEP_CFG, simulate={"trials": -2, "d": 40}), "'simulate.trials'"),
+            ("simulate", dict(SIM_CFG, simulate={"trials": 2, "d": 20, "seeds": ["a", "b"]}), "'simulate.seeds'"),
+            ("simulate", dict(SIM_CFG, simulate={"trials": 2, "d": 20, "seed": -1}), "'simulate.seed'"),
+            ("solve", dict(RIDGE_CFG, alpha=0), "'alpha'"),
+            ("sweep", dict(SWEEP_CFG, axis="alpha", grid=[2.0, 1.0, -1.0]), "'grid'"),
+        ],
+        ids=["resolution-negative", "resolution-0", "activation-list", "out-9", "out-1", "tol-true",
+             "max_iters-negative", "max_iters-0", "trials-negative", "trials-fraction", "d-0", "d-missing",
+             "test_samples-negative", "test_samples-0", "estimator-misspelled", "seeds-number",
+             "seeds-wrong-length", "sweep-reads-simulate-values", "seeds-strings", "seed-negative", "alpha-0",
+             "alpha-grid-negative"],
+    )
+    def test_bad_value_exits_2_naming_the_key_before_any_solve(self, tmp_path, capsys, monkeypatch, command, cfg,
+                                                               key):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a point before rejecting the value")
+
+        monkeypatch.setattr("rfensemble.cli.solve_point", no_solve)
+        out = tmp_path / "x.csv"
+        # a config that names its own `out` gets no flag
+        code = main([command, "--config", write_cfg(tmp_path, cfg)] + ([] if "out" in cfg else ["--out", str(out)]))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("config error:") and key in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,cfg,key",
+        [
             ("solve", {"loss": "square", "rho": 1, "lambda": 0.1, "p_over_n": 0, "K": [1]}, "'p_over_n'"),
             ("sweep", dict(SWEEP_CFG, grid=[0.0, 1.0]), "'grid'"),
             ("sweep", dict(SWEEP_CFG, grid=[1.0, 0.5, 0.0]), "'grid'"),
@@ -543,12 +599,23 @@ class TestResolver:
     @pytest.mark.parametrize(
         "path",
         sorted((ROOT / "configs").glob("*.json")) + sorted((ROOT / "rfbench" / "configs").glob("*.json"))
-        + [p for p in sorted((ROOT / "goldens").glob("*.json")) if "sweep" in json.loads(p.read_text())["config"]],
+        + [p for p in sorted((ROOT / "goldens").glob("*.json"))
+           if json.loads(p.read_text())["kind"] in ("fixed_point", "kernel_fixed_point", "sweep_property")],
         ids=lambda p: f"{p.parent.name}/{p.stem}",
     )
     def test_shipped_configs_and_golden_sweeps_have_known_keys(self, path):
         cfg = json.loads(path.read_text())
-        cli._check_keys(cfg["config"]["sweep"] if path.parent.name == "goldens" else cfg)
+        if path.parent.name == "goldens":
+            cfg = cfg["config"].get("sweep", cfg["config"])
+        cli._check_keys(cfg)
+        # every value is read through the table, without a solve
+        problem = parse_problem(cfg)
+        assert solve_options_from(cfg).tol == cfg.get("tol", 1e-9)
+        for value in cfg.get("grid", []):
+            problem.at(cfg["axis"], value)
+        sim = cfg.get("simulate", {})
+        for key in sim:
+            assert cli._read(sim, "simulate." + key) == sim[key]
 
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [True]], ids=repr)
     def test_non_boolean_kernel_exits_2(self, tmp_path, capsys, value):

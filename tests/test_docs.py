@@ -1,4 +1,5 @@
 import importlib
+import json
 import re
 from collections import Counter
 from pathlib import Path
@@ -60,22 +61,73 @@ def test_required_operations_each_appear_exactly_once():
     assert not duplicated, f"operations mapped more than once: {duplicated}"
 
 
+def schema_table_rows():
+    """(keys, default cell) of each row of the config schema's tables.
+
+    The keys are the backticked names of the first column, simulate's as
+    `simulate.<key>`; the default cell is None in a table with no default column.
+    """
+    rows, section, default_col = [], "", None
+    for line in SCHEMA.read_text().splitlines():
+        cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]  # `\|` is a pipe inside a cell
+        if line.startswith("## "):
+            section = line
+        elif cells[:1] == ["key"]:
+            default_col = cells.index("default") if "default" in cells else None
+        elif line.startswith("| `"):
+            prefix = "simulate." if section.startswith("## Simulate block") else ""
+            keys = [prefix + key for key in re.findall(r"`([^`]+)`", cells[0])]
+            rows.append((keys, None if default_col is None else cells[default_col]))
+    return rows
+
+
 def schema_table_keys():
     """Backticked names in the first column of the config schema's tables: (top-level, simulate.*)."""
     top, sim = set(), set()
-    section = ""
-    for line in SCHEMA.read_text().splitlines():
-        if line.startswith("## "):
-            section = line
-        elif line.startswith("| `"):
-            keys = re.findall(r"`([^`]+)`", line.split("|")[1])
-            (sim if section.startswith("## Simulate block") else top).update(keys)
+    for keys, _ in schema_table_rows():
+        for key in keys:
+            path, _, name = key.rpartition(".")
+            (sim if path else top).add(name)
+    return top, sim
+
+
+def table_keys():
+    """The keys of the CLI's config table: (top-level, simulate.*)."""
+    top = {key for key in cli._SCHEMA if "." not in key}
+    sim = {key.split(".", 1)[1] for key in cli._SCHEMA if key.startswith("simulate.")}
     return top, sim
 
 
 def test_config_schema_tables_match_the_known_keys():
     top, sim = schema_table_keys()
-    assert sorted(top - cli._CONFIG_KEYS) == [], "documented keys the CLI rejects"
-    assert sorted(cli._CONFIG_KEYS - top) == [], "known keys with no row in docs/config_schema.md"
-    assert sorted(sim - cli._SIMULATE_KEYS) == [], "documented simulate keys the CLI rejects"
-    assert sorted(cli._SIMULATE_KEYS - sim) == [], "known simulate keys with no row in docs/config_schema.md"
+    known_top, known_sim = table_keys()
+    assert sorted(top - known_top) == [], "documented keys the CLI rejects"
+    assert sorted(known_top - top) == [], "known keys with no row in docs/config_schema.md"
+    assert sorted(sim - known_sim) == [], "documented simulate keys the CLI rejects"
+    assert sorted(known_sim - sim) == [], "known simulate keys with no row in docs/config_schema.md"
+
+
+def documented_defaults(cell, count):
+    """The defaults a default cell gives its row's `count` keys.
+
+    Backticked JSON values, one per key (`101`, `61`); else `required`, or
+    other text (none, implied by loss) for no default.
+    """
+    values = re.findall(r"`([^`]+)`", cell)
+    if values:
+        assert len(values) == count, f"default cell {cell!r} does not give one value per key"
+        return [json.loads(value) for value in values]
+    return [cli._REQUIRED if cell == "required" else None] * count
+
+
+def test_config_schema_defaults_match_the_table():
+    checked = set()
+    for keys, cell in schema_table_rows():
+        assert cell is not None, f"no default column in the table of {keys}"
+        for key, documented in zip(keys, documented_defaults(cell, len(keys))):
+            want = cli._SCHEMA[key][1]
+            assert documented is want or (type(documented) is type(want) and documented == want), (
+                f"docs/config_schema.md gives {key!r} the default {cell!r}; the table has {want!r}"
+            )
+            checked.add(key)
+    assert checked == set(cli._SCHEMA)

@@ -113,6 +113,16 @@ class TestSolveFixedPoint:
             ModelConfig(alpha=-1.0, gamma=1.0, rho=1.0, lam=1.0, K=1,
                         spec=SQUARE, spectrum=mp_spectral_model(1.0, 1.0, COEFFS), coeffs=COEFFS)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("damping", 0.0), ("damping", 1.5), ("tol", 0.0), ("max_iters", 0), ("max_iters", -3)],
+        ids=["damping-0", "damping-1.5", "tol-0", "max_iters-0", "max_iters-negative"],
+    )
+    def test_solve_options_reject_out_of_range(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SolveOptions(**{field: value})
+        assert SolveOptions(max_iters=1).max_iters == 1
+
 
 class TestSolveKernelLimit:
     def test_q0_equals_q1(self):
