@@ -317,9 +317,9 @@ def cmd_simulate(cfg: dict, args) -> int:
             executor = ProcessPoolExecutor(max_workers=args.jobs)
             map_fn = executor.map
         try:
-            for row, point in zip(rows, points):
+            for row, point, fp in zip(rows, points, fps):
                 try:
-                    row.update(_simulate_point(point, run, row, map_fn))
+                    row.update(_simulate_point(point, fp, run, map_fn))
                     if row["failures"] == run["trials"]:
                         sim_failed = True
                 except RfensembleError as exc:
@@ -336,8 +336,11 @@ def cmd_simulate(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _simulate_point(point: TheoryProblem, run: dict, row: dict, map_fn) -> dict:
-    """Train the ensembles at the finite sizes of one sweep row and score them against its theory."""
+def _simulate_point(point: TheoryProblem, fp: FixedPoint, run: dict, map_fn) -> dict:
+    """Train the ensembles at the finite sizes of one sweep point and score them against its fixed point.
+
+    The largest finite K of the config is trained, K = 1 when it lists only "inf".
+    """
     n = int(round(run["d"] * point.n_over_d))
     p = int(round(n / point.alpha))
     K = max([k for k in point.K_list if k != "inf"], default=1)
@@ -351,8 +354,9 @@ def _simulate_point(point: TheoryProblem, run: dict, row: dict, map_fn) -> dict:
         out[f"emp_{name}"], out[f"emp_{name}_se"] = agg[name]["mean"], agg[name]["std_error"]
     failed = [r for r in result.records if not r.ok]
     out["sim_status"] = f"{len(failed)} failed trials; first: {failed[0].error}" if failed else "ok"
-    theory_eps = row.get(f"eps_g_K{K}", math.nan)
-    for name, theory_val in (("m", row["m"]), ("q0", row["q0"]), ("q1", row["q1"]), ("test_error", theory_eps)):
+    theory_eps = ensemble_test_error(fp.params, point.rho, point.spec.loss, K)[0]
+    theory = {"m": fp.params.m, "q0": fp.params.q0, "q1": fp.params.q1, "test_error": theory_eps}
+    for name, theory_val in theory.items():
         se = out[f"emp_{name}_se"]
         emp = out[f"emp_{name}"]
         out[f"z_{name}"] = abs(theory_val - emp) / se if se and math.isfinite(emp) else math.nan

@@ -360,8 +360,7 @@ def run_trial(
             y_test = apply_teacher(teacher_field(X_test, dataset.theta), spec.teacher)
             test_features = featurize(X_test, ensemble)
             scores = np.column_stack([preactivation(U, W[:, k]) for k, U in enumerate(test_features)])
-            f_hat, _ = resolve_estimator(estimator)
-            y_hat = f_hat(scores)
+            y_hat = resolve_estimator(estimator).f_hat(scores)
             if spec.loss == "square":
                 test_error = float(np.mean((y_test - y_hat) ** 2))
             else:

@@ -4,18 +4,19 @@ The limiting joint law of (teacher field, K learner fields) is Gaussian with
 covariance assembled from (rho, m, q0, q1). Closed forms cover the mean
 estimator under squared error and the score-average sign estimator under
 zero-one error; everything else (majority vote in particular) goes through
-Monte Carlo over the limiting Gaussian, with a counter-based RNG so results
-are reproducible and shard-invariant.
+Monte Carlo over the limiting Gaussian. Each block of samples owns a keyed
+Philox stream and draws its ziggurat normals sample-major, so results are
+reproducible and shard-invariant: the first `count` samples of a block do not
+depend on `count`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from .channels import OrderParams
 from .errors import ConfigError, DomainError
@@ -137,25 +138,26 @@ MC_BLOCK = 1 << 16
 def _sample_block(cov: EnsembleCovariance, block: int, count: int, seed: int, u=None, z=None):
     """Draw the first `count` samples of fixed-size block `block` as (nu, mu).
 
-    Each block owns an independent stream keyed by (seed, block index) and a
-    sample consumes exactly K+1 inverse-CDF normals, so the draws depend only
-    on (seed, block, position): reproducible and shard-invariant.
+    Each block owns an independent stream keyed by (seed, block index), from
+    which the ziggurat draws K+1 standard normals per sample, sample-major.
+    The stream is consumed in sample order, so the first `count` samples of a
+    block do not depend on `count`: the draws depend only on (seed, block,
+    position), reproducible and shard-invariant.
 
-    The work is field-major: the uniforms, drawn sample-major as (count, K+1)
-    into `u`, go through `ndtri` straight into the (K+1, count) field buffer
-    `z`, row 0 the teacher and rows 1..K the learners. Both buffers may be
-    passed in (at least `count` samples wide) to be reused across blocks; the
-    returned nu (count,) and mu (count, K) are views of `z`, overwritten by
-    the next block drawn into it. The learners' shared term sums their
-    normals left to right, xi_1 + xi_2 + ... + xi_K, for every K.
+    The work is field-major: the normals, drawn as (count, K+1) into `u`, are
+    copied transposed into the (K+1, count) field buffer `z`, row 0 the
+    teacher and rows 1..K the learners. Both buffers may be passed in (at
+    least `count` samples wide) to be reused across blocks; the returned
+    nu (count,) and mu (count, K) are views of `z`, overwritten by the next
+    block drawn into it. The learners' shared term sums their normals left to
+    right, xi_1 + xi_2 + ... + xi_K, for every K.
     """
     K = cov.K
     width = K + 1
     u = np.empty((count, width)) if u is None else u[:count]
     z = np.empty((width, count)) if z is None else z[:, :count]
-    np.random.Generator(np.random.Philox(key=(seed, block))).random(out=u)
-    np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
-    ndtri(u, out=z.T)
+    np.random.Generator(np.random.Philox(key=(seed, block))).standard_normal(out=u)
+    np.copyto(z, u.T)
     z0 = z[0]
     xi = z[1:]
     q0t = cov.q0 - cov.m**2 / cov.rho
@@ -180,21 +182,47 @@ def _sign_pm1(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, -1.0)
 
 
-def _majority(mu: np.ndarray) -> np.ndarray:
-    # the K signs sum to 2 (number of nonnegative scores) - K
-    return _sign_pm1(2 * np.count_nonzero(mu >= 0, axis=1) - mu.shape[1])
+def _avg_sign_positive(rows: np.ndarray) -> np.ndarray:
+    # the same reduction as scores.sum(axis=1) on the transposed view
+    return np.add.reduce(rows, axis=0) >= 0
 
 
-def resolve_estimator(estimator: Estimator):
-    """(f_hat, default teacher) of an estimator name or callable; f_hat maps scores (samples, K) to predictions."""
+def _majority_positive(rows: np.ndarray) -> np.ndarray:
+    # the K signs sum to 2 (number of nonnegative rows) - K >= 0 when at least (K + 1) // 2 rows are
+    # nonnegative; the count fits K's smallest integer type
+    K = rows.shape[0]
+    return np.add.reduce(rows >= 0, axis=0, dtype=np.min_scalar_type(K)) >= (K + 1) // 2
+
+
+class ResolvedEstimator(NamedTuple):
+    """An estimator name or callable as the Monte Carlo and the ERM lab score it.
+
+    f_hat maps scores (samples, K) to predictions; teacher is the default
+    teacher (None for a callable). A sign estimator is its `positive`, which
+    maps the learner rows (K, samples) to where the prediction is +1 (a zero
+    sum or vote counting as +1), so its zero-one error against the sign
+    teacher is counted on booleans; f_hat writes the same predictions as +-1.
+    """
+
+    f_hat: Callable[[np.ndarray], np.ndarray]
+    teacher: Optional[str]
+    positive: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+
+def _sign_estimator(positive) -> ResolvedEstimator:
+    return ResolvedEstimator(lambda mu: np.where(positive(mu.T), 1.0, -1.0), "sign", positive)
+
+
+def resolve_estimator(estimator: Estimator) -> ResolvedEstimator:
+    """The ResolvedEstimator of an estimator name or callable."""
     if callable(estimator):
-        return estimator, None
+        return ResolvedEstimator(estimator, None)
     if estimator == "mean":
-        return (lambda mu: mu.mean(axis=1)), "linear"
+        return ResolvedEstimator(lambda mu: mu.mean(axis=1), "linear")
     if estimator == "avg_sign":
-        return (lambda mu: _sign_pm1(mu.sum(axis=1))), "sign"
+        return _sign_estimator(_avg_sign_positive)
     if estimator == "majority":
-        return _majority, "sign"
+        return _sign_estimator(_majority_positive)
     raise ConfigError(f"unknown estimator {estimator!r}")
 
 
@@ -210,20 +238,25 @@ def generic_gen_error(
 
     Returns (estimate, std_error). Deterministic for a fixed seed and
     invariant to how blocks are distributed across workers. Samples come in
-    blocks of MC_BLOCK from `_sample_block`, into one uniform buffer and one
-    field-major (K+1, MC_BLOCK) buffer allocated per call and reused by every
-    block; the estimator sees each block's scores as a (count, K) view of the
-    field buffer, so a sum over learners runs left to right.
+    blocks of MC_BLOCK from `_sample_block`, into one sample-major normal
+    buffer and one field-major (K+1, MC_BLOCK) buffer allocated per call and
+    reused by every block; the estimator sees each block's scores as a
+    (count, K) view of the field buffer, so a sum over learners runs left to
+    right. The zero-one error of a sign estimator against the sign teacher
+    is counted on booleans (`ResolvedEstimator.positive` of the learner
+    rows), giving the same counts as its +-1 predictions.
     """
     if samples < 10_000:
         raise ConfigError("use at least 1e4 samples; below that the MC band is not meaningful")
     cov.check_psd()
-    f_hat, default_teacher = resolve_estimator(estimator)
+    f_hat, default_teacher, positive = resolve_estimator(estimator)
     teacher = teacher or default_teacher
     if teacher not in ("linear", "sign"):
         raise ConfigError(f"unknown teacher {teacher!r}")
     if metric not in ("mse", "zero_one"):
         raise ConfigError(f"unknown metric {metric!r}")
+    if teacher != "sign":
+        positive = None  # the boolean form is scored against the sign teacher only
     size = min(MC_BLOCK, samples)
     u = np.empty((size, cov.K + 1))
     z = np.empty((cov.K + 1, size))
@@ -235,15 +268,19 @@ def generic_gen_error(
         count = min(MC_BLOCK, samples - done)
         nu, mu = _sample_block(cov, block, count, seed, u, z)
         block += 1
-        y = nu if teacher == "linear" else _sign_pm1(nu)
-        y_hat = np.asarray(f_hat(mu), dtype=float)
         if metric == "mse":
-            delta = (y - y_hat) ** 2
+            y = nu if teacher == "linear" else _sign_pm1(nu)
+            delta = (y - np.asarray(f_hat(mu), dtype=float)) ** 2
             total += float(delta.sum())
             total_sq += float((delta**2).sum())
         else:
+            if positive is not None:
+                wrong = (nu >= 0) != positive(mu.T)
+            else:
+                y = nu if teacher == "linear" else _sign_pm1(nu)
+                wrong = y != np.asarray(f_hat(mu), dtype=float)
             # a zero-one loss is 0 or 1, so its square is itself
-            mismatches = int(np.count_nonzero(y != y_hat))
+            mismatches = int(np.count_nonzero(wrong))
             total += mismatches
             total_sq += mismatches
         done += count

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import erf, ndtri
+from scipy.special import erf
 
 from rfensemble import ConfigError, DomainError, NumericalError, OrderParams, prox_hinge, teacher_z0
 from rfensemble import solver
@@ -370,9 +370,7 @@ ESTIMATOR_ORACLES = {
 def sample_block_oracle(cov, block, count, seed):
     """`observables._sample_block` sample-major, with every intermediate a new array."""
     K = cov.K
-    width = K + 1
-    u = np.random.Generator(np.random.Philox(key=(seed, block))).random((count, width))
-    z = ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
+    z = np.random.Generator(np.random.Philox(key=(seed, block))).standard_normal((count, K + 1))
     z0 = z[:, 0]
     xi = z[:, 1:]
     nu = math.sqrt(cov.rho) * z0

@@ -291,6 +291,15 @@ class TestSimulate:
             z = float(r[header.index("z_test_error")])
             assert math.isfinite(z)
 
+    def test_k_inf_only_scores_the_trained_single_learner(self, tmp_path):
+        # "inf" alone trains K = 1, whose theory error has no column of its own
+        cfg = dict(SIM_CFG, K=["inf"], grid=[0.8], simulate={"trials": 2, "d": 20})
+        out = tmp_path / "inf.csv"
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert rows[0][header.index("sim_status")] == "ok"
+        assert math.isfinite(float(rows[0][header.index("z_test_error")]))
+
     def test_simulation_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # an axis that does not move the sizes is a config error, seen before any solve
         def no_solve(*args, **kwargs):

@@ -4,7 +4,9 @@ import re
 from collections import Counter
 from pathlib import Path
 
-from rfensemble import cli
+import numpy as np
+
+from rfensemble import ConfigError, SolveOptions, cli
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "formula_map.md"
 SCHEMA = DOCS.parent / "config_schema.md"
@@ -61,11 +63,11 @@ def test_required_operations_each_appear_exactly_once():
     assert not duplicated, f"operations mapped more than once: {duplicated}"
 
 
-def schema_table_rows():
-    """(keys, default cell) of each row of the config schema's tables.
+def schema_table_rows(column="default"):
+    """(keys, cell of `column`) of each row of the config schema's tables.
 
     The keys are the backticked names of the first column, simulate's as
-    `simulate.<key>`; the default cell is None in a table with no default column.
+    `simulate.<key>`; the cell is None in a table with no such column.
     """
     rows, section, default_col = [], "", None
     for line in SCHEMA.read_text().splitlines():
@@ -73,7 +75,7 @@ def schema_table_rows():
         if line.startswith("## "):
             section = line
         elif cells[:1] == ["key"]:
-            default_col = cells.index("default") if "default" in cells else None
+            default_col = cells.index(column) if column in cells else None
         elif line.startswith("| `"):
             prefix = "simulate." if section.startswith("## Simulate block") else ""
             keys = [prefix + key for key in re.findall(r"`([^`]+)`", cells[0])]
@@ -131,3 +133,83 @@ def test_config_schema_defaults_match_the_table():
             )
             checked.add(key)
     assert checked == set(cli._SCHEMA)
+
+
+# the kind words a type cell may open one of its comma-separated parts with
+_DOC_KINDS = {"number": float, "int": int, "string": str, "path (a string)": str, "object": dict}
+
+# keys whose range SolveOptions checks rather than the CLI's table
+SOLVE_OPTION_RANGES = ("damping", "tol", "max_iters")
+
+
+def documented_type(cell):
+    """(kind, exclusive lower bound, inclusive upper bound) a type cell states.
+
+    One backticked group of JSON values split by `\\|` lists the allowed
+    values, `true \\| false` being the boolean kind. Otherwise each
+    comma-separated part may name a kind: a list wherever it says `list`,
+    else by its opening words; a cell naming two kinds (an int or a list of
+    them) is any JSON value the command checks itself. A number's bound
+    follows its kind: `> a`, `>= a` (for an int the exclusive bound a - 1)
+    or `in (a, b]`.
+    """
+    listed = re.fullmatch(r"`([^`]+)`", cell)
+    if listed:
+        values = tuple(json.loads(value) for value in re.split(r"\s*\\\|\s*", listed.group(1)))
+        return (bool if values == (True, False) else values), None, None
+    kinds = []
+    for part in cell.split(", "):
+        words = re.match("|".join(re.escape(word) for word in _DOC_KINDS), part)
+        kinds += [list] if "list" in part else [_DOC_KINDS[words.group()]] if words else []
+    assert kinds, f"type cell {cell!r} names no kind"
+    if len(set(kinds)) > 1:
+        return object, None, None
+    kind = kinds[0]
+    if kind not in (int, float):
+        return kind, None, None
+    interval = re.search(r"in \((-?[\d.]+), (-?[\d.]+)\]", cell)
+    if interval:
+        return kind, kind(interval.group(1)), kind(interval.group(2))
+    bound = re.search(r"(>=?) (-?[\d.]+)", cell)
+    if bound is None:
+        return kind, None, None
+    low = kind(bound.group(2))
+    return kind, low - 1 if bound.group(1) == ">=" else low, None
+
+
+def solve_options_accept(key, value):
+    try:
+        SolveOptions(**{key: value})
+    except ConfigError:
+        return False
+    return True
+
+
+def test_config_schema_types_match_the_table():
+    checked = set()
+    for keys, cell in schema_table_rows("type"):
+        assert cell is not None, f"no type column in the table of {keys}"
+        kind, low, high = documented_type(cell)
+        for key in keys:
+            want_kind, _, *want_low = cli._SCHEMA[key]
+            assert kind == want_kind, f"docs/config_schema.md gives {key!r} the type {cell!r}; the table has {want_kind!r}"
+            if key in SOLVE_OPTION_RANGES:
+                # the documented bounds are the first values SolveOptions rejects
+                above = low + 1 if kind is int else np.nextafter(low, np.inf)
+                assert not solve_options_accept(key, low) and solve_options_accept(key, above), (
+                    f"SolveOptions does not take {key!r} above exactly {low!r}, as {cell!r} says"
+                )
+                if high is not None:
+                    assert solve_options_accept(key, high) and not solve_options_accept(key, np.nextafter(high, np.inf))
+            else:
+                assert (low, high) == (want_low[0] if want_low else None, None), (
+                    f"docs/config_schema.md gives {key!r} the bounds of {cell!r}; the table has {want_low!r}"
+                )
+            checked.add(key)
+    assert checked == set(cli._SCHEMA)
+
+
+def test_config_schema_lists_the_sweep_axes():
+    # `axis` is a string in the table; the sweep checks it against SWEEP_AXES
+    (meaning,) = [cell for keys, cell in schema_table_rows("meaning") if keys == ["axis"]]
+    assert tuple(json.loads(value) for value in re.findall(r'`("[^`]+")`', meaning)) == cli.SWEEP_AXES

@@ -17,9 +17,9 @@ from rfensemble import (
     majority_vote_error,
     mse_test_error,
 )
-from rfensemble.observables import MC_BLOCK, _sample_block
+from rfensemble.observables import MC_BLOCK, _sample_block, resolve_estimator
 
-from oracles import gen_error_oracle, sample_block_oracle
+from oracles import ESTIMATOR_ORACLES, gen_error_oracle, sample_block_oracle
 
 
 ORACLE_KS = [1, 3, 5, 7, 8, 33]
@@ -222,6 +222,40 @@ class TestMonteCarlo:
         c = cov(m=0.4, q0=1.1, q1=0.6, K=K)
         got = generic_gen_error(c, estimator, metric, 150_000, seed=12)
         assert got == gen_error_oracle(c, estimator, metric, 150_000, seed=12)
+
+    @pytest.mark.parametrize("K", ORACLE_KS)
+    def test_block_prefix_does_not_depend_on_count(self, K):
+        c = cov(m=0.4, q0=1.1, q1=0.6, K=K)
+        for buffers in ((), (np.empty((MC_BLOCK, K + 1)), np.empty((K + 1, MC_BLOCK)))):
+            full_nu, full_mu = (a.copy() for a in _sample_block(c, 2, MC_BLOCK, 13, *buffers))
+            nu, mu = _sample_block(c, 2, 1000, 13, *buffers)
+            assert np.array_equal(nu, full_nu[:1000]) and np.array_equal(mu, full_mu[:1000])
+
+    @pytest.mark.parametrize("K", ORACLE_KS)
+    def test_block_samples_are_finite(self, K):
+        c = cov(m=7.78, q0=140.55, q1=83.63, K=K)
+        for block in range(3):
+            nu, mu = _sample_block(c, block, MC_BLOCK, 13)
+            assert np.isfinite(nu).all() and np.isfinite(mu).all()
+
+    @pytest.mark.parametrize("K", ORACLE_KS)
+    @pytest.mark.parametrize("estimator", ["avg_sign", "majority"])
+    def test_boolean_count_equals_float_path(self, estimator, K):
+        # 100,000 samples: a full block and a partial one; a callable
+        # estimator is scored on its +-1 predictions
+        c = cov(m=0.4, q0=1.1, q1=0.6, K=K)
+        f_hat = resolve_estimator(estimator).f_hat
+        want = generic_gen_error(c, f_hat, "zero_one", 100_000, seed=14, teacher="sign")
+        assert generic_gen_error(c, estimator, "zero_one", 100_000, seed=14) == want
+
+    @pytest.mark.parametrize("K", ORACLE_KS)
+    @pytest.mark.parametrize("estimator", ["avg_sign", "majority"])
+    def test_sign_estimators_equal_oracle_on_ties(self, estimator, K):
+        # integer scores make exact zeros and tied votes common
+        mu = np.random.default_rng(K).integers(-2, 3, size=(500, K)).astype(float)
+        f_hat, _, positive = resolve_estimator(estimator)
+        want = ESTIMATOR_ORACLES[estimator][0](mu)
+        assert np.array_equal(f_hat(mu), want) and np.array_equal(positive(mu.T), want == 1.0)
 
     def test_rejects_non_psd(self):
         with pytest.raises(DomainError):
