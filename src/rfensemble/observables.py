@@ -133,6 +133,9 @@ def ensemble_test_error(params: OrderParams, rho: float, loss: str, K) -> tuple[
 
 
 MC_BLOCK = 1 << 16
+# doubles in each sample buffer of `generic_gen_error`: a block is drawn in
+# chunks of MC_BUFFER // (K + 1) samples, the whole block while K <= 3
+MC_BUFFER = 4 * MC_BLOCK
 
 
 def _sample_block(cov: EnsembleCovariance, block: int, count: int, seed: int, u=None, z=None):
@@ -142,21 +145,34 @@ def _sample_block(cov: EnsembleCovariance, block: int, count: int, seed: int, u=
     which the ziggurat draws K+1 standard normals per sample, sample-major.
     The stream is consumed in sample order, so the first `count` samples of a
     block do not depend on `count`: the draws depend only on (seed, block,
-    position), reproducible and shard-invariant.
+    position), reproducible and shard-invariant. `_draw_samples` continues a
+    block's stream in chunks on the same grounds.
+
+    Both buffers may be passed in (at least `count` samples wide) to be
+    reused across blocks; see `_draw_samples`.
+    """
+    return _draw_samples(cov, _block_stream(seed, block), count, u, z)
+
+
+def _block_stream(seed: int, block: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=(seed, block)))
+
+
+def _draw_samples(cov: EnsembleCovariance, rng: np.random.Generator, count: int, u=None, z=None):
+    """The next `count` samples of the stream `rng` as (nu, mu).
 
     The work is field-major: the normals, drawn as (count, K+1) into `u`, are
     copied transposed into the (K+1, count) field buffer `z`, row 0 the
-    teacher and rows 1..K the learners. Both buffers may be passed in (at
-    least `count` samples wide) to be reused across blocks; the returned
-    nu (count,) and mu (count, K) are views of `z`, overwritten by the next
-    block drawn into it. The learners' shared term sums their normals left to
-    right, xi_1 + xi_2 + ... + xi_K, for every K.
+    teacher and rows 1..K the learners; the returned nu (count,) and mu
+    (count, K) are views of `z`, overwritten by the next draw into it. The
+    learners' shared term sums their normals left to right, xi_1 + xi_2 +
+    ... + xi_K, for every K.
     """
     K = cov.K
     width = K + 1
     u = np.empty((count, width)) if u is None else u[:count]
     z = np.empty((width, count)) if z is None else z[:, :count]
-    np.random.Generator(np.random.Philox(key=(seed, block))).standard_normal(out=u)
+    rng.standard_normal(out=u)
     np.copyto(z, u.T)
     z0 = z[0]
     xi = z[1:]
@@ -238,13 +254,16 @@ def generic_gen_error(
 
     Returns (estimate, std_error). Deterministic for a fixed seed and
     invariant to how blocks are distributed across workers. Samples come in
-    blocks of MC_BLOCK from `_sample_block`, into one sample-major normal
-    buffer and one field-major (K+1, MC_BLOCK) buffer allocated per call and
-    reused by every block; the estimator sees each block's scores as a
-    (count, K) view of the field buffer, so a sum over learners runs left to
-    right. The zero-one error of a sign estimator against the sign teacher
-    is counted on booleans (`ResolvedEstimator.positive` of the learner
-    rows), giving the same counts as its +-1 predictions.
+    blocks of MC_BLOCK, each drawn from its own stream (`_sample_block`) in
+    consecutive chunks of MC_BUFFER // (K+1) samples, into one sample-major
+    normal buffer and one field-major (K+1, chunk) buffer allocated per call
+    and reused by every chunk, so memory does not grow with K; a chunk's
+    samples are those of its place in the block. The estimator sees each
+    chunk's scores as a (chunk, K) view of the field buffer, so a sum over
+    learners runs left to right. Squared errors are summed per block, over
+    a block-wide buffer. The zero-one error of a sign estimator against the
+    sign teacher is counted on booleans (`ResolvedEstimator.positive` of
+    the learner rows), giving the same counts as its +-1 predictions.
     """
     if samples < 10_000:
         raise ConfigError("use at least 1e4 samples; below that the MC band is not meaningful")
@@ -258,31 +277,37 @@ def generic_gen_error(
     if teacher != "sign":
         positive = None  # the boolean form is scored against the sign teacher only
     size = min(MC_BLOCK, samples)
-    u = np.empty((size, cov.K + 1))
-    z = np.empty((cov.K + 1, size))
+    chunk = min(size, max(1, MC_BUFFER // (cov.K + 1)))
+    u = np.empty((chunk, cov.K + 1))
+    z = np.empty((cov.K + 1, chunk))
+    sq = np.empty(size) if metric == "mse" else None
     total = 0.0
     total_sq = 0.0
     done = 0
     block = 0
     while done < samples:
         count = min(MC_BLOCK, samples - done)
-        nu, mu = _sample_block(cov, block, count, seed, u, z)
+        rng = _block_stream(seed, block)
         block += 1
+        for start in range(0, count, chunk):
+            nu, mu = _draw_samples(cov, rng, min(chunk, count - start), u, z)
+            if metric == "mse":
+                y = nu if teacher == "linear" else _sign_pm1(nu)
+                sq[start:start + len(nu)] = (y - np.asarray(f_hat(mu), dtype=float)) ** 2
+            else:
+                if positive is not None:
+                    wrong = (nu >= 0) != positive(mu.T)
+                else:
+                    y = nu if teacher == "linear" else _sign_pm1(nu)
+                    wrong = y != np.asarray(f_hat(mu), dtype=float)
+                # a zero-one loss is 0 or 1, so its square is itself
+                mismatches = int(np.count_nonzero(wrong))
+                total += mismatches
+                total_sq += mismatches
         if metric == "mse":
-            y = nu if teacher == "linear" else _sign_pm1(nu)
-            delta = (y - np.asarray(f_hat(mu), dtype=float)) ** 2
+            delta = sq[:count]
             total += float(delta.sum())
             total_sq += float((delta**2).sum())
-        else:
-            if positive is not None:
-                wrong = (nu >= 0) != positive(mu.T)
-            else:
-                y = nu if teacher == "linear" else _sign_pm1(nu)
-                wrong = y != np.asarray(f_hat(mu), dtype=float)
-            # a zero-one loss is 0 or 1, so its square is itself
-            mismatches = int(np.count_nonzero(wrong))
-            total += mismatches
-            total_sq += mismatches
         done += count
     mean = total / samples
     var = max(total_sq / samples - mean**2, 0.0)

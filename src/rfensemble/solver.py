@@ -2,11 +2,15 @@
 
 The channel's m_hat, q0_hat, v_hat do not read q1 and the prior's m, q0, v
 do not read q1_hat, so (m, q0, v) is the single-learner problem, for every
-loss and in the kernel limit alike. Stage 1 iterates it by a damped loop
-with q1 pinned to q0, where the channel takes its exact 1-D branch instead
-of the pair integral. Stage 2 solves one scalar equation for the cross
-overlap q1 at those fixed (m, q0, v). In the kernel limit q1 = q0 is the
-root, and the first evaluation of stage 2 finds it.
+loss and in the kernel limit alike. Stage 1 iterates it with q1 pinned to
+q0, where the channel takes its exact 1-D branch instead of the pair
+integral: a damped loop for the square loss, and for the margin losses a
+loose damped start finished by Newton steps on a finite-difference
+Jacobian, which costs only 3 extra map calls on a 3-vector (Kelley 2003,
+Solving Nonlinear Equations with Newton's Method, SIAM). Stage 2 solves
+one scalar equation for the cross overlap q1 at those fixed (m, q0, v). In
+the kernel limit q1 = q0 is the root, and the first evaluation of stage 2
+finds it.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .channels import ChannelSpec, ConjugateParams, OrderParams, channel_update
 from .errors import ConfigError, DomainError
@@ -27,6 +33,14 @@ DEFAULT_INIT = OrderParams(m=0.01, q0=1.0, q1=0.5, v=1.0)
 
 # evaluations of the scalar q1 equation before a solve gives up
 Q1_MAX_EVALS = 60
+
+# a margin-loss stage 1 turns from damped steps to Newton steps once a map
+# step moves the point by less than this
+NEWTON_SWITCH = 1.0
+# after a failed Newton step, the next waits for a map step this many times shorter
+NEWTON_RETRY = 1e-1
+# relative shift of the one-sided finite-difference Jacobian
+FD_STEP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -123,13 +137,22 @@ def _sign(x: float) -> int:
     return (x > 0) - (x < 0)
 
 
-def _iterate(step, init: OrderParams, rho: float, opts: SolveOptions) -> FixedPoint:
-    """Damped iteration of the single learner; `step` maps OrderParams -> (OrderParams, ConjugateParams).
+def _iterate(step, init: OrderParams, rho: float, opts: SolveOptions, newton: bool) -> FixedPoint:
+    """Stage-1 iteration of the single learner; `step` maps OrderParams -> (OrderParams, ConjugateParams).
 
     The state (m, q0, v) starts at the projection of `init` and is carried as
     Python floats: a solve takes hundreds of cheap iterations, where numpy
     call overhead would cost more than the arithmetic. The step sees q1 = q0
     and its q1 is dropped, so the returned parameters carry q1 = q0.
+
+    Without `newton` this is a damped loop. With it, once a map step moves
+    the point by less than NEWTON_SWITCH, the loop takes Newton steps on
+    G(x) = F(x) - x instead (`_newton_point`). A Newton point that is not
+    admissible, or whose map step is not shorter than that of the point it
+    started from, sends the loop back to damped steps from that point, and
+    Newton waits for a map step NEWTON_RETRY times shorter. Every map call
+    counts as an iteration, the Jacobian's included; the stopping rule and
+    what is returned are those of the damped loop.
     """
     params, _ = _project(init, rho)
     cur = [float(params.m), float(params.q0), float(params.v)]
@@ -139,18 +162,34 @@ def _iterate(step, init: OrderParams, rho: float, opts: SolveOptions) -> FixedPo
     prev_sign: Optional[tuple[int, int]] = None  # signs of the last q0 and v steps
     osc_count = 0
     conj = ConjugateParams(0.0, 0.0, 0.0, 0.0)
-    for it in range(1, opts.max_iters + 1):
+    switch = NEWTON_SWITCH if newton else 0.0
+    best = None  # (x, F(x), residual) of the last point a Newton step started from
+    it = 0
+    while it < opts.max_iters:
+        it += 1
         update, conj = step(params)
         new = [float(update.m), float(update.q0), float(update.v)]
         if not all(map(math.isfinite, new)) or update.q0 > DIVERGENCE_Q0:
             return FixedPoint(params, conj, it, residual, False, "interpolation_divergence", projections)
-        delta = [a - b for a, b in zip(new, cur)]
-        residual = max(map(abs, delta))
+        residual = max(abs(a - b) for a, b in zip(new, cur))
         # tol below the float64 spacing of the iterate cannot be met: stop
         # within a few ulps of the largest component instead
         if residual < max(opts.tol, 4.0 * math.ulp(max(map(abs, new)))):
             final = OrderParams(new[0], new[1], new[1], new[2])
             return FixedPoint(final, conj, it, residual, True, "converged", projections)
+        if best is not None and residual >= best[2]:
+            cur, new, residual = best  # the Newton point did not help: back to the best point
+            best, switch = None, NEWTON_RETRY * residual
+        elif residual < switch and it + 4 <= opts.max_iters:
+            best = (cur, new, residual)
+            point = _newton_point(step, cur, new, rho)
+            it += 3
+            if point is not None:
+                params = point
+                cur = [params.m, params.q0, params.v]
+                continue
+            best, switch = None, NEWTON_RETRY * residual
+        delta = [a - b for a, b in zip(new, cur)]
         sign = (_sign(delta[1]), _sign(delta[2]))
         if prev_sign is not None:
             if sign == (-prev_sign[0], -prev_sign[1]) and sign != (0, 0):
@@ -164,7 +203,37 @@ def _iterate(step, init: OrderParams, rho: float, opts: SolveOptions) -> FixedPo
         params, moved = _project(OrderParams(m, q0, q0, v), rho)
         projections += moved
         cur = [params.m, params.q0, params.v]
-    return FixedPoint(params, conj, opts.max_iters, residual, False, "max_iters", projections)
+    return FixedPoint(params, conj, it, residual, False, "max_iters", projections)
+
+
+def _newton_point(step, x: list, fx: list, rho: float) -> Optional[OrderParams]:
+    """The Newton point x - J^-1 G(x) of G(y) = F(y) - y, or None if it is not admissible.
+
+    J is the one-sided finite-difference Jacobian of G at x, from three map
+    calls. Each shift moves m toward 0 and q0, v up, so the shifted points
+    stay admissible when x is.
+    """
+    g = [a - b for a, b in zip(fx, x)]
+    jac = np.empty((3, 3))
+    for j in range(3):
+        h = FD_STEP * max(abs(x[j]), 1.0)
+        if j == 0 and x[0] > 0:
+            h = -h
+        y = list(x)
+        y[j] += h
+        out, _ = step(OrderParams(y[0], y[1], y[1], y[2]))
+        fy = (float(out.m), float(out.q0), float(out.v))
+        jac[:, j] = [(a - b) / h for a, b in zip(fy, fx)]
+        jac[j, j] -= 1.0
+    try:
+        s = np.linalg.solve(jac, g)
+    except np.linalg.LinAlgError:
+        return None
+    m, q0, v = (a - float(b) for a, b in zip(x, s))
+    if not all(map(math.isfinite, (m, q0, v))):
+        return None
+    params, moved = _project(OrderParams(m, q0, q0, v), rho)
+    return None if moved else params
 
 
 def solve_fixed_point(config: ModelConfig, opts: SolveOptions | None = None) -> FixedPoint:
@@ -177,7 +246,7 @@ def solve_fixed_point(config: ModelConfig, opts: SolveOptions | None = None) -> 
         update = prior_update_spectral(conj, config.lam, config.gamma, config.spectrum, config.coeffs)
         return update, conj
 
-    return _solve_two_stage(step, opts.init, config.rho, opts)
+    return _solve_two_stage(step, opts.init, config.rho, opts, config.spec.loss != "square")
 
 
 class _Q1Point(NamedTuple):
@@ -190,7 +259,7 @@ class _Q1Point(NamedTuple):
     conj: ConjugateParams
 
 
-def _solve_two_stage(step, init: OrderParams, rho: float, opts: SolveOptions) -> FixedPoint:
+def _solve_two_stage(step, init: OrderParams, rho: float, opts: SolveOptions, newton: bool) -> FixedPoint:
     """Iterate (m, q0, v) with q1 pinned to q0, then solve for q1.
 
     `iterations` counts the stage-1 map steps plus the q1 evaluations; the
@@ -198,7 +267,7 @@ def _solve_two_stage(step, init: OrderParams, rho: float, opts: SolveOptions) ->
     conjugates are returned. The residual is the larger of the stage-1 step
     and |g| at the root.
     """
-    fp = _iterate(step, init, rho, opts)
+    fp = _iterate(step, init, rho, opts, newton)
     if not fp.converged:
         return fp
     m, q0, v = fp.params.m, fp.params.q0, fp.params.v
@@ -287,7 +356,7 @@ def solve_kernel_limit(
         update = kernel_prior_update(conj, lam, delta, coeffs)
         return update, conj
 
-    return _solve_two_stage(step, opts.init, rho, opts)
+    return _solve_two_stage(step, opts.init, rho, opts, spec.loss != "square")
 
 
 def warm_options(opts: SolveOptions, fp: FixedPoint) -> SolveOptions:

@@ -242,8 +242,30 @@ def _pinned(x):
     return OrderParams(m=x[0], q0=x[1], q1=x[1], v=x[2])
 
 
-def iterate_array_oracle(step, init, rho, opts):
-    """Drop-in for `solver._iterate`: the same damped loop on (m, q0, v) arrays, q1 pinned to q0."""
+def newton_point_array_oracle(step, x, fx, rho):
+    """`solver._newton_point` on (m, q0, v) arrays."""
+    h = solver.FD_STEP * np.maximum(np.abs(x), 1.0)
+    if x[0] > 0:
+        h[0] = -h[0]
+    jac = np.empty((3, 3))
+    for j in range(3):
+        y = x.copy()
+        y[j] += h[j]
+        out, _ = step(_pinned(y))
+        jac[:, j] = (np.array([out.m, out.q0, out.v], dtype=float) - fx) / h[j]
+    jac -= np.eye(3)
+    try:
+        point = x - np.linalg.solve(jac, fx - x)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(point).all():
+        return None
+    params, moved = project_array_oracle(_pinned(point), rho)
+    return None if moved else params
+
+
+def iterate_array_oracle(step, init, rho, opts, newton=False):
+    """Drop-in for `solver._iterate`: the same loop on (m, q0, v) arrays, q1 pinned to q0."""
     params, _ = project_array_oracle(init, rho)
     cur = np.array([params.m, params.q0, params.v], dtype=float)
     damping = opts.damping
@@ -252,16 +274,31 @@ def iterate_array_oracle(step, init, rho, opts):
     prev_sign = None
     osc_count = 0
     conj = ConjugateParams(0.0, 0.0, 0.0, 0.0)
-    for it in range(1, opts.max_iters + 1):
+    switch = solver.NEWTON_SWITCH if newton else 0.0
+    best = None
+    it = 0
+    while it < opts.max_iters:
+        it += 1
         update, conj = step(params)
         new = np.array([update.m, update.q0, update.v], dtype=float)
         if not np.isfinite(new).all() or update.q0 > solver.DIVERGENCE_Q0:
             return solver.FixedPoint(params, conj, it, residual, False, "interpolation_divergence", projections)
-        delta = new - cur
-        residual = float(np.abs(delta).max())
+        residual = float(np.abs(new - cur).max())
         if residual < max(opts.tol, 4.0 * np.spacing(np.abs(new).max())):
             return solver.FixedPoint(_pinned(new), conj, it, residual, True, "converged", projections)
-        sign = np.sign(delta[1:])
+        if best is not None and residual >= best[2]:
+            cur, new, residual = best
+            best, switch = None, solver.NEWTON_RETRY * residual
+        elif residual < switch and it + 4 <= opts.max_iters:
+            best = (cur, new, residual)
+            point = newton_point_array_oracle(step, cur, new, rho)
+            it += 3
+            if point is not None:
+                params = point
+                cur = np.array([params.m, params.q0, params.v])
+                continue
+            best, switch = None, solver.NEWTON_RETRY * residual
+        sign = np.sign((new - cur)[1:])
         if prev_sign is not None:
             if (sign == -prev_sign).all() and sign.any():
                 osc_count += 1

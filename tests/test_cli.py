@@ -300,6 +300,20 @@ class TestSimulate:
         assert rows[0][header.index("sim_status")] == "ok"
         assert math.isfinite(float(rows[0][header.index("z_test_error")]))
 
+    @pytest.mark.parametrize("loss,estimator", [("logistic", "majority"), ("square", "avg_sign")])
+    def test_estimator_without_theory_leaves_z_test_error_empty(self, tmp_path, loss, estimator):
+        # the theory test error is the mean MSE or the avg-sign error, never another estimator's
+        cfg = dict(SIM_CFG, loss=loss, K=[3], grid=[1.5],
+                   simulate={"trials": 2, "d": 20, "seed": 3, "test_samples": 200, "estimator": estimator})
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        header, (row,) = read_csv(out)
+        assert row[header.index("z_test_error")] == ""
+        assert row[header.index("sim_status")] == f"no theory for estimator '{estimator}' with loss '{loss}'"
+        assert int(row[header.index("failures")]) == 0
+        for col in ("emp_test_error", "z_m", "z_q0", "z_q1"):
+            assert math.isfinite(float(row[header.index(col)]))
+
     def test_simulation_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # an axis that does not move the sizes is a config error, seen before any solve
         def no_solve(*args, **kwargs):

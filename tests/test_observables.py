@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from rfensemble import (
     majority_vote_error,
     mse_test_error,
 )
-from rfensemble.observables import MC_BLOCK, _sample_block, resolve_estimator
+from rfensemble.observables import MC_BLOCK, MC_BUFFER, _sample_block, resolve_estimator
 
 from oracles import ESTIMATOR_ORACLES, gen_error_oracle, sample_block_oracle
 
@@ -222,6 +223,26 @@ class TestMonteCarlo:
         c = cov(m=0.4, q0=1.1, q1=0.6, K=K)
         got = generic_gen_error(c, estimator, metric, 150_000, seed=12)
         assert got == gen_error_oracle(c, estimator, metric, 150_000, seed=12)
+
+    def test_buffers_do_not_grow_with_K(self):
+        # at K = 301 a block is drawn in chunks of MC_BUFFER // (K + 1)
+        # samples: each buffer holds MC_BUFFER doubles, not (K + 1) MC_BLOCK
+        c = cov(m=0.5, q0=1.0, q1=0.5, K=301)
+        tracemalloc.start()
+        try:
+            generic_gen_error(c, "majority", "zero_one", MC_BLOCK + 10_000, seed=23)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * MC_BUFFER * 8
+
+    @pytest.mark.parametrize("estimator,metric", [("majority", "zero_one"), ("mean", "mse")])
+    def test_chunked_blocks_equal_whole_block_draws_at_large_K(self, estimator, metric):
+        # the oracle draws the block at once; the chunks continue its one stream
+        c = cov(m=0.5, q0=1.0, q1=0.5, K=301)
+        assert MC_BUFFER // (c.K + 1) < 10_000
+        got = generic_gen_error(c, estimator, metric, 10_000, seed=24)
+        assert got == gen_error_oracle(c, estimator, metric, 10_000, seed=24)
 
     @pytest.mark.parametrize("K", ORACLE_KS)
     def test_block_prefix_does_not_depend_on_count(self, K):

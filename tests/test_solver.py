@@ -253,6 +253,11 @@ def margin_point(name, **solver_keys):
     return cli.parse_problem(cfg).model(), cli.solve_options_from(cfg)
 
 
+def damped_stage_one(step, init, rho, opts, newton):
+    """`solver._iterate` with the Newton finish off: the damped loop alone."""
+    return iterate_array_oracle(step, init, rho, opts)
+
+
 def rel_distance(params, ref):
     a, b = params.as_array(), ref.as_array()
     return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
@@ -289,13 +294,62 @@ class TestTwoStageMarginSolve:
         monkeypatch.setattr(channels, "expect_2d_correlated", lambda *a, **k: calls.append(1) or inner(*a, **k))
         config, opts = margin_point("logistic-1e-4-0.6", tol=1e-9)
         fp = solve_fixed_point(config, opts)
-        assert fp.converged and fp.iterations > 200
+        assert fp.converged
         assert 1 <= len(calls) <= 12
+        # a hard point: the damped stage 1 takes over 200 map steps
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_iterate", damped_stage_one)
+            assert solve_fixed_point(config, opts).iterations > 200
         calls.clear()
         config, _ = margin_point("logistic-1e-4-0.55")
         warm = solve_fixed_point(config, solver.warm_options(opts, fp))
         assert warm.converged
         assert 1 <= len(calls) <= 12
+
+    def test_logistic_kernel_point_at_least_as_close_to_tight_reference_as_damped_solve(self):
+        cfg = {"loss": "logistic", "rho": 1.0, "lambda": 1e-2, "kernel": True, "n_over_d": 2.0, "tol": 1e-9}
+        problem, opts = cli.parse_problem(cfg), cli.solve_options_from(cfg)
+        args = (problem.n_over_d, problem.rho, problem.lam, problem.spec, problem.coeffs)
+        ref = damped_kernel_oracle(*args, replace(opts, tol=1e-13))
+        damped = damped_kernel_oracle(*args, opts)
+        fp = solve_kernel_limit(*args, opts)
+        assert ref.converged and damped.converged and fp.converged
+        assert rel_distance(fp.params, ref.params) <= rel_distance(damped.params, ref.params)
+        assert rel_distance(fp.params, ref.params) < 1e-9
+        assert fp.iterations < damped.iterations
+
+    @pytest.mark.parametrize("name", list(MARGIN_POINTS))
+    def test_newton_finish_takes_no_more_map_calls_than_the_damped_loop(self, name, monkeypatch):
+        config, opts = margin_point(name, tol=1e-9)
+        fp = solve_fixed_point(config, opts)
+        monkeypatch.setattr(solver, "_iterate", damped_stage_one)
+        damped = solve_fixed_point(config, opts)
+        assert fp.converged and damped.converged
+        assert fp.iterations <= damped.iterations
+
+    @pytest.mark.parametrize("bad_step", ["inadmissible", "uphill"])
+    def test_failed_newton_step_falls_back_to_damped_steps_and_converges(self, bad_step, monkeypatch):
+        # the first Newton step is replaced: one that sends q0 below 0, or one
+        # that walks away from the root; later steps are the true ones
+        steps = []
+        inner = np.linalg.solve
+
+        def first_step_bad(jac, g):
+            s = inner(jac, g)
+            steps.append(s)
+            if len(steps) > 1:
+                return s
+            return np.array([0.0, 1e6, 0.0]) if bad_step == "inadmissible" else -s
+
+        config, opts = margin_point("logistic-1e-2-1.0", tol=1e-9)
+        fp = solve_fixed_point(config, opts)
+        ref = damped_solve_oracle(config, replace(opts, tol=1e-13))
+        monkeypatch.setattr(np.linalg, "solve", first_step_bad)
+        fallen = solve_fixed_point(config, opts)
+        assert len(steps) >= 2  # Newton was tried again after the fallback
+        assert fallen.converged and fallen.status == "converged"
+        assert fallen.iterations > fp.iterations
+        assert rel_distance(fallen.params, ref.params) < 1e-9
 
     def test_iterations_count_stage_one_steps_and_q1_evaluations(self, monkeypatch):
         stage_one = []
