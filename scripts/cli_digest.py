@@ -2,7 +2,7 @@
 
 Usage: python scripts/cli_digest.py > digest.txt  (from any directory; no options)
 
-It runs, with BLAS pinned to one thread and a fresh RFENSEMBLE_CACHE:
+It runs, with BLAS pinned to one thread:
 - `sweep` on every sweep config (one with an "axis") in configs/ and
   rfbench/configs/, hashing the CSV it writes;
 - `solve` at the first grid point of each of those configs, hashing the JSON
@@ -108,7 +108,6 @@ def run_erm(label: str, loss: str, activation, n, p, d, K, lam, trials, seeds, t
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp_name:
         tmp = Path(tmp_name)
-        os.environ["RFENSEMBLE_CACHE"] = str(tmp / "cache")
 
         sweeps = sorted((ROOT / "configs").glob("*.json")) + sorted((ROOT / "rfbench" / "configs").glob("*.json"))
         for path in sweeps:

@@ -71,7 +71,6 @@ from .spectrum import (
     ActivationCoeffs,
     SpectralModel,
     activation_coeffs,
-    empirical_spectral_model,
     mp_spectral_model,
     spectral_integral,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "confidence_density",
     "disagreement_probability",
     "empirical_overlaps",
-    "empirical_spectral_model",
     "ensemble_test_error",
     "expect_1d",
     "expect_2d_correlated",

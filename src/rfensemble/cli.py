@@ -71,7 +71,7 @@ _SCHEMA = {
     "kernel": (bool, False),
     "damping": (float, SolveOptions.damping),
     "tol": (float, SolveOptions.tol),
-    "max_iters": (int, 50000),
+    "max_iters": (int, SolveOptions.max_iters),
     "order_1d": (int, SolveOptions.order_1d),
     "order_2d": (int, SolveOptions.order_2d),
     "axis": (str, _REQUIRED),

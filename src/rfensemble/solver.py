@@ -24,7 +24,7 @@ import numpy as np
 from .channels import ChannelSpec, ConjugateParams, OrderParams, channel_update
 from .errors import ConfigError, DomainError
 from .priors import kernel_channel_update, kernel_prior_update, prior_update_spectral
-from .quadrature import QuadratureSet
+from .quadrature import DEFAULT_ORDER_1D, DEFAULT_ORDER_2D, QuadratureSet
 from .spectrum import ActivationCoeffs, SpectralModel
 
 DIVERGENCE_Q0 = 1e12
@@ -71,10 +71,10 @@ class ModelConfig:
 class SolveOptions:
     damping: float = 0.5
     tol: float = 1e-9
-    max_iters: int = 5000
+    max_iters: int = 50_000
     init: OrderParams = DEFAULT_INIT
-    order_1d: int = 101
-    order_2d: int = 61
+    order_1d: int = DEFAULT_ORDER_1D
+    order_2d: int = DEFAULT_ORDER_2D
 
     def __post_init__(self):
         if not (0 < self.damping <= 1):

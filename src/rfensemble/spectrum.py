@@ -9,25 +9,21 @@ nonlinearity is reduced to its Gaussian-equivalent coefficients
 
 The spectrum of Omega is a Marchenko-Pastur bulk of shape c = p/d, scale
 kappa1^2, shifted by kappa_star^2, plus an atom of mass [1 - d/p]_+ at
-kappa_star^2 when p > d (rank deficiency of F F^T). Both the closed form and
-the measured spectrum of a sampled F are exposed behind one integral
-interface.
+kappa_star^2 when p > d (rank deficiency of F F^T). `SpectralModel` is that
+closed form alone, and `spectral_integral` integrates against it. The exact
+spectrum of one sampled Omega is a test oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericalError, ResourceError
+from .errors import ConfigError, DomainError, NumericalError
 from .quadrature import QuadratureRule
 
 MAX_MATRIX_ENTRIES = 50_000_000
@@ -63,47 +59,35 @@ def activation_coeffs(activation: Callable[[np.ndarray], np.ndarray], rule: Quad
     return ActivationCoeffs(kappa0=k0, kappa1=k1, kappa_star=float(np.sqrt(max(resid, 0.0))))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SpectralModel:
-    """Spectral density of the feature covariance, closed form or measured.
+    """Closed-form spectral density of the feature covariance.
 
-    kind "closed_form_mp": bulk is the shifted MP law parameterized by
-    (aspect, scale, shift) = (d/p, kappa1, kappa_star^2); kind "empirical":
-    `eigenvalues` holds the p atoms of mass 1/p.
-
-    Equality and hashing are by identity: a field-wise comparison would
-    compare the `eigenvalues` array, whose truth value is ambiguous.
+    The bulk is the shifted MP law parameterized by (aspect, scale, shift) =
+    (d/p, kappa1, kappa_star^2); the atom of mass [1 - d/p]_+ sits at the
+    shift.
     """
 
-    kind: str
     aspect: float
     scale: float
     shift: float
-    atom_mass: float = 0.0
-    atom_location: float = 0.0
-    eigenvalues: Optional[np.ndarray] = None
     bulk_nodes: int = DEFAULT_BULK_NODES
 
-    def __post_init__(self):
-        if self.kind not in ("closed_form_mp", "empirical"):
-            raise ConfigError(f"unknown spectral model kind {self.kind!r}")
-        if self.kind == "empirical":
-            if self.eigenvalues is None or len(self.eigenvalues) == 0:
-                raise ConfigError("empirical spectral model requires eigenvalues")
-            if np.min(self.eigenvalues) < -1e-10:
-                raise DomainError("feature covariance must be PSD: negative eigenvalue found")
+    @cached_property
+    def atom_mass(self) -> float:
+        return max(0.0, 1.0 - self.aspect)
+
+    @cached_property
+    def atom_location(self) -> float:
+        return self.shift
 
     @cached_property
     def support_min(self) -> float:
-        if self.kind == "empirical":
-            return float(np.min(self.eigenvalues))
         lo = self.shift + self.scale**2 * (1 - np.sqrt(1.0 / self.aspect)) ** 2
         return min(lo, self.atom_location) if self.atom_mass > 0 else lo
 
     @property
     def support_max(self) -> float:
-        if self.kind == "empirical":
-            return float(np.max(self.eigenvalues))
         return self.shift + self.scale**2 * (1 + np.sqrt(1.0 / self.aspect)) ** 2
 
     @cached_property
@@ -139,82 +123,17 @@ def mp_spectral_model(alpha: float, gamma: float, coeffs: ActivationCoeffs, bulk
     if not (alpha > 0 and gamma > 0):
         raise ConfigError(f"alpha and gamma must be positive, got {alpha}, {gamma}")
     if abs(coeffs.kappa0) > 1e-10:
-        raise ConfigError(
-            "closed-form MP spectrum assumes kappa0 = 0; use empirical_spectral_model for non-centered activations"
-        )
-    return SpectralModel(
-        kind="closed_form_mp",
-        aspect=gamma,
-        scale=coeffs.kappa1,
-        shift=coeffs.kappa_star_sq,
-        atom_mass=max(0.0, 1.0 - gamma),
-        atom_location=coeffs.kappa_star_sq,
-        bulk_nodes=bulk_nodes,
-    )
+        raise ConfigError(f"closed-form MP spectrum assumes a centered activation, got kappa0 = {coeffs.kappa0}")
+    return SpectralModel(aspect=gamma, scale=coeffs.kappa1, shift=coeffs.kappa_star_sq, bulk_nodes=bulk_nodes)
 
 
 def sample_feature_matrix(seed: int, p: int, d: int) -> np.ndarray:
-    """The i.i.d. N(0,1) feature matrix shared by spectra, oracles and the ERM lab."""
-    return np.random.default_rng(seed).standard_normal((p, d))
+    """The i.i.d. N(0,1) feature matrix F of u(x) = phi(F x / sqrt(d)).
 
-
-def _cache_dir() -> Path:
-    root = os.environ.get("RFENSEMBLE_CACHE", os.path.join(os.path.expanduser("~"), ".cache", "rfensemble"))
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def empirical_spectral_model(
-    feature_matrix_seed: int,
-    p: int,
-    d: int,
-    coeffs: ActivationCoeffs,
-) -> SpectralModel:
-    """Exact eigenvalues of (kappa1^2/d) F F^T + kappa_star^2 I_p as p atoms of mass 1/p.
-
-    Eigendecompositions are cached on disk keyed by a content hash of
-    (p, d, seed, kappa1, kappa_star) since they dominate oracle-test runtime.
+    One draw per seed, shared by `priors.sample_feature_ensemble` (and
+    through it the ERM lab) and the finite-p test oracles.
     """
-    if p < 1 or d < 1:
-        raise ConfigError("p and d must be >= 1")
-    if p * d > MAX_MATRIX_ENTRIES:
-        raise ResourceError(f"p*d = {p * d} exceeds cap {MAX_MATRIX_ENTRIES}")
-    meta = {
-        "p": int(p),
-        "d": int(d),
-        "seed": int(feature_matrix_seed),
-        "kappa1": float(coeffs.kappa1),
-        "kappa_star": float(coeffs.kappa_star),
-    }
-    key = hashlib.sha256(json.dumps(meta, sort_keys=True).encode()).hexdigest()[:24]
-    npy_path = _cache_dir() / f"spectrum_{key}.npy"
-    json_path = _cache_dir() / f"spectrum_{key}.json"
-    eigs = None
-    if npy_path.exists() and json_path.exists():
-        try:
-            if json.loads(json_path.read_text()) == meta:
-                eigs = np.load(npy_path)
-        except (ValueError, OSError):
-            eigs = None
-    if eigs is None:
-        F = sample_feature_matrix(feature_matrix_seed, p, d)
-        omega = (coeffs.kappa1**2 / d) * (F @ F.T)
-        omega[np.diag_indices(p)] += coeffs.kappa_star_sq
-        eigs = np.linalg.eigvalsh(omega)
-        tmp = npy_path.with_suffix(".tmp.npy")
-        np.save(tmp, eigs)
-        os.replace(tmp, npy_path)
-        json_path.write_text(json.dumps(meta, sort_keys=True))
-    eigs = np.sort(np.maximum(eigs, 0.0))
-    eigs.setflags(write=False)
-    return SpectralModel(
-        kind="empirical",
-        aspect=d / p,
-        scale=coeffs.kappa1,
-        shift=coeffs.kappa_star_sq,
-        eigenvalues=eigs,
-    )
+    return np.random.default_rng(seed).standard_normal((p, d))
 
 
 def _mp_bulk_grid(model: SpectralModel):
@@ -242,20 +161,13 @@ def spectral_integral(model: SpectralModel, g: Callable[[np.ndarray], np.ndarray
     g maps the array s of support points either to one array of g(s), and
     the integral is a float, or to a stack of k rows of shape (k, len(s)),
     one integrand per row, and the result is a list of k floats. g is called
-    once: on the eigenvalues of an empirical spectrum, or on the MP bulk
-    nodes followed by the atom (`SpectralModel.support_nodes`). Each row of
-    a stack is summed on its own (`row[:n] @ w` over the n bulk nodes plus
-    atom_mass times its atom value, its mean on an empirical spectrum), so
-    it equals the single-integrand call bit for bit. Every row's bulk sum
-    and atom value must be finite: a non-finite value on the bulk, or a
-    finite row whose sum overflows, raises NumericalError.
+    once, on the MP bulk nodes followed by the atom
+    (`SpectralModel.support_nodes`). Each row of a stack is summed on its
+    own (`row[:n] @ w` over the n bulk nodes plus atom_mass times its atom
+    value), so it equals the single-integrand call bit for bit. Every row's
+    bulk sum and atom value must be finite: a non-finite value on the bulk,
+    or a finite row whose sum overflows, raises NumericalError.
     """
-    if model.kind == "empirical":
-        vals = np.asarray(g(model.eigenvalues), dtype=float)
-        if not np.isfinite(vals).all():
-            raise NumericalError("spectral integrand non-finite on empirical support")
-        out = np.mean(vals, axis=-1)
-        return [float(x) for x in out] if vals.ndim == 2 else float(out)
     w = model.bulk_grid[1]
     n = len(w)
     vals = np.asarray(g(model.support_nodes), dtype=float)

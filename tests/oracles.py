@@ -1,5 +1,8 @@
 """Second routes kept as test oracles for formulas the package computes once.
 
+- The empirical feature spectrum (formula row 3): the exact eigenvalues of
+  one sampled Omega, the finite-p counterpart of the closed-form
+  Marchenko-Pastur model. A finite-p spectral integral is their mean.
 - Finite-matrix prior traces (formula row 13): the trace formulas over
   sampled feature matrices that the spectral prior must reproduce as p grows.
 - Kernel-ridge one-shot closed forms (row 17): the form as printed, whose q
@@ -34,6 +37,20 @@ from rfensemble import solver
 from rfensemble.channels import ConjugateParams, channel_update
 from rfensemble.observables import MC_BLOCK
 from rfensemble.priors import kernel_channel_update, kernel_prior_update, prior_update_spectral
+from rfensemble.spectrum import sample_feature_matrix
+
+
+# ---------------------------------------------------------------------------
+# Empirical feature spectrum
+# ---------------------------------------------------------------------------
+
+
+def empirical_spectrum(seed, p, d, coeffs):
+    """Sorted eigenvalues of (kappa1^2/d) F F^T + kappa_star^2 I_p, F = sample_feature_matrix(seed, p, d)."""
+    F = sample_feature_matrix(seed, p, d)
+    omega = (coeffs.kappa1**2 / d) * (F @ F.T)
+    omega[np.diag_indices(p)] += coeffs.kappa_star_sq
+    return np.linalg.eigvalsh(omega)
 
 
 # ---------------------------------------------------------------------------

@@ -283,8 +283,7 @@ def test_criterion_5_kernel_identities(ridge_sweep):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_6i_spectral_vs_matrix_traces(tmp_path, monkeypatch):
-    monkeypatch.setenv("RFENSEMBLE_CACHE", str(tmp_path))
+def test_criterion_6i_spectral_vs_matrix_traces():
     p, d = 2000, 1000
     gamma = d / p
     model = mp_spectral_model(1.0, gamma, COEFFS)

@@ -9,11 +9,6 @@ from rfensemble.errors import ConfigError
 CORPUS = Path(__file__).resolve().parents[1] / "goldens"
 
 
-@pytest.fixture(autouse=True)
-def _tmp_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("RFENSEMBLE_CACHE", str(tmp_path / "cache"))
-
-
 def test_corpus_loads_and_every_record_has_provenance():
     records = load_corpus(CORPUS)
     assert len(records) >= 8

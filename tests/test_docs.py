@@ -15,7 +15,6 @@ SCHEMA = DOCS.parent / "config_schema.md"
 REQUIRED = [
     "rfensemble.spectrum.activation_coeffs",
     "rfensemble.spectrum.mp_spectral_model",
-    "rfensemble.spectrum.empirical_spectral_model",
     "rfensemble.channels.teacher_z0",
     "rfensemble.channels.teacher_dz0",
     "rfensemble.channels.prox_square",

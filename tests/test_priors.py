@@ -10,8 +10,8 @@ from rfensemble import (
     ConjugateParams,
     DomainError,
     OrderParams,
+    ResourceError,
     activation_coeffs,
-    empirical_spectral_model,
     gauss_hermite_rule,
     kernel_channel_update,
     kernel_prior_update,
@@ -23,17 +23,18 @@ from rfensemble import (
     SolveOptions,
 )
 
-from oracles import kernel_ridge_closed_form, kernel_ridge_closed_form_derived, omega_diag, prior_update_matrix_oracle
+from oracles import (
+    empirical_spectrum,
+    kernel_ridge_closed_form,
+    kernel_ridge_closed_form_derived,
+    omega_diag,
+    prior_update_matrix_oracle,
+)
 
 RULE = gauss_hermite_rule(201)
 COEFFS = activation_coeffs(erf, RULE)
 SQUARE = ChannelSpec(loss="square", teacher="linear")
 LOGISTIC = ChannelSpec(loss="logistic", teacher="sign")
-
-
-@pytest.fixture(autouse=True)
-def _tmp_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("RFENSEMBLE_CACHE", str(tmp_path / "cache"))
 
 
 def random_conjugates(rng):
@@ -106,9 +107,8 @@ class TestOnePassPrior:
             lambda: mp_spectral_model(1.0, 0.5, COEFFS),
             lambda: mp_spectral_model(1.0, 1.5, COEFFS),
             lambda: mp_spectral_model(1.0, 0.5, COEFFS, bulk_nodes=4001),
-            lambda: empirical_spectral_model(4, 300, 200, COEFFS),
         ],
-        ids=["mp-atom", "mp-no-atom", "mp-4001-nodes", "empirical"],
+        ids=["mp-atom", "mp-no-atom", "mp-4001-nodes"],
     )
     def test_equals_three_pass_oracle_exactly(self, make_model):
         model = make_model()
@@ -119,6 +119,13 @@ class TestOnePassPrior:
                 got = prior_update_spectral(conj, lam, model.aspect, model, COEFFS)
                 want = prior_update_three_pass(conj, lam, model.aspect, model, COEFFS)
                 assert (got.m, got.q0, got.q1, got.v) == (want.m, want.q0, want.q1, want.v)
+
+
+class TestSampleFeatureEnsemble:
+    def test_resource_cap(self):
+        # K*p*d = 1e8 is over the cap, which raises before any matrix is drawn
+        with pytest.raises(ResourceError):
+            sample_feature_ensemble(1, 10_000, 10_000, COEFFS, np.zeros(10_000), seed=0)
 
 
 class TestMatrixOracle:
@@ -136,9 +143,9 @@ class TestMatrixOracle:
         # same matrix, two code paths
         p, d = 400, 200
         ens = sample_feature_ensemble(2, p, d, COEFFS, np.zeros(d), seed=3)
-        emp = empirical_spectral_model(ens.seeds[0], p, d, COEFFS)
+        eigs = empirical_spectrum(ens.seeds[0], p, d, COEFFS)
         out = prior_update_matrix_oracle(ConjugateParams(0.0, 0.0, 0.0, 1.0), 1.0, ens)
-        want = spectral_integral(emp, lambda s: s / (1.0 + s))
+        want = np.mean(eigs / (1.0 + eigs))
         assert out.v == pytest.approx(want, rel=1e-10)
 
     def test_freeness_factorization_for_q1(self):

@@ -1,4 +1,6 @@
+import json
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from oracles import (
     project_array_oracle,
 )
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 COEFFS = activation_coeffs(erf, gauss_hermite_rule(201))
 SQUARE = ChannelSpec(loss="square", teacher="linear")
 LOGISTIC = ChannelSpec(loss="logistic", teacher="sign")
@@ -122,6 +125,15 @@ class TestSolveFixedPoint:
         with pytest.raises(ConfigError, match=field):
             SolveOptions(**{field: value})
         assert SolveOptions(max_iters=1).max_iters == 1
+
+    def test_default_options_converge_at_the_interpolation_peak(self):
+        # p/n = 1 of the ridge double-descent sweep takes over 5,000 map steps;
+        # the library's defaults are the CLI's, so both converge there
+        cfg = json.loads((CONFIGS / "ridge_double_descent.json").read_text())
+        opts = SolveOptions(tol=cfg["tol"])
+        assert cli.solve_options_from(cfg) == opts
+        fp = solve_fixed_point(cli.parse_problem(cfg).at(cfg["axis"], 1.0).model(), opts)
+        assert fp.converged, fp.status
 
 
 class TestSolveKernelLimit:

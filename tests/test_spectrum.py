@@ -9,16 +9,17 @@ from rfensemble import (
     ConfigError,
     ModelConfig,
     NumericalError,
-    ResourceError,
     SolveOptions,
+    SpectralModel,
     activation_coeffs,
-    empirical_spectral_model,
     gauss_hermite_rule,
     mp_spectral_model,
     solve_fixed_point,
     spectral_integral,
 )
 from rfensemble import spectrum
+
+from oracles import empirical_spectrum
 
 RULE = gauss_hermite_rule(201)
 ERF_COEFFS = activation_coeffs(erf, RULE)
@@ -27,11 +28,6 @@ ERF_COEFFS = activation_coeffs(erf, RULE)
 KAPPA1_EXACT = 2.0 / math.sqrt(3.0 * math.pi)
 SECOND_MOMENT_EXACT = (2.0 / math.pi) * math.asin(2.0 / 3.0)
 KSTAR_SQ_EXACT = SECOND_MOMENT_EXACT - KAPPA1_EXACT**2
-
-
-@pytest.fixture(autouse=True)
-def _tmp_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("RFENSEMBLE_CACHE", str(tmp_path / "cache"))
 
 
 class TestActivationCoeffs:
@@ -82,7 +78,7 @@ class TestMpSpectralModel:
 
     def test_rejects_noncentered_activation(self):
         shifted = activation_coeffs(lambda x: erf(x) + 0.3, RULE)
-        with pytest.raises(ConfigError, match="empirical"):
+        with pytest.raises(ConfigError, match="kappa0"):
             mp_spectral_model(1.0, 1.0, shifted)
 
     def test_rejects_nonpositive_ratios(self):
@@ -92,41 +88,46 @@ class TestMpSpectralModel:
             mp_spectral_model(1.0, -2.0, ERF_COEFFS)
 
 
-class TestEmpiricalSpectralModel:
+class TestSpectralModel:
+    @pytest.mark.parametrize("aspect", [0.25, 1.0, 4.0])
+    def test_atom_is_derived_from_aspect(self, aspect):
+        model = SpectralModel(aspect=aspect, scale=0.7, shift=0.2, bulk_nodes=51)
+        assert model.atom_mass == max(0.0, 1.0 - aspect)
+        assert model.atom_location == model.shift
+        assert len(model.support_nodes) == 51 + (model.atom_mass > 0)
+
+    def test_atom_is_not_settable(self):
+        with pytest.raises(TypeError):
+            SpectralModel(aspect=0.5, scale=0.7, shift=0.2, atom_mass=0.3)
+
+    def test_equal_fields_compare_equal(self):
+        # no array field is left, so field-wise equality and hashing are safe;
+        # a cached grid on one model does not change that
+        a = mp_spectral_model(1.0, 0.5, ERF_COEFFS)
+        b = mp_spectral_model(1.0, 0.5, ERF_COEFFS)
+        a.bulk_grid
+        assert a == b
+        assert len({a, b}) == 1
+        assert a != mp_spectral_model(1.0, 0.5, ERF_COEFFS, bulk_nodes=4001)
+
+
+class TestEmpiricalSpectrum:
     def test_scalar_case(self):
-        model = empirical_spectral_model(5, 1, 1, ERF_COEFFS)
+        eigs = empirical_spectrum(5, 1, 1, ERF_COEFFS)
         F11 = np.random.default_rng(5).standard_normal((1, 1))[0, 0]
         want = ERF_COEFFS.kappa1**2 * F11**2 + ERF_COEFFS.kappa_star_sq
-        np.testing.assert_allclose(model.eigenvalues, [want], atol=1e-12)
+        np.testing.assert_allclose(eigs, [want], atol=1e-12)
 
     def test_rank_deficiency_pins_half_the_spectrum(self):
-        model = empirical_spectral_model(0, 2000, 1000, ERF_COEFFS)
-        pinned = np.sum(np.abs(model.eigenvalues - ERF_COEFFS.kappa_star_sq) < 1e-8)
+        eigs = empirical_spectrum(0, 2000, 1000, ERF_COEFFS)
+        pinned = np.sum(np.abs(eigs - ERF_COEFFS.kappa_star_sq) < 1e-8)
         assert pinned == 1000
 
     def test_mean_eigenvalue_is_trace(self):
         p = 1500
-        model = empirical_spectral_model(1, p, 750, ERF_COEFFS)
+        eigs = empirical_spectrum(1, p, 750, ERF_COEFFS)
         want = ERF_COEFFS.kappa1**2 + ERF_COEFFS.kappa_star_sq
-        got = spectral_integral(model, lambda s: s)
-        assert got == pytest.approx(want, abs=5.0 / math.sqrt(p))
-
-    def test_resource_cap(self):
-        with pytest.raises(ResourceError):
-            empirical_spectral_model(0, 100_000, 100_000, ERF_COEFFS)
-
-    def test_cache_roundtrip(self):
-        a = empirical_spectral_model(7, 200, 100, ERF_COEFFS)
-        b = empirical_spectral_model(7, 200, 100, ERF_COEFFS)
-        np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
-
-    def test_equality_is_identity(self):
-        # a field-wise __eq__ would take the truth value of the eigenvalue array and raise
-        a = empirical_spectral_model(7, 40, 20, ERF_COEFFS)
-        b = empirical_spectral_model(7, 40, 20, ERF_COEFFS)
-        assert a == a
-        assert not a == b
-        assert len({a, b}) == 2
+        assert np.mean(eigs) == pytest.approx(want, abs=5.0 / math.sqrt(p))
 
 
 class TestSpectralIntegral:
@@ -139,22 +140,21 @@ class TestSpectralIntegral:
         model = mp_spectral_model(1.0, 1.0, ERF_COEFFS)
         want = ERF_COEFFS.kappa1**2 + ERF_COEFFS.kappa_star_sq
         assert spectral_integral(model, lambda s: s) == pytest.approx(want, abs=1e-6)
-        emp = empirical_spectral_model(3, 2000, 2000, ERF_COEFFS)
-        assert spectral_integral(emp, lambda s: s) == pytest.approx(want, rel=0.02)
+        emp = empirical_spectrum(3, 2000, 2000, ERF_COEFFS)
+        assert np.mean(emp) == pytest.approx(want, rel=0.02)
 
     def test_empirical_first_moment_is_exact_trace(self):
-        model = empirical_spectral_model(9, 300, 200, ERF_COEFFS)
+        eigs = empirical_spectrum(9, 300, 200, ERF_COEFFS)
         F = np.random.default_rng(9).standard_normal((300, 200))
         omega = ERF_COEFFS.kappa1**2 * F @ F.T / 200 + ERF_COEFFS.kappa_star_sq * np.eye(300)
-        assert spectral_integral(model, lambda s: s) == pytest.approx(np.trace(omega) / 300, rel=1e-12)
+        assert np.mean(eigs) == pytest.approx(np.trace(omega) / 300, rel=1e-12)
 
     @pytest.mark.parametrize("g", [lambda s: s / (1 + s), lambda s: 1.0 / (0.1 + s), lambda s: np.exp(-s)])
     def test_closed_form_matches_empirical_within_two_percent(self, g):
         gamma = 0.5
         closed = mp_spectral_model(1.0, gamma, ERF_COEFFS)
-        emp = empirical_spectral_model(2, 2000, 1000, ERF_COEFFS)
         a = spectral_integral(closed, g)
-        b = spectral_integral(emp, g)
+        b = np.mean(g(empirical_spectrum(2, 2000, 1000, ERF_COEFFS)))
         assert a == pytest.approx(b, rel=0.02)
 
 
@@ -168,9 +168,8 @@ class TestStackedSpectralIntegral:
         [
             lambda: mp_spectral_model(1.0, 0.5, ERF_COEFFS),
             lambda: mp_spectral_model(1.0, 2.0, ERF_COEFFS),
-            lambda: empirical_spectral_model(5, 300, 150, ERF_COEFFS),
         ],
-        ids=["mp-atom", "mp-no-atom", "empirical"],
+        ids=["mp-atom", "mp-no-atom"],
     )
     def test_rows_equal_scalar_calls_bit_for_bit(self, make_model):
         model = make_model()
@@ -201,12 +200,6 @@ class TestStackedSpectralIntegral:
         assert model.bulk_grid[1][0] == pytest.approx(4.0 / 3.0)
         g = lambda s: np.array([np.ones_like(s), np.full_like(s, np.finfo(float).max)])
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="bulk"):
-            spectral_integral(model, g)
-
-    def test_empirical_non_finite_row_raises(self):
-        model = empirical_spectral_model(5, 60, 30, ERF_COEFFS)
-        g = lambda s: np.array([np.ones_like(s), np.where(s == s[0], np.nan, 1.0)])
-        with pytest.raises(NumericalError, match="empirical"):
             spectral_integral(model, g)
 
 
