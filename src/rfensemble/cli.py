@@ -300,6 +300,8 @@ def cmd_simulate(cfg: dict, args) -> int:
         _check("simulate.seeds", seed, "simulate.seed")
     if run["seeds"] is not None and len(run["seeds"]) != run["trials"]:
         raise ConfigError(f"field 'simulate.seeds' must hold one seed per trial, got {len(run['seeds'])}")
+    if run["estimator"] == "mean" and _read(cfg, "loss") != "square":
+        raise ConfigError("field 'simulate.estimator' must not be 'mean' for a margin loss: it never equals a label")
     axis = _read(cfg, "axis")
     if run["trials"] > 0 and axis not in ("p_over_n", "alpha"):
         raise ConfigError(

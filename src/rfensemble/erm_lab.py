@@ -38,6 +38,8 @@ DEFAULT_TEST_SAMPLES = 10_000
 # the float64 cancellation floor of the gradient sums
 _NEWTON_GRAD_TOL = 1e-9
 _NEWTON_MAX_ITER = 100
+# rows of sampled test points featurized at a time
+_TEST_CHUNK = 1024
 
 
 def derive_seed(*parts) -> tuple:
@@ -152,13 +154,39 @@ def train_ridge(features: Sequence[np.ndarray], y: np.ndarray, lam: float) -> tu
     return np.column_stack(ws), np.array(resids)
 
 
-def _logistic_objective(U: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> float:
-    z = preactivation(U, w)
+def _logistic_objective(z: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> float:
+    """The summed logistic objective at weights w with pre-activations z = Uw/sqrt(p)."""
     return float(np.sum(np.logaddexp(0.0, -y * z)) + 0.5 * lam * w @ w)
+
+
+def _newton_direction(V: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
+    """Solve (V^T V + lam I_p) x = g with one Cholesky factor of the smaller Gram matrix.
+
+    For p > n the Woodbury identity keeps the factor n x n:
+    x = (g - V^T (V V^T + lam I_n)^-1 V g)/lam.
+    """
+    n, p = V.shape
+    dual = p > n
+    # a product of V with its own transpose is a symmetric rank-k update in numpy
+    M = V @ V.T if dual else V.T @ V
+    M[np.diag_indices_from(M)] += lam
+    try:
+        # numpy's Cholesky, not scipy's factor (see train_ridge)
+        factor = (np.linalg.cholesky(M), True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("logistic Newton system failed") from exc
+    if dual:
+        return (g - V.T @ cho_solve(factor, V @ g, check_finite=False)) / lam
+    return cho_solve(factor, g, check_finite=False)
 
 
 def train_logistic(features: Sequence[np.ndarray], y: np.ndarray, lam: float):
     """Newton with backtracking per learner, to near machine-precision gradients.
+
+    The Hessian U^T diag(s(1-s)) U/p + lam I is V^T V + lam I with the rows of
+    U scaled to V = U sqrt(s(1-s)/p); `_newton_direction` factors it, in
+    n-space when p > n. The pre-activations z = Uw/sqrt(p) are carried
+    through the line search and updated with the step's own pre-activations.
 
     Returns (W, gradient norms, Newton iterations), one column or entry per
     learner; the convergence target is |grad| <= _NEWTON_GRAD_TOL sqrt(p).
@@ -173,32 +201,28 @@ def train_logistic(features: Sequence[np.ndarray], y: np.ndarray, lam: float):
         sqrt_p = math.sqrt(p)
         tol = _NEWTON_GRAD_TOL * sqrt_p
         w = np.zeros(p)
+        z = np.zeros(n)
         gn = np.inf
         done_iters = _NEWTON_MAX_ITER
         for it in range(_NEWTON_MAX_ITER):
-            z = preactivation(U, w)
             s = expit(-y * z)  # = -d loss / d (y z)
             g = -U.T @ (y * s) / sqrt_p + lam * w
             gn = float(np.linalg.norm(g))
             if gn <= tol:
                 done_iters = it
                 break
-            curv = s * (1.0 - s)
-            H = (U.T * curv) @ U / p
-            H[np.diag_indices(p)] += lam
-            try:
-                step = np.linalg.solve(H, g)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError("logistic Newton system failed") from exc
-            obj = _logistic_objective(U, y, w, lam)
+            V = U * np.sqrt(s * (1.0 - s) / p)[:, None]
+            step = _newton_direction(V, g, lam)
+            dz = preactivation(U, step)
+            obj = _logistic_objective(z, y, w, lam)
             slope = float(g @ step)
             t = 1.0
             while t > 1e-10:
-                w_try = w - t * step
-                if _logistic_objective(U, y, w_try, lam) <= obj - 1e-4 * t * slope:
+                if _logistic_objective(z - t * dz, y, w - t * step, lam) <= obj - 1e-4 * t * slope:
                     break
                 t *= 0.5
             w = w - t * step
+            z = z - t * dz
         else:
             raise ConvergenceError(f"logistic Newton stalled at gradient norm {gn:.3e} (tol {tol:.1e})")
         ws.append(w)
@@ -312,8 +336,35 @@ class ExperimentResult:
         return out
 
 
+def _sampled_test_scores(seed, theta, teacher, ensemble, W, samples):
+    """Labels (samples,) and scores (samples, K) of fresh test points, featurized in row chunks.
+
+    The points come from the trial's "test" stream, drawn _TEST_CHUNK rows at
+    a time, which gives the rows of one (samples, d) draw, so memory does not
+    grow with `samples` beyond the labels and scores. The last chunk takes the
+    remainder: a BLAS product over a few rows takes another kernel and rounds
+    differently, so no chunk is shorter than _TEST_CHUNK rows unless it is the
+    only one.
+    """
+    rng = np.random.default_rng(derive_seed(seed, "test"))
+    y = np.empty(samples)
+    scores = np.empty((samples, W.shape[1]))
+    bounds = list(range(0, samples, _TEST_CHUNK))[: max(1, samples // _TEST_CHUNK)] + [samples]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        X = rng.standard_normal((stop - start, ensemble.d))
+        y[start:stop] = apply_teacher(teacher_field(X, theta), teacher)
+        for k, U in enumerate(featurize(X, ensemble)):
+            scores[start:stop, k] = preactivation(U, W[:, k])
+    return y, scores
+
+
 def _default_estimator(spec: ChannelSpec) -> str:
     return "mean" if spec.loss == "square" else "avg_sign"
+
+
+def _check_test_samples(test_samples: int) -> None:
+    if not test_samples >= 1:
+        raise ConfigError(f"test_samples must be >= 1, got {test_samples!r}")
 
 
 def run_trial(
@@ -331,6 +382,7 @@ def run_trial(
     activation: Callable = erf,
     test_samples: int = DEFAULT_TEST_SAMPLES,
 ) -> TrialRecord:
+    _check_test_samples(test_samples)
     try:
         dataset = generate_dataset(n, d, rho, spec.teacher, seed)
         ensemble = sample_feature_ensemble(
@@ -355,20 +407,16 @@ def run_trial(
         if spec.loss == "square" and estimator == "mean" and activation is erf:
             test_error = square_test_error_erf(dataset.theta, ensemble, W)
         else:
-            rng_test = np.random.default_rng(derive_seed(seed, "test"))
-            X_test = rng_test.standard_normal((test_samples, d))
-            y_test = apply_teacher(teacher_field(X_test, dataset.theta), spec.teacher)
-            test_features = featurize(X_test, ensemble)
-            scores = np.column_stack([preactivation(U, W[:, k]) for k, U in enumerate(test_features)])
+            y_test, scores = _sampled_test_scores(seed, dataset.theta, spec.teacher, ensemble, W, test_samples)
             y_hat = resolve_estimator(estimator).f_hat(scores)
             if spec.loss == "square":
                 test_error = float(np.mean((y_test - y_hat) ** 2))
             else:
                 test_error = float(np.mean(y_test != y_hat))
             if K >= 2 and spec.teacher == "sign":
-                signs = np.where(scores >= 0, 1.0, -1.0)
+                positive = scores >= 0
                 pair_dis = [
-                    float(np.mean(signs[:, a] != signs[:, b])) for a in range(K) for b in range(a + 1, K)
+                    float(np.mean(positive[:, a] != positive[:, b])) for a in range(K) for b in range(a + 1, K)
                 ]
                 disagreement = float(np.mean(pair_dis))
         return TrialRecord(
@@ -411,7 +459,10 @@ def run_experiment(
     """
     if trials < 0:
         raise ConfigError("trials must be >= 0")
+    _check_test_samples(test_samples)
     estimator = estimator or _default_estimator(spec)
+    if estimator == "mean" and spec.loss != "square":
+        raise ConfigError(f"estimator 'mean' never equals a +-1 label; loss {spec.loss!r} needs a sign estimator")
     if seeds is None:
         seeds = [(master_seed, t) for t in range(trials)]
     elif len(seeds) != trials:

@@ -274,6 +274,8 @@ def generic_gen_error(
         raise ConfigError(f"unknown teacher {teacher!r}")
     if metric not in ("mse", "zero_one"):
         raise ConfigError(f"unknown metric {metric!r}")
+    if estimator == "mean" and metric == "zero_one":
+        raise ConfigError("estimator 'mean' predicts real values, which the zero-one metric counts as always wrong")
     if teacher != "sign":
         positive = None  # the boolean form is scored against the sign teacher only
     size = min(MC_BLOCK, samples)

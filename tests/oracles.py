@@ -24,18 +24,24 @@
 - The Monte Carlo block sampler and error estimate (row 24) as they were
   before the sampler worked in place; the package must draw the same
   samples and return the same estimate bit for bit.
+- The logistic ERM trainer (row 27) as a dense Newton: the p x p Hessian
+  from a general product, solved by LU, with the objective recomputed from
+  w; the factored trainer must take the same Newton steps.
+- A sampled-path ERM trial (row 27) with its test points drawn at once and
+  featurized as whole (test_samples, p) blocks; the streamed trial must
+  return the same record.
 """
 
 import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import erf
+from scipy.special import erf, expit
 
 from rfensemble import ConfigError, DomainError, NumericalError, OrderParams, prox_hinge, teacher_z0
-from rfensemble import solver
+from rfensemble import erm_lab, solver
 from rfensemble.channels import ConjugateParams, channel_update
-from rfensemble.observables import MC_BLOCK
+from rfensemble.observables import MC_BLOCK, resolve_estimator
 from rfensemble.priors import kernel_channel_update, kernel_prior_update, prior_update_spectral
 from rfensemble.spectrum import sample_feature_matrix
 
@@ -455,3 +461,81 @@ def gen_error_oracle(cov, estimator, metric, samples, seed):
         done += count
     mean = total / samples
     return mean, math.sqrt(max(total_sq / samples - mean**2, 0.0) / samples)
+
+
+# ---------------------------------------------------------------------------
+# ERM lab: dense Newton and whole-array test scoring
+# ---------------------------------------------------------------------------
+
+
+def train_logistic_lu_oracle(features, y, lam):
+    """`erm_lab.train_logistic` as a dense p x p Newton: the Hessian from a general
+    matrix product, solved by LU, and the objective recomputed from w at every
+    line-search trial. Same stopping rule, backtracking constants and return."""
+    ws, gns, its = [], [], []
+    for U in features:
+        n, p = U.shape
+        sqrt_p = math.sqrt(p)
+        tol = erm_lab._NEWTON_GRAD_TOL * sqrt_p
+        w = np.zeros(p)
+
+        def objective(wv):
+            return float(np.sum(np.logaddexp(0.0, -y * erm_lab.preactivation(U, wv))) + 0.5 * lam * wv @ wv)
+
+        for it in range(erm_lab._NEWTON_MAX_ITER):
+            s = expit(-y * erm_lab.preactivation(U, w))
+            g = -U.T @ (y * s) / sqrt_p + lam * w
+            gn = float(np.linalg.norm(g))
+            if gn <= tol:
+                break
+            H = (U.T * (s * (1.0 - s))) @ U / p
+            H[np.diag_indices(p)] += lam
+            step = np.linalg.solve(H, g)
+            obj = objective(w)
+            slope = float(g @ step)
+            t = 1.0
+            while t > 1e-10:
+                if objective(w - t * step) <= obj - 1e-4 * t * slope:
+                    break
+                t *= 0.5
+            w = w - t * step
+        else:
+            raise AssertionError(f"oracle Newton stalled at gradient norm {gn:.3e}")
+        ws.append(w)
+        gns.append(gn)
+        its.append(it)
+    return np.column_stack(ws), np.array(gns), np.array(its)
+
+
+def sampled_trial_oracle(trial, seed, spec, coeffs, n, p, d, K, rho, lam, estimator, activation, test_samples):
+    """`erm_lab.run_trial` on the sampled test path, from the package's public pieces,
+    with the test points drawn at once and featurized as one (test_samples, p) block
+    per learner."""
+    ds = erm_lab.generate_dataset(n, d, rho, spec.teacher, seed)
+    ens = erm_lab.sample_feature_ensemble(
+        K, p, d, coeffs, ds.theta, seed=erm_lab.derive_seed(seed, "features"), activation=activation
+    )
+    feats = erm_lab.featurize(ds.X, ens)
+    if spec.loss == "square":
+        W, gns = erm_lab.train_ridge(feats, ds.y, lam)
+    else:
+        W, gns, _ = erm_lab.train_logistic(feats, ds.y, lam)
+    ov = erm_lab.empirical_overlaps(ens, W)
+    z_train = np.column_stack([erm_lab.preactivation(U, W[:, k]) for k, U in enumerate(feats)])
+    if spec.loss == "square":
+        train_loss = float(np.mean(0.5 * (ds.y[:, None] - z_train) ** 2))
+    else:
+        train_loss = float(np.mean(np.logaddexp(0.0, -ds.y[:, None] * z_train)))
+    X = np.random.default_rng(erm_lab.derive_seed(seed, "test")).standard_normal((test_samples, d))
+    y = erm_lab.apply_teacher(erm_lab.teacher_field(X, ds.theta), spec.teacher)
+    scores = np.column_stack([erm_lab.preactivation(U, W[:, k]) for k, U in enumerate(erm_lab.featurize(X, ens))])
+    y_hat = resolve_estimator(estimator).f_hat(scores)
+    test_error = float(np.mean((y - y_hat) ** 2 if spec.loss == "square" else y != y_hat))
+    disagreement = math.nan
+    if K >= 2 and spec.teacher == "sign":
+        signs = _sign_pm1_oracle(scores)
+        disagreement = float(np.mean([np.mean(signs[:, a] != signs[:, b]) for a in range(K) for b in range(a + 1, K)]))
+    return erm_lab.TrialRecord(
+        trial=trial, seed=seed, ok=True, m=ov.m, q0=ov.q0, q1=ov.q1, train_loss=train_loss,
+        test_error=test_error, disagreement=disagreement, grad_norm_max=float(np.max(gns)),
+    )

@@ -508,6 +508,8 @@ class TestResolver:
              "'simulate.test_samples'"),
             ("simulate", dict(SIM_CFG, simulate={"trials": 2, "d": 20, "estimator": "medain"}),
              "'simulate.estimator'"),
+            ("simulate", dict(SIM_CFG, loss="logistic", simulate={"trials": 2, "d": 20, "estimator": "mean"}),
+             "'simulate.estimator'"),
             ("simulate", dict(SIM_CFG, simulate={"trials": 2, "d": 20, "seeds": 5}), "'simulate.seeds'"),
             ("simulate", dict(SIM_CFG, simulate={"trials": 2, "d": 20, "seeds": [1, 2, 3]}), "'simulate.seeds'"),
             ("sweep", dict(SWEEP_CFG, simulate={"trials": -2, "d": 40}), "'simulate.trials'"),
@@ -518,7 +520,7 @@ class TestResolver:
         ],
         ids=["resolution-negative", "resolution-0", "activation-list", "out-9", "out-1", "tol-true",
              "max_iters-negative", "max_iters-0", "trials-negative", "trials-fraction", "d-0", "d-missing",
-             "test_samples-negative", "test_samples-0", "estimator-misspelled", "seeds-number",
+             "test_samples-negative", "test_samples-0", "estimator-misspelled", "estimator-mean-margin", "seeds-number",
              "seeds-wrong-length", "sweep-reads-simulate-values", "seeds-strings", "seed-negative", "alpha-0",
              "alpha-grid-negative"],
     )

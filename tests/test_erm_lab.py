@@ -1,8 +1,10 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, expit
 
 from rfensemble import (
     ChannelSpec,
@@ -27,7 +29,9 @@ from rfensemble import (
     training_loss,
 )
 from rfensemble import erm_lab
-from rfensemble.erm_lab import TrialRecord, derive_seed, preactivation, run_trial, teacher_field
+from rfensemble.erm_lab import derive_seed, preactivation, run_trial, teacher_field
+from rfensemble.errors import NumericalError
+from oracles import sampled_trial_oracle, train_logistic_lu_oracle
 
 COEFFS = activation_coeffs(erf, gauss_hermite_rule(201))
 SQUARE = ChannelSpec(loss="square", teacher="linear")
@@ -191,6 +195,37 @@ class TestTrainLogistic:
         assert gns[0] <= 1e-9 * math.sqrt(len(w))
 
 
+class TestLogisticNewtonStep:
+    """The factored Newton step against the dense p x p LU Newton it replaced."""
+
+    @pytest.mark.parametrize("lam", [1e-2, 1e-4])
+    @pytest.mark.parametrize("n,p", [(120, 60), (120, 120), (120, 240)], ids=["p<n", "p=n", "p=2n-woodbury"])
+    def test_matches_dense_lu_newton(self, n, p, lam):
+        seed = (50, n, p)
+        ds = generate_dataset(n, 60, 1.0, "sign", seed)
+        ens = sample_feature_ensemble(2, p, 60, COEFFS, ds.theta, seed=derive_seed(seed, "features"), activation=erf)
+        feats = featurize(ds.X, ens)
+        W, gns, its = train_logistic(feats, ds.y, lam)
+        W_lu, _, its_lu = train_logistic_lu_oracle(feats, ds.y, lam)
+        np.testing.assert_array_equal(its, its_lu)
+        for k, U in enumerate(feats):
+            w = W[:, k]
+            assert np.linalg.norm(w - W_lu[:, k]) <= 1e-12 * np.linalg.norm(W_lu[:, k])
+            # the gradient at the returned weights, recomputed from U rather than carried
+            s = expit(-ds.y * preactivation(U, w))
+            grad = -U.T @ (ds.y * s) / math.sqrt(p) + lam * w
+            assert np.linalg.norm(grad) <= 1e-8 * math.sqrt(p)
+            assert gns[k] <= 1e-9 * math.sqrt(p)
+
+    @pytest.mark.parametrize("n,p", [(16, 4), (4, 16)], ids=["p<n", "p>n-woodbury"])
+    def test_failed_cholesky_raises_numerical_error(self, n, p):
+        # constant features give a rank-one Gram matrix whose entries are exact in
+        # binary at the first step (s = 1/2), so its second pivot is exactly 0 once
+        # a lam below the rounding of 1 is added
+        with pytest.raises(NumericalError, match="Newton system"):
+            train_logistic([np.ones((n, p))], np.ones(n), 1e-20)
+
+
 class TestEmpiricalOverlaps:
     def test_zero_weights(self):
         ens = sample_feature_ensemble(2, 30, 20, COEFFS, np.zeros(20), seed=24)
@@ -245,6 +280,24 @@ class TestRunExperiment:
         b = run_experiment(SQUARE, COEFFS, **kwargs)
         for ra, rb in zip(a.records, b.records):
             assert ra == rb
+
+    def test_mean_estimator_rejected_for_a_margin_loss(self):
+        # real-valued predictions never equal a +-1 label, so every test point would count as an error
+        with pytest.raises(ConfigError, match="'mean'"):
+            run_experiment(LOGISTIC, COEFFS, n=30, p=20, d=10, K=2, rho=1.0, lam=0.5, trials=2,
+                           estimator="mean", activation=erf, test_samples=100)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_nonpositive_test_samples_rejected_before_any_trial(self, samples):
+        def no_trials(*args):
+            raise AssertionError("ran a trial before rejecting test_samples")
+
+        with pytest.raises(ConfigError, match="test_samples"):
+            run_experiment(LOGISTIC, COEFFS, n=30, p=20, d=10, K=2, rho=1.0, lam=0.5, trials=2,
+                           activation=erf, test_samples=samples, map_fn=no_trials)
+        with pytest.raises(ConfigError, match="test_samples"):
+            run_trial(0, (53, 0), LOGISTIC, COEFFS, n=30, p=20, d=10, K=2, rho=1.0, lam=0.5,
+                      estimator="avg_sign", activation=erf, test_samples=samples)
 
     def test_failures_recorded_not_raised(self):
         hinge = ChannelSpec(loss="hinge", teacher="sign")
@@ -335,26 +388,45 @@ class TestRunTrialTestError:
         assert len(calls) == 2
         assert calls[1].shape == (self.KW["test_samples"], self.KW["d"])
 
-    def test_logistic_trial_matches_the_sampled_path(self):
-        # oracle: the sampled test path rebuilt from the public pieces
-        seed, n, p, d, K, lam, samples = (45, 0), 80, 60, 30, 2, 1e-2, 400
-        rec = run_trial(3, seed, LOGISTIC, COEFFS, n=n, p=p, d=d, K=K, rho=1.0, lam=lam,
-                        estimator="avg_sign", activation=erf, test_samples=samples)
-        ds = generate_dataset(n, d, 1.0, "sign", seed)
-        ens = sample_feature_ensemble(K, p, d, COEFFS, ds.theta, seed=derive_seed(seed, "features"), activation=erf)
-        feats = featurize(ds.X, ens)
-        W, gns, _ = train_logistic(feats, ds.y, lam)
-        ov = empirical_overlaps(ens, W)
-        z_train = np.column_stack([preactivation(U, W[:, k]) for k, U in enumerate(feats)])
-        X = np.random.default_rng(derive_seed(seed, "test")).standard_normal((samples, d))
-        y = np.where(teacher_field(X, ds.theta) >= 0, 1.0, -1.0)
-        scores = np.column_stack([preactivation(U, W[:, k]) for k, U in enumerate(featurize(X, ens))])
-        signs = np.where(scores >= 0, 1.0, -1.0)
-        want = TrialRecord(
-            trial=3, seed=seed, ok=True, m=ov.m, q0=ov.q0, q1=ov.q1,
-            train_loss=float(np.mean(np.logaddexp(0.0, -ds.y[:, None] * z_train))),
-            test_error=float(np.mean(y != np.where(scores.sum(axis=1) >= 0, 1.0, -1.0))),
-            disagreement=float(np.mean([float(np.mean(signs[:, 0] != signs[:, 1]))])),
-            grad_norm_max=float(np.max(gns)),
-        )
-        assert rec == want
+
+CHUNK = erm_lab._TEST_CHUNK
+
+
+class TestStreamedTestScores:
+    """The sampled test error, featurized in row chunks, against one whole-array draw."""
+
+    KW = dict(n=80, p=60, d=30, rho=1.0, lam=1e-2)
+
+    @pytest.mark.parametrize("samples", [1, CHUNK - 1, CHUNK, CHUNK + 1, 5000])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("estimator", ["avg_sign", "majority"])
+    def test_logistic_record_equals_whole_array_scoring(self, samples, K, estimator):
+        args = (3, (54, samples, K), LOGISTIC, COEFFS)
+        kw = dict(self.KW, K=K, estimator=estimator, activation=erf, test_samples=samples)
+        assert run_trial(*args, **kw) == sampled_trial_oracle(*args, **kw)
+
+    @pytest.mark.parametrize("samples", [1, CHUNK - 1, CHUNK, CHUNK + 1, 5000])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_tanh_mean_record_equals_whole_array_scoring(self, samples, K):
+        coeffs = activation_coeffs(np.tanh, gauss_hermite_rule(201))
+        args = (4, (55, samples, K), SQUARE, coeffs)
+        kw = dict(self.KW, K=K, estimator="mean", activation=np.tanh, test_samples=samples)
+        rec, want = run_trial(*args, **kw), sampled_trial_oracle(*args, **kw)
+        # with one BLAS thread the two agree bit for bit; with several, a product over the
+        # whole block splits its rows between threads by its length, and a row at a split
+        # may round differently, so the mean squared error is held to rounding
+        assert rec == dataclasses.replace(want, test_error=rec.test_error)
+        assert rec.test_error == pytest.approx(want.test_error, rel=1e-13, abs=0)
+
+    def test_memory_does_not_grow_with_test_samples(self):
+        # one whole (200k, d) draw is 48 MB before any feature block is built
+        samples, d = 200_000, 30
+        tracemalloc.start()
+        try:
+            rec = run_trial(0, (56, 0), LOGISTIC, COEFFS, n=60, p=50, d=d, K=2, rho=1.0, lam=1e-2,
+                            estimator="avg_sign", activation=erf, test_samples=samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rec.ok
+        assert peak <= 16e6, f"traced peak {peak / 1e6:.1f} MB"

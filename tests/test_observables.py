@@ -286,6 +286,12 @@ class TestMonteCarlo:
         with pytest.raises(ConfigError):
             generic_gen_error(cov(K=1), "avg_sign", "zero_one", 100, seed=0)
 
+    @pytest.mark.parametrize("teacher", [None, "sign"])
+    def test_rejects_mean_estimator_under_zero_one(self, teacher):
+        # a real-valued prediction never equals a label, so the estimate would read 1.0
+        with pytest.raises(ConfigError, match="'mean'"):
+            generic_gen_error(cov(K=2), "mean", "zero_one", 10**4, seed=0, teacher=teacher)
+
 
 class TestConfidenceDensity:
     def test_symmetry(self):
