@@ -14,6 +14,7 @@ import difflib
 import json
 import math
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -344,7 +345,8 @@ def _simulate_point(point: TheoryProblem, fp: FixedPoint, run: dict, map_fn) -> 
     The largest finite K of the config is trained, K = 1 when it lists only "inf".
     The test error has a theory only for the estimator of `ensemble_test_error`:
     `mean` for the square loss, `avg_sign` for a margin loss. Another estimator
-    gets no `z_test_error`, and `sim_status` says so.
+    gets no `z_test_error`, and `sim_status` says so. Failed trials are counted
+    in `sim_status` by error class, most frequent first, before the first one's error.
     """
     n = int(round(run["d"] * point.n_over_d))
     p = int(round(n / point.alpha))
@@ -357,8 +359,13 @@ def _simulate_point(point: TheoryProblem, fp: FixedPoint, run: dict, map_fn) -> 
     out = {"trials": run["trials"], "failures": agg["failures"]}
     for name in ("m", "q0", "q1", "test_error", "train_loss", "disagreement"):
         out[f"emp_{name}"], out[f"emp_{name}_se"] = agg[name]["mean"], agg[name]["std_error"]
-    failed = [r for r in result.records if not r.ok]
-    status = [f"{len(failed)} failed trials; first: {failed[0].error}"] if failed else []
+    failed = [r.error for r in result.records if not r.ok]
+    status = []
+    if failed:
+        # a trial's error reads "<error class>: <message>"
+        by_class = Counter(error.split(":", 1)[0] for error in failed).most_common()
+        counts = ", ".join(f"{count} {name}" for name, count in by_class)
+        status.append(f"{len(failed)} failed trials: {counts}; first: {failed[0]}")
     theory = {"m": fp.params.m, "q0": fp.params.q0, "q1": fp.params.q1}
     loss, estimator = point.spec.loss, run["estimator"]
     if estimator in (None, "mean" if loss == "square" else "avg_sign"):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -105,7 +105,17 @@ def featurize(X: np.ndarray, ensemble: FeatureEnsemble) -> list[np.ndarray]:
     X = np.asarray(X)
     if X.shape[1] != ensemble.d:
         raise ConfigError(f"inputs have d={X.shape[1]} but ensemble expects d={ensemble.d}")
-    return [ensemble.activation(X @ F.T / math.sqrt(ensemble.d)) for F in ensemble.F_list]
+    blocks = []
+    for F in ensemble.F_list:
+        A = X @ F.T
+        A /= math.sqrt(ensemble.d)
+        blocks.append(ensemble.activation(A))
+    return blocks
+
+
+def _learners(ensemble: FeatureEnsemble) -> list[FeatureEnsemble]:
+    """One-learner views of the ensemble, in learner order, so a caller can featurize one block at a time."""
+    return [replace(ensemble, F_list=(F,), seeds=(seed,)) for F, seed in zip(ensemble.F_list, ensemble.seeds)]
 
 
 def _ridge_cond(U: np.ndarray, lam: float) -> float:
@@ -242,8 +252,8 @@ def square_test_error_erf(theta: np.ndarray, ensemble: FeatureEnsemble, W: np.nd
 
     so the error is |theta|^2/d - 2 wbar.e + wbar^T C wbar with wbar the
     stacked W[:, k]/(K sqrt(p)). C is symmetric: only its blocks k <= l are
-    formed, one p x p block at a time, arcsin taken in place. Uses the
-    sample's own |theta|^2/d, so the value is exact for this draw.
+    formed, each in turn in one reused p x p buffer, arcsin taken in place.
+    Uses the sample's own |theta|^2/d, so the value is exact for this draw.
     """
     K, p, d = ensemble.K, ensemble.p, ensemble.d
     F = ensemble.F_list
@@ -251,9 +261,10 @@ def square_test_error_erf(theta: np.ndarray, ensemble: FeatureEnsemble, W: np.nd
     w_bar = [W[:, k] / (K * math.sqrt(p)) for k in range(K)]
     cross = sum(w_bar[k] @ ((F[k] @ theta / d) * s[k]) for k in range(K)) * (2.0 / math.sqrt(math.pi))
     quad = 0.0
+    C = np.empty((p, p))
     for k in range(K):
         for l in range(k, K):
-            C = F[k] @ F[l].T
+            np.matmul(F[k], F[l].T, out=C)
             C *= (2.0 / d) * s[k][:, None]
             C *= s[l][None, :]
             np.arcsin(C, out=C)
@@ -340,20 +351,23 @@ def _sampled_test_scores(seed, theta, teacher, ensemble, W, samples):
     """Labels (samples,) and scores (samples, K) of fresh test points, featurized in row chunks.
 
     The points come from the trial's "test" stream, drawn _TEST_CHUNK rows at
-    a time, which gives the rows of one (samples, d) draw, so memory does not
-    grow with `samples` beyond the labels and scores. The last chunk takes the
-    remainder: a BLAS product over a few rows takes another kernel and rounds
-    differently, so no chunk is shorter than _TEST_CHUNK rows unless it is the
-    only one.
+    a time, which gives the rows of one (samples, d) draw, and each chunk is
+    featurized one learner at a time, so memory grows neither with `samples`
+    beyond the labels and scores nor with K beyond one column of scores. The
+    last chunk takes the remainder: a BLAS product over a few rows takes
+    another kernel and rounds differently, so no chunk is shorter than
+    _TEST_CHUNK rows unless it is the only one.
     """
     rng = np.random.default_rng(derive_seed(seed, "test"))
+    learners = _learners(ensemble)
     y = np.empty(samples)
     scores = np.empty((samples, W.shape[1]))
     bounds = list(range(0, samples, _TEST_CHUNK))[: max(1, samples // _TEST_CHUNK)] + [samples]
     for start, stop in zip(bounds[:-1], bounds[1:]):
         X = rng.standard_normal((stop - start, ensemble.d))
         y[start:stop] = apply_teacher(teacher_field(X, theta), teacher)
-        for k, U in enumerate(featurize(X, ensemble)):
+        for k, learner in enumerate(learners):
+            (U,) = featurize(X, learner)
             scores[start:stop, k] = preactivation(U, W[:, k])
     return y, scores
 
@@ -388,16 +402,23 @@ def run_trial(
         ensemble = sample_feature_ensemble(
             K, p, d, coeffs, dataset.theta, seed=derive_seed(seed, "features"), activation=activation
         )
-        features = featurize(dataset.X, ensemble)
-        if spec.loss == "square":
-            W, grad_norms = train_ridge(features, dataset.y, lam)
-        elif spec.loss == "logistic":
-            W, grad_norms, _ = train_logistic(features, dataset.y, lam)
-        else:
+        # looked up at call time, so a wrapper set on the module is the one called
+        trainer = {"square": train_ridge, "logistic": train_logistic}.get(spec.loss)
+        if trainer is None:
             raise ConfigError(f"no trainer for loss {spec.loss!r}")
+        # one learner's n x p training features at a time: featurize, train, score, drop
+        W = np.empty((p, K))
+        z_train = np.empty((n, K))
+        grad_norms = np.empty(K)
+        for k, learner in enumerate(_learners(ensemble)):
+            (U,) = featurize(dataset.X, learner)
+            trained = trainer([U], dataset.y, lam)
+            W[:, k] = trained[0][:, 0]
+            grad_norms[k] = trained[1][0]
+            z_train[:, k] = preactivation(U, W[:, k])
+            del U
         overlaps = empirical_overlaps(ensemble, W)
 
-        z_train = np.column_stack([preactivation(U, W[:, k]) for k, U in enumerate(features)])
         if spec.loss == "square":
             train_loss = float(np.mean(0.5 * (dataset.y[:, None] - z_train) ** 2))
         else:

@@ -27,9 +27,12 @@
 - The logistic ERM trainer (row 27) as a dense Newton: the p x p Hessian
   from a general product, solved by LU, with the objective recomputed from
   w; the factored trainer must take the same Newton steps.
-- A sampled-path ERM trial (row 27) with its test points drawn at once and
-  featurized as whole (test_samples, p) blocks; the streamed trial must
-  return the same record.
+- An ERM trial (rows 27-29) on the whole ensemble: all K training feature
+  blocks featurized in one call and trained together, the exact ridge test
+  error where the trial takes it, else test points featurized for all
+  learners at once, either drawn at once as whole (test_samples, p) blocks
+  or in the trial's row chunks; the trial, which holds one learner's
+  features at a time, must return the same record.
 """
 
 import math
@@ -507,10 +510,18 @@ def train_logistic_lu_oracle(features, y, lam):
     return np.column_stack(ws), np.array(gns), np.array(its)
 
 
-def sampled_trial_oracle(trial, seed, spec, coeffs, n, p, d, K, rho, lam, estimator, activation, test_samples):
-    """`erm_lab.run_trial` on the sampled test path, from the package's public pieces,
-    with the test points drawn at once and featurized as one (test_samples, p) block
-    per learner."""
+def whole_ensemble_trial_oracle(
+    trial, seed, spec, coeffs, n, p, d, K, rho, lam, estimator, activation, test_samples, chunk=None
+):
+    """`erm_lab.run_trial` from the package's public pieces, every step on all K learners at once.
+
+    The training inputs are featurized in one call over the whole ensemble and
+    trained in one trainer call. The square-loss `mean` trial with a linear
+    teacher and erf features takes the exact test error; any other trial draws
+    its test points at once (`chunk` None) or `chunk` rows at a time, the last
+    chunk taking the remainder, and featurizes each draw for every learner in
+    one call.
+    """
     ds = erm_lab.generate_dataset(n, d, rho, spec.teacher, seed)
     ens = erm_lab.sample_feature_ensemble(
         K, p, d, coeffs, ds.theta, seed=erm_lab.derive_seed(seed, "features"), activation=activation
@@ -526,15 +537,31 @@ def sampled_trial_oracle(trial, seed, spec, coeffs, n, p, d, K, rho, lam, estima
         train_loss = float(np.mean(0.5 * (ds.y[:, None] - z_train) ** 2))
     else:
         train_loss = float(np.mean(np.logaddexp(0.0, -ds.y[:, None] * z_train)))
-    X = np.random.default_rng(erm_lab.derive_seed(seed, "test")).standard_normal((test_samples, d))
-    y = erm_lab.apply_teacher(erm_lab.teacher_field(X, ds.theta), spec.teacher)
-    scores = np.column_stack([erm_lab.preactivation(U, W[:, k]) for k, U in enumerate(erm_lab.featurize(X, ens))])
-    y_hat = resolve_estimator(estimator).f_hat(scores)
-    test_error = float(np.mean((y - y_hat) ** 2 if spec.loss == "square" else y != y_hat))
     disagreement = math.nan
-    if K >= 2 and spec.teacher == "sign":
-        signs = _sign_pm1_oracle(scores)
-        disagreement = float(np.mean([np.mean(signs[:, a] != signs[:, b]) for a in range(K) for b in range(a + 1, K)]))
+    if spec.loss == "square" and estimator == "mean" and activation is erf:
+        test_error = erm_lab.square_test_error_erf(ds.theta, ens, W)
+    else:
+        rng = np.random.default_rng(erm_lab.derive_seed(seed, "test"))
+        if chunk is None:
+            sizes = [test_samples]
+        else:
+            sizes = [chunk] * max(0, test_samples // chunk - 1)
+            sizes.append(test_samples - sum(sizes))
+        y, scores = [], []
+        for rows in sizes:
+            X = rng.standard_normal((rows, d))
+            y.append(erm_lab.apply_teacher(erm_lab.teacher_field(X, ds.theta), spec.teacher))
+            scores.append(
+                np.column_stack([erm_lab.preactivation(U, W[:, k]) for k, U in enumerate(erm_lab.featurize(X, ens))])
+            )
+        y, scores = np.concatenate(y), np.concatenate(scores)
+        y_hat = resolve_estimator(estimator).f_hat(scores)
+        test_error = float(np.mean((y - y_hat) ** 2 if spec.loss == "square" else y != y_hat))
+        if K >= 2 and spec.teacher == "sign":
+            signs = _sign_pm1_oracle(scores)
+            disagreement = float(
+                np.mean([np.mean(signs[:, a] != signs[:, b]) for a in range(K) for b in range(a + 1, K)])
+            )
     return erm_lab.TrialRecord(
         trial=trial, seed=seed, ok=True, m=ov.m, q0=ov.q0, q1=ov.q1, train_loss=train_loss,
         test_error=test_error, disagreement=disagreement, grad_norm_max=float(np.max(gns)),

@@ -11,8 +11,10 @@ from rfensemble import (
     ChannelSpec,
     ConfigError,
     ConjugateParams,
+    ConvergenceError,
     EnsembleCovariance,
     FixedPoint,
+    NumericalError,
     OrderParams,
     activation_coeffs,
     classification_error_avg,
@@ -21,7 +23,7 @@ from rfensemble import (
     mse_test_error,
     training_loss,
 )
-from rfensemble import cli
+from rfensemble import cli, erm_lab
 from rfensemble.cli import main, observable_row, parse_problem, solve_options_from, solve_point
 from rfensemble.corpus import GoldenRecord, evaluate_record
 
@@ -337,7 +339,34 @@ class TestSimulate:
         assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 4
         header, rows = read_csv(out)
         assert int(rows[0][header.index("failures")]) == 2
-        assert rows[0][header.index("sim_status")] == "2 failed trials; first: ConfigError: no trainer for loss 'hinge'"
+        assert rows[0][header.index("sim_status")] == (
+            "2 failed trials: 2 ConfigError; first: ConfigError: no trainer for loss 'hinge'"
+        )
+
+    def test_failed_trials_counted_by_error_class(self, tmp_path, monkeypatch):
+        # the ridge trainer fails on chosen seeds, each trial's data told apart by its labels
+        n_over_d, d, seeds = SIM_CFG["n_over_d"], 20, [10, 11, 12, 13, 14]
+        failing = {11: NumericalError("ridge normal equations failed"), 12: ConvergenceError("stalled"),
+                   14: NumericalError("ridge optimality residual too large")}
+        labels = {erm_lab.generate_dataset(int(n_over_d * d), d, 1.0, "linear", seed).y.tobytes(): seed
+                  for seed in failing}
+        real = erm_lab.train_ridge
+
+        def flaky(features, y, lam):
+            if y.tobytes() in labels:
+                raise failing[labels[y.tobytes()]]
+            return real(features, y, lam)
+
+        monkeypatch.setattr(erm_lab, "train_ridge", flaky)
+        cfg = dict(SIM_CFG, grid=[1.6], simulate={"trials": 5, "d": d, "seeds": seeds, "test_samples": 200})
+        out = tmp_path / "flaky.csv"
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        header, (row,) = read_csv(out)
+        assert int(row[header.index("failures")]) == 3
+        assert row[header.index("sim_status")] == (
+            "3 failed trials: 2 NumericalError, 1 ConvergenceError; first: NumericalError: ridge normal equations failed"
+        )
+        assert math.isfinite(float(row[header.index("z_test_error")]))
 
     @pytest.mark.parametrize("block", [3, [], "x", None], ids=["number", "list", "string", "null"])
     def test_simulate_block_not_an_object_exits_2(self, tmp_path, capsys, block):

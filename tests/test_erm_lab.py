@@ -31,7 +31,7 @@ from rfensemble import (
 from rfensemble import erm_lab
 from rfensemble.erm_lab import derive_seed, preactivation, run_trial, teacher_field
 from rfensemble.errors import NumericalError
-from oracles import sampled_trial_oracle, train_logistic_lu_oracle
+from oracles import train_logistic_lu_oracle, whole_ensemble_trial_oracle
 
 COEFFS = activation_coeffs(erf, gauss_hermite_rule(201))
 SQUARE = ChannelSpec(loss="square", teacher="linear")
@@ -358,15 +358,27 @@ class TestSquareTestErrorErf:
 
 
 def _count_featurize(monkeypatch):
+    """Record each featurize call as (inputs, seeds of the learners it featurizes)."""
     calls = []
     real = erm_lab.featurize
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+    def counting(X, ensemble):
+        calls.append((X, ensemble.seeds))
+        return real(X, ensemble)
 
     monkeypatch.setattr(erm_lab, "featurize", counting)
     return calls
+
+
+def _rows_per_learner(calls, X_train):
+    """Training and test rows featurized for each learner seed, summed over the calls."""
+    train, test = {}, {}
+    for X, seeds in calls:
+        is_train = X.shape == X_train.shape and np.array_equal(X, X_train)
+        for seed in seeds:
+            rows = train if is_train else test
+            rows[seed] = rows.get(seed, 0) + X.shape[0]
+    return train, test
 
 
 class TestRunTrialTestError:
@@ -376,8 +388,11 @@ class TestRunTrialTestError:
         calls = _count_featurize(monkeypatch)
         rec = run_trial(0, (43, 0), SQUARE, COEFFS, estimator="mean", activation=erf, **self.KW)
         assert rec.ok
-        assert len(calls) == 1  # the training set only
         ds, ens, W = _trained_ensemble((43, 0), n=60, p=50, d=30, K=2, lam=0.1)
+        # the n training rows, once for each learner, and no test rows
+        train, test = _rows_per_learner(calls, ds.X)
+        assert train == {seed: self.KW["n"] for seed in ens.seeds}
+        assert test == {}
         assert rec.test_error == square_test_error_erf(ds.theta, ens, W)
 
     def test_tanh_trial_still_samples(self, monkeypatch):
@@ -385,8 +400,13 @@ class TestRunTrialTestError:
         calls = _count_featurize(monkeypatch)
         rec = run_trial(0, (44, 0), SQUARE, tanh_coeffs, estimator="mean", activation=np.tanh, **self.KW)
         assert rec.ok
-        assert len(calls) == 2
-        assert calls[1].shape == (self.KW["test_samples"], self.KW["d"])
+        ds = generate_dataset(self.KW["n"], self.KW["d"], 1.0, "linear", (44, 0))
+        seeds = sample_feature_ensemble(self.KW["K"], self.KW["p"], self.KW["d"], tanh_coeffs, ds.theta,
+                                        seed=derive_seed((44, 0), "features")).seeds
+        # the n training rows and test_samples test rows, once for each of the K learners
+        train, test = _rows_per_learner(calls, ds.X)
+        assert train == {seed: self.KW["n"] for seed in seeds}
+        assert test == {seed: self.KW["test_samples"] for seed in seeds}
 
 
 CHUNK = erm_lab._TEST_CHUNK
@@ -403,7 +423,7 @@ class TestStreamedTestScores:
     def test_logistic_record_equals_whole_array_scoring(self, samples, K, estimator):
         args = (3, (54, samples, K), LOGISTIC, COEFFS)
         kw = dict(self.KW, K=K, estimator=estimator, activation=erf, test_samples=samples)
-        assert run_trial(*args, **kw) == sampled_trial_oracle(*args, **kw)
+        assert run_trial(*args, **kw) == whole_ensemble_trial_oracle(*args, **kw)
 
     @pytest.mark.parametrize("samples", [1, CHUNK - 1, CHUNK, CHUNK + 1, 5000])
     @pytest.mark.parametrize("K", [1, 2, 3])
@@ -411,7 +431,7 @@ class TestStreamedTestScores:
         coeffs = activation_coeffs(np.tanh, gauss_hermite_rule(201))
         args = (4, (55, samples, K), SQUARE, coeffs)
         kw = dict(self.KW, K=K, estimator="mean", activation=np.tanh, test_samples=samples)
-        rec, want = run_trial(*args, **kw), sampled_trial_oracle(*args, **kw)
+        rec, want = run_trial(*args, **kw), whole_ensemble_trial_oracle(*args, **kw)
         # with one BLAS thread the two agree bit for bit; with several, a product over the
         # whole block splits its rows between threads by its length, and a row at a split
         # may round differently, so the mean squared error is held to rounding
@@ -430,3 +450,58 @@ class TestStreamedTestScores:
             tracemalloc.stop()
         assert rec.ok
         assert peak <= 16e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def _differing_fields(a, b):
+    """Names of the fields where two records differ, nan counting as equal to nan."""
+    def same(u, v):
+        return u == v or (isinstance(u, float) and isinstance(v, float) and math.isnan(u) and math.isnan(v))
+
+    return [f.name for f in dataclasses.fields(a) if not same(getattr(a, f.name), getattr(b, f.name))]
+
+
+TANH = activation_coeffs(np.tanh, gauss_hermite_rule(201))
+
+
+class TestOneLearnerAtATime:
+    """The trial featurizes, trains and scores one learner at a time; the whole ensemble at once is the oracle."""
+
+    @pytest.mark.parametrize("samples", [1, CHUNK - 1, CHUNK + 1, 3000])
+    @pytest.mark.parametrize("n,p", [(80, 40), (80, 80), (80, 160)], ids=["p<n", "p=n", "p>n"])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "spec,coeffs,activation,estimator",
+        [(SQUARE, COEFFS, erf, "mean"), (SQUARE, TANH, np.tanh, "mean"),
+         (LOGISTIC, COEFFS, erf, "avg_sign"), (LOGISTIC, COEFFS, erf, "majority")],
+        ids=["ridge-erf-exact", "ridge-tanh-mean", "logistic-avg_sign", "logistic-majority"],
+    )
+    def test_record_equals_whole_ensemble_trial(self, spec, coeffs, activation, estimator, K, n, p, samples):
+        args = (2, (57, K, n, p, samples), spec, coeffs)
+        kw = dict(n=n, p=p, d=30, K=K, rho=1.0, lam=1e-2, estimator=estimator, activation=activation,
+                  test_samples=samples)
+        rec = run_trial(*args, **kw)
+        assert rec.ok, rec.error
+        assert _differing_fields(rec, whole_ensemble_trial_oracle(*args, **kw, chunk=CHUNK)) == []
+
+    @pytest.mark.parametrize(
+        "spec,estimator,n,p,samples",
+        [(SQUARE, "mean", 200, 400, 100), (LOGISTIC, "avg_sign", 200, 200, 4096)],
+        ids=["ridge-erf-exact", "logistic-sampled"],
+    )
+    def test_peak_memory_grows_with_K_by_the_feature_matrices_alone(self, spec, estimator, n, p, samples):
+        d, slack = 100, 0.5e6
+        peaks = {}
+        for K in (1, 6):
+            tracemalloc.start()
+            try:
+                rec = run_trial(0, (58, 0), spec, COEFFS, n=n, p=p, d=d, K=K, rho=1.0, lam=1e-2,
+                                estimator=estimator, activation=erf, test_samples=samples)
+                _, peaks[K] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert rec.ok, rec.error
+        added_features = 5 * p * d * 8  # five more p x d float64 matrices F_k
+        rise = peaks[6] - peaks[1]
+        assert rise <= added_features + slack, (
+            f"peak rose {rise / 1e6:.2f} MB from K = 1 to 6, against {added_features / 1e6:.2f} MB of F"
+        )
