@@ -15,7 +15,6 @@ import json
 import math
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -301,6 +300,8 @@ def cmd_simulate(cfg: dict, args) -> int:
         _check("simulate.seeds", seed, "simulate.seed")
     if run["seeds"] is not None and len(run["seeds"]) != run["trials"]:
         raise ConfigError(f"field 'simulate.seeds' must hold one seed per trial, got {len(run['seeds'])}")
+    # the trials take their seeds through derive_seed, so one it rejects exits 2 here, before any solve
+    erm_lab.derive_seed(run["master_seed"], run["seeds"] or [])
     if run["estimator"] == "mean" and _read(cfg, "loss") != "square":
         raise ConfigError("field 'simulate.estimator' must not be 'mean' for a margin loss: it never equals a label")
     axis = _read(cfg, "axis")
@@ -317,6 +318,9 @@ def cmd_simulate(cfg: dict, args) -> int:
         executor = None
         map_fn = map
         if args.jobs and args.jobs > 1:
+            # imported here, so a run without workers does not load the process pool
+            from concurrent.futures import ProcessPoolExecutor
+
             executor = ProcessPoolExecutor(max_workers=args.jobs)
             map_fn = executor.map
         try:

@@ -23,7 +23,6 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.special import erf, expit
 
 from .channels import ChannelSpec
@@ -46,7 +45,9 @@ def derive_seed(*parts) -> tuple:
     """Flatten seed components into a SeedSequence-compatible tuple of ints.
 
     String tags (stream labels like "features") hash to stable 32-bit ints so
-    distinct streams of one trial never collide.
+    distinct streams of one trial never collide. An int must lie in
+    [0, 2**32): reducing it mod 2**32 would give seeds 0 and 2**32 the same
+    feature matrices and test points, so any other int raises ConfigError.
     """
     out = []
     for part in parts:
@@ -56,7 +57,9 @@ def derive_seed(*parts) -> tuple:
             digest = hashlib.sha256(part.encode()).digest()
             out.append(int.from_bytes(digest[:4], "little"))
         elif isinstance(part, (int, np.integer)):
-            out.append(int(part) & 0xFFFFFFFF)
+            if not 0 <= part < 2**32:
+                raise ConfigError(f"seed ints must lie in [0, 2**32), got {part}")
+            out.append(int(part))
         else:
             raise ConfigError(f"seed components must be ints, strings or tuples, got {type(part)}")
     return tuple(out)
@@ -119,19 +122,19 @@ def _learners(ensemble: FeatureEnsemble) -> list[FeatureEnsemble]:
 
 
 def _ridge_cond(U: np.ndarray, lam: float) -> float:
-    """Condition number of the system actually factored, from the singular values of U."""
+    """Condition number of the system actually solved, from the singular values of U."""
     s2 = np.linalg.svd(U, compute_uv=False) ** 2 / U.shape[1]
     return float((s2.max() + lam) / (s2.min() + lam))
 
 
 def train_ridge(features: Sequence[np.ndarray], y: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact regularized least squares per learner, one Cholesky factor each.
+    """Exact regularized least squares per learner, by LU solves of the smaller Gram matrix.
 
     The normal equations A w = b, A = U^T U/p + lam I_p, b = U^T y/sqrt(p),
     are solved in the smaller space: for p > n through the dual system
     (U U^T/p + lam I_n) a = y, w = U^T a/sqrt(p). One step of iterative
-    refinement with the same factor keeps the residual near machine precision
-    even at lam = 1e-6 close to the interpolation peak. The contract
+    refinement (a second solve, on the residual) keeps the residual near
+    machine precision even at lam = 1e-6 close to the interpolation peak. The contract
     |A w - b| <= 1e-10 max(1, |b|) is checked in p-space without forming A.
     """
     if not lam > 0:
@@ -145,14 +148,10 @@ def train_ridge(features: Sequence[np.ndarray], y: np.ndarray, lam: float) -> tu
         M[np.diag_indices_from(M)] += lam
         rhs = y if dual else b
         try:
-            # numpy's Cholesky, not scipy's cho_factor: scipy ships its own OpenBLAS,
-            # and a threaded scipy factorization between numpy GEMMs leaves the two
-            # thread pools contending for the cores (up to 8x slower at two threads)
-            factor = (np.linalg.cholesky(M), True)
+            x = np.linalg.solve(M, rhs)
+            x += np.linalg.solve(M, rhs - M @ x)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"ridge normal equations failed (cond ~ {_ridge_cond(U, lam):.2e})") from exc
-        x = cho_solve(factor, rhs, check_finite=False)
-        x += cho_solve(factor, rhs - M @ x, check_finite=False)
         w = U.T @ x / math.sqrt(p) if dual else x
         resid = float(np.linalg.norm(U.T @ (U @ w) / p + lam * w - b))
         if not resid <= 1e-10 * max(1.0, float(np.linalg.norm(b))):
@@ -170,9 +169,9 @@ def _logistic_objective(z: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float)
 
 
 def _newton_direction(V: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (V^T V + lam I_p) x = g with one Cholesky factor of the smaller Gram matrix.
+    """Solve (V^T V + lam I_p) x = g with one LU solve of the smaller Gram matrix.
 
-    For p > n the Woodbury identity keeps the factor n x n:
+    For p > n the Woodbury identity keeps the system n x n:
     x = (g - V^T (V V^T + lam I_n)^-1 V g)/lam.
     """
     n, p = V.shape
@@ -181,20 +180,18 @@ def _newton_direction(V: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
     M = V @ V.T if dual else V.T @ V
     M[np.diag_indices_from(M)] += lam
     try:
-        # numpy's Cholesky, not scipy's factor (see train_ridge)
-        factor = (np.linalg.cholesky(M), True)
+        if dual:
+            return (g - V.T @ np.linalg.solve(M, V @ g)) / lam
+        return np.linalg.solve(M, g)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("logistic Newton system failed") from exc
-    if dual:
-        return (g - V.T @ cho_solve(factor, V @ g, check_finite=False)) / lam
-    return cho_solve(factor, g, check_finite=False)
 
 
 def train_logistic(features: Sequence[np.ndarray], y: np.ndarray, lam: float):
     """Newton with backtracking per learner, to near machine-precision gradients.
 
     The Hessian U^T diag(s(1-s)) U/p + lam I is V^T V + lam I with the rows of
-    U scaled to V = U sqrt(s(1-s)/p); `_newton_direction` factors it, in
+    U scaled to V = U sqrt(s(1-s)/p); `_newton_direction` solves with it, in
     n-space when p > n. The pre-activations z = Uw/sqrt(p) are carried
     through the line search and updated with the step's own pre-activations.
 
@@ -488,6 +485,8 @@ def run_experiment(
         seeds = [(master_seed, t) for t in range(trials)]
     elif len(seeds) != trials:
         raise ConfigError("seed list length must equal trials")
+    for seed in seeds:  # a seed out of range fails here, before any trial runs
+        derive_seed(seed)
     worker = partial(
         _trial_worker, spec=spec, coeffs=coeffs, n=n, p=p, d=d, K=K, rho=rho, lam=lam,
         estimator=estimator, activation=activation, test_samples=test_samples,

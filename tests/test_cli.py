@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -399,6 +402,20 @@ class TestSimulate:
         assert "'--seed'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("block,flags", [({"seed": 2**32}, []), ({"seeds": [0, 2**32]}, []),
+                                             ({}, ["--seed", str(2**32)])], ids=["seed", "seeds", "flag"])
+    def test_seed_past_32_bits_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch, block, flags):
+        # reduced mod 2**32, seed 4294967296 trained on the features and test points of seed 0
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a point before rejecting the seed")
+
+        monkeypatch.setattr("rfensemble.cli.solve_point", no_solve)
+        cfg = dict(SIM_CFG, simulate={"trials": 2, "d": 20, **block})
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)] + flags) == 2
+        assert "2**32" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jobs_flag_gives_same_rows(self, tmp_path):
         out1 = tmp_path / "s1.csv"
         out2 = tmp_path / "s2.csv"
@@ -743,3 +760,13 @@ class TestSolverFlags:
             main([command, "--config", write_cfg(tmp_path, RIDGE_CFG), flag, "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_import_loads_neither_scipy_linalg_nor_the_process_pool():
+    # numpy's LAPACK solves the ERM systems, and only `simulate --jobs N` starts workers,
+    # so a fresh process that imports the package and the CLI needs neither module
+    code = ("import sys, rfensemble, rfensemble.cli; "
+            "print([m for m in ('scipy.linalg', 'concurrent.futures.process') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

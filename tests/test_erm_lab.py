@@ -154,6 +154,13 @@ class TestTrainRidge:
             w += np.linalg.solve(A, b - A @ w)
             assert np.linalg.norm(W[:, k] - w) <= 1e-10 * np.linalg.norm(w)
 
+    @pytest.mark.parametrize("n,p", [(16, 4), (4, 16)], ids=["p<n", "p>n-dual"])
+    def test_singular_system_raises_numerical_error(self, n, p):
+        # constant features give a rank-one Gram matrix with exact entries, so once a
+        # lam below the rounding of its entries is added the LU solve meets an exact 0 pivot
+        with pytest.raises(NumericalError, match="ridge normal equations failed"):
+            train_ridge([np.ones((n, p))], np.ones(n), 1e-20)
+
 
 class TestTrainLogistic:
     def test_large_lambda_null_predictor(self):
@@ -196,7 +203,7 @@ class TestTrainLogistic:
 
 
 class TestLogisticNewtonStep:
-    """The factored Newton step against the dense p x p LU Newton it replaced."""
+    """The Newton step on the smaller Gram matrix against the dense p x p LU Newton it replaced."""
 
     @pytest.mark.parametrize("lam", [1e-2, 1e-4])
     @pytest.mark.parametrize("n,p", [(120, 60), (120, 120), (120, 240)], ids=["p<n", "p=n", "p=2n-woodbury"])
@@ -218,10 +225,10 @@ class TestLogisticNewtonStep:
             assert gns[k] <= 1e-9 * math.sqrt(p)
 
     @pytest.mark.parametrize("n,p", [(16, 4), (4, 16)], ids=["p<n", "p>n-woodbury"])
-    def test_failed_cholesky_raises_numerical_error(self, n, p):
+    def test_singular_system_raises_numerical_error(self, n, p):
         # constant features give a rank-one Gram matrix whose entries are exact in
-        # binary at the first step (s = 1/2), so its second pivot is exactly 0 once
-        # a lam below the rounding of 1 is added
+        # binary at the first step (s = 1/2), so the LU solve meets an exact 0 pivot
+        # once a lam below the rounding of 1 is added
         with pytest.raises(NumericalError, match="Newton system"):
             train_logistic([np.ones((n, p))], np.ones(n), 1e-20)
 
@@ -271,6 +278,26 @@ class TestEmpiricalOverlaps:
             expected = math.sqrt(p_big / p_small)
             ratio = stds[p_small] / stds[p_big]
             assert expected / 2 < ratio < expected * 2
+
+
+class TestDeriveSeed:
+    @pytest.mark.parametrize("bad", [2**32, -1, np.uint64(2**63)])
+    def test_int_outside_32_bits_rejected(self, bad):
+        # reduced mod 2**32, trial seeds (0, t) and (2**32, t) drew the same features and test points
+        assert derive_seed(2**32 - 1) == (2**32 - 1,)
+        with pytest.raises(ConfigError, match=r"\[0, 2\*\*32\)"):
+            derive_seed((bad, 0), "features")
+
+    def test_colliding_master_seed_rejected_before_any_trial(self):
+        def no_trials(*args):
+            raise AssertionError("ran a trial before rejecting the seed")
+
+        kwargs = dict(n=30, p=20, d=10, K=2, rho=1.0, lam=0.5, trials=2, activation=erf, test_samples=100,
+                      map_fn=no_trials)
+        with pytest.raises(ConfigError, match=r"2\*\*32"):
+            run_experiment(SQUARE, COEFFS, master_seed=2**32, **kwargs)
+        with pytest.raises(ConfigError, match=r"2\*\*32"):
+            run_experiment(SQUARE, COEFFS, seeds=[(0, 0), (2**32, 1)], **kwargs)
 
 
 class TestRunExperiment:
