@@ -11,9 +11,11 @@ It runs, with BLAS pinned to one thread:
 - `simulate` on configs/logistic_overlaps.json cut to two grid points and
   three small trials each, hashing its CSV;
 - erm_lab.run_experiment on each ERM configuration of the benchmark's
-  erm-lab workload (rfbench/worker.py, round 0 at seed 0), on a tanh square
-  case (sampled test error) and on a hinge case (every trial fails), hashing
-  the records in the canonical form below;
+  erm-lab workload (rfbench/worker.py, round 0 at seed 0; its logistic
+  configuration takes the avg_sign estimator), on a tanh square case
+  (sampled test error), on a logistic K = 3 case with the majority
+  estimator, so that both sign estimators are pinned, and on a hinge case
+  (every trial fails), hashing the records in the canonical form below;
 - corpus.evaluate_record on every record in goldens/, hashing the repr of
   the evaluation in a canonical form: every float-like scalar is written as
   `float(v).hex()`, so a float that becomes an np.float64 of the same value
@@ -95,11 +97,11 @@ def run_cli(command: str, cfg: dict, label: str, tmp: Path) -> None:
         print(f"{sha256(stderr.getvalue().encode())}  {command} {label} stderr", flush=True)
 
 
-def run_erm(label: str, loss: str, activation, n, p, d, K, lam, trials, seeds, test_samples) -> None:
+def run_erm(label: str, loss: str, activation, n, p, d, K, lam, trials, seeds, test_samples, estimator=None) -> None:
     coeffs = activation_coeffs(activation, gauss_hermite_rule(201))
     result = erm_lab.run_experiment(
         ErmLab.spec(loss), coeffs, n=n, p=p, d=d, K=K, rho=1.0, lam=lam, trials=trials, seeds=seeds,
-        activation=activation, test_samples=test_samples,
+        estimator=estimator, activation=activation, test_samples=test_samples,
     )
     records = [canonical(dataclasses.asdict(r)) for r in result.records]
     print(f"{sha256(repr(records).encode())}  erm {label}", flush=True)
@@ -129,6 +131,8 @@ def main() -> int:
             seeds = [(0, 0, idx, t) for t in range(trials)]
             run_erm(tag, loss, erf, n, p, d, K, lam, trials, seeds, ErmLab.TEST_SAMPLES)
         run_erm("tanh-square", "square", np.tanh, 120, 100, 60, 2, 1e-2, 3, [(1, t) for t in range(3)], 2000)
+        run_erm("logistic-k3-majority", "logistic", erf, 200, 200, 100, 3, 1e-4, 3, [(3, t) for t in range(3)], 10_000,
+                estimator="majority")
         run_erm("hinge", "hinge", erf, 60, 40, 30, 2, 1e-2, 2, [(2, t) for t in range(2)], 500)
         for record in corpus.load_corpus(ROOT / "goldens"):
             try:

@@ -15,7 +15,6 @@ from .channels import (
     channel_update_hinge_closed_form,
     prox_hinge,
     prox_logistic,
-    prox_square,
     teacher_dz0,
     teacher_z0,
     training_loss,
@@ -58,7 +57,7 @@ from .priors import (
     prior_update_spectral,
     sample_feature_ensemble,
 )
-from .quadrature import QuadratureRule, QuadratureSet, expect_1d, expect_2d_correlated, gauss_hermite_rule
+from .quadrature import QuadratureRule, QuadratureSet, expect_2d_correlated, gauss_hermite_rule
 from .solver import (
     FixedPoint,
     ModelConfig,
@@ -108,7 +107,6 @@ __all__ = [
     "disagreement_probability",
     "empirical_overlaps",
     "ensemble_test_error",
-    "expect_1d",
     "expect_2d_correlated",
     "featurize",
     "gauss_hermite_rule",
@@ -122,7 +120,6 @@ __all__ = [
     "prior_update_spectral",
     "prox_hinge",
     "prox_logistic",
-    "prox_square",
     "run_experiment",
     "sample_feature_ensemble",
     "solve_fixed_point",

@@ -122,13 +122,6 @@ def teacher_dz0(y: float, omega0, sigma0: float):
     return y * np.exp(-(w**2) / (2.0 * sigma0)) / np.sqrt(2.0 * np.pi * sigma0)
 
 
-def prox_square(y, omega, v: float):
-    """argmin_x (x-omega)^2/(2v) + (y-x)^2/2 = (omega + v y)/(1 + v)."""
-    if not v > 0:
-        raise DomainError(f"v must be positive, got {v}")
-    return (np.asarray(omega) + v * np.asarray(y)) / (1.0 + v)
-
-
 def prox_logistic(y: float, omega, v: float) -> ProxResult:
     """Proximal of the logistic loss at label y.
 

@@ -39,6 +39,15 @@ _NEWTON_GRAD_TOL = 1e-9
 _NEWTON_MAX_ITER = 100
 # rows of sampled test points featurized at a time
 _TEST_CHUNK = 1024
+# The erf surrogate tanh(a P(a^2)) with a = clip(x, -6, 6) and P of degree 4,
+# evaluated in float32: the odd polynomial a P(a^2) is a minimax fit on [0, 6],
+# where it rises from 0 to 234. Past 6 erf is 1 to within 2e-17. Its worst
+# error against scipy's erf over the whole line is 3.0e-6, near |x| = 0.65
+# (tests/test_erm_lab.py::TestErfSurrogate), bounded by _ERF_DELTA with more
+# than a factor 2 to spare.
+_ERF_CLIP = 6.0
+_ERF_P = tuple(np.float32(c) for c in (3.22722375e-05, -4.15366107e-04, -4.96410745e-04, 0.102932951, 1.12835812))
+_ERF_DELTA = 7e-6
 
 
 def derive_seed(*parts) -> tuple:
@@ -103,17 +112,19 @@ def generate_dataset(n: int, d: int, rho: float, teacher: str, seed) -> Syntheti
     return SyntheticDataset(X=X, theta=theta, y=y)
 
 
+def _preactivations(X: np.ndarray, F: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """A = X F^T/sqrt(d), one learner's pre-activations, written into `out` when given."""
+    A = np.matmul(X, F.T, out=out)
+    A /= math.sqrt(F.shape[1])
+    return A
+
+
 def featurize(X: np.ndarray, ensemble: FeatureEnsemble) -> list[np.ndarray]:
     """Per-learner feature blocks u_k = phi(F_k x / sqrt(d)), each n x p."""
     X = np.asarray(X)
     if X.shape[1] != ensemble.d:
         raise ConfigError(f"inputs have d={X.shape[1]} but ensemble expects d={ensemble.d}")
-    blocks = []
-    for F in ensemble.F_list:
-        A = X @ F.T
-        A /= math.sqrt(ensemble.d)
-        blocks.append(ensemble.activation(A))
-    return blocks
+    return [ensemble.activation(_preactivations(X, F)) for F in ensemble.F_list]
 
 
 def _learners(ensemble: FeatureEnsemble) -> list[FeatureEnsemble]:
@@ -132,10 +143,11 @@ def train_ridge(features: Sequence[np.ndarray], y: np.ndarray, lam: float) -> tu
 
     The normal equations A w = b, A = U^T U/p + lam I_p, b = U^T y/sqrt(p),
     are solved in the smaller space: for p > n through the dual system
-    (U U^T/p + lam I_n) a = y, w = U^T a/sqrt(p). One step of iterative
-    refinement (a second solve, on the residual) keeps the residual near
-    machine precision even at lam = 1e-6 close to the interpolation peak. The contract
-    |A w - b| <= 1e-10 max(1, |b|) is checked in p-space without forming A.
+    (U U^T/p + lam I_n) a = y, w = U^T a/sqrt(p). The contract
+    |A w - b| <= 1e-10 max(1, |b|) is checked in p-space without forming A;
+    when the first solve misses it, one step of iterative refinement (a
+    second solve, on the residual) brings the residual near machine
+    precision even at lam = 1e-6 close to the interpolation peak.
     """
     if not lam > 0:
         raise ConfigError("lam must be positive")
@@ -143,18 +155,22 @@ def train_ridge(features: Sequence[np.ndarray], y: np.ndarray, lam: float) -> tu
     for U in features:
         n, p = U.shape
         b = U.T @ y / math.sqrt(p)
+        bound = 1e-10 * max(1.0, float(np.linalg.norm(b)))
         dual = p > n
         M = U @ U.T / p if dual else U.T @ U / p
         M[np.diag_indices_from(M)] += lam
         rhs = y if dual else b
-        try:
-            x = np.linalg.solve(M, rhs)
-            x += np.linalg.solve(M, rhs - M @ x)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"ridge normal equations failed (cond ~ {_ridge_cond(U, lam):.2e})") from exc
-        w = U.T @ x / math.sqrt(p) if dual else x
-        resid = float(np.linalg.norm(U.T @ (U @ w) / p + lam * w - b))
-        if not resid <= 1e-10 * max(1.0, float(np.linalg.norm(b))):
+        x = None
+        for _ in range(2):  # the solve, then one refinement step only if its residual misses the contract
+            try:
+                x = np.linalg.solve(M, rhs) if x is None else x + np.linalg.solve(M, rhs - M @ x)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"ridge normal equations failed (cond ~ {_ridge_cond(U, lam):.2e})") from exc
+            w = U.T @ x / math.sqrt(p) if dual else x
+            resid = float(np.linalg.norm(U.T @ (U @ w) / p + lam * w - b))
+            if resid <= bound:
+                break
+        else:
             raise NumericalError(
                 f"ridge optimality residual {resid:.2e} too large (cond ~ {_ridge_cond(U, lam):.2e})"
             )
@@ -344,28 +360,124 @@ class ExperimentResult:
         return out
 
 
-def _sampled_test_scores(seed, theta, teacher, ensemble, W, samples):
-    """Labels (samples,) and scores (samples, K) of fresh test points, featurized in row chunks.
+def _erf_surrogate(A: np.ndarray, a: np.ndarray, a2: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """tanh(a P(a^2)), a = clip(A, -6, 6), evaluated in the float32 buffers a, a2, t shaped like A.
+
+    Within _ERF_DELTA of scipy's erf at every float64 A, the infinities
+    included, and exactly odd; the result is in t.
+    """
+    np.clip(A, -_ERF_CLIP, _ERF_CLIP, out=a, casting="same_kind")
+    np.multiply(a, a, out=a2)
+    np.multiply(a2, _ERF_P[0], out=t)
+    for c in _ERF_P[1:-1]:
+        t += c
+        t *= a2
+    t += _ERF_P[-1]
+    t *= a
+    return np.tanh(t, out=t)
+
+
+class _CertifiedErfScores:
+    """Scores of erf-featurized test rows whose signs, and the signs of their sums, are the exact route's.
+
+    The exact route's score is s_k = erf(A_k) w_k/sqrt(p), A_k = X F_k^T/sqrt(d),
+    a float64 product. Each score is first screened as s~_k, the same product
+    with the float32 surrogate of erf in place of erf. The surrogate and erf
+    differ by at most delta and are both at most 1 in size, and a float64 dot
+    product of p terms is off by at most gamma_p sum_j |x_j w_j|, with
+    gamma_p = p 2^-53/(1 - p 2^-53). So
+
+      |s~_k - s_k| sqrt(p) <= delta |w_k|_1          surrogate against erf
+                              + 2 gamma_p |w_k|_1    both float64 products
+                              + (p + 2) 2^-1074      underflow
+                           <= (delta + 4 gamma_{p+4}) |w_k|_1 + 2^-1000 = r_k sqrt(p),
+
+    with room for the float64 roundings of the scaling, of |w_k|_1 and of r_k
+    (for p 2^-53 < 1/100). A score with |s~_k| > r_k has the sign of s_k. For
+    a summing estimator, a row whose screened sum S~ has
+    |S~| > R + K 2^-50 (sum_k |s~_k| + R), R = sum_k r_k, has the sign of the
+    exact route's sum: the last term bounds the float64 rounding of both
+    sums, in any order, also where some of the row's screened scores are
+    then replaced by exact ones. A nan score or an infinite radius certifies
+    nothing. Every score not certified is rescored exactly by `_rescore`.
+    The buffers are sized for the longest chunk and reused.
+    """
+
+    def __init__(self, ensemble: FeatureEnsemble, W: np.ndarray, sums: bool, rows: int):
+        p = ensemble.p
+        self.F_list, self.W, self.sums = ensemble.F_list, W, sums
+        gamma = (p + 4) * 2.0**-53 / (1.0 - (p + 4) * 2.0**-53)
+        self.radius = ((_ERF_DELTA + 4.0 * gamma) * np.abs(W).sum(axis=0) + 2.0**-1000) / math.sqrt(p)
+        self.A = np.empty((rows, p))
+        self.buffers = [np.empty((rows, p), dtype=np.float32) for _ in range(3)]
+
+    def __call__(self, X: np.ndarray, out: np.ndarray) -> None:
+        """Write the (rows, K) scores of the inputs X into `out`."""
+        rows, K = X.shape[0], len(self.F_list)
+        A = self.A[:rows]
+        a, a2, t = (buf[:rows] for buf in self.buffers)
+        for k, F in enumerate(self.F_list):
+            _preactivations(X, F, out=A)
+            np.copyto(A, _erf_surrogate(A, a, a2, t))  # A is recomputed wherever a row is rescored
+            out[:, k] = preactivation(A, self.W[:, k])
+        certain = np.abs(out) > self.radius
+        if self.sums:
+            R = float(self.radius.sum())
+            certain &= (np.abs(out.sum(axis=1)) > R + K * 2.0**-50 * (np.abs(out).sum(axis=1) + R))[:, None]
+        for k, F in enumerate(self.F_list):
+            _rescore(X, F, self.W[:, k], np.flatnonzero(~certain[:, k]), A, out[:, k])
+
+
+def _rescore(X, F, w, rows: np.ndarray, A: np.ndarray, out: np.ndarray) -> None:
+    """Write the exact scores erf(A) w/sqrt(p) of the given rows into `out`, A = X F^T/sqrt(d) in the buffer A.
+
+    A is formed for the whole chunk and the product runs over the whole
+    block, so each row rounds as it does in featurize followed by
+    preactivation: a row's score does not depend on the other rows, but the
+    BLAS kernel, and so its rounding, depends on the block's shape.
+    """
+    if rows.size:
+        _preactivations(X, F, out=A)
+        A[rows] = erf(A[rows])
+        out[rows] = preactivation(A, w)[rows]
+
+
+def _exact_scores(learners: list[FeatureEnsemble], W: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
+    """Write the (rows, K) scores of the inputs X into `out`, featurizing one learner at a time."""
+    for k, learner in enumerate(learners):
+        (U,) = featurize(X, learner)
+        out[:, k] = preactivation(U, W[:, k])
+
+
+def _sampled_test_scores(seed, theta, teacher, ensemble, W, samples, estimator):
+    """Labels (samples,) and scores (samples, K) of fresh test points, scored in row chunks.
 
     The points come from the trial's "test" stream, drawn _TEST_CHUNK rows at
     a time, which gives the rows of one (samples, d) draw, and each chunk is
-    featurized one learner at a time, so memory grows neither with `samples`
+    scored one learner at a time, so memory grows neither with `samples`
     beyond the labels and scores nor with K beyond one column of scores. The
     last chunk takes the remainder: a BLAS product over a few rows takes
     another kernel and rounds differently, so no chunk is shorter than
     _TEST_CHUNK rows unless it is the only one.
+
+    A named sign estimator on erf features reads only signs, so its chunks
+    are scored by `_CertifiedErfScores`, which gives every sign it reads
+    as the exact route does and computes erf only on the rows it cannot
+    decide; every other case featurizes each chunk exactly.
     """
     rng = np.random.default_rng(derive_seed(seed, "test"))
-    learners = _learners(ensemble)
     y = np.empty(samples)
     scores = np.empty((samples, W.shape[1]))
     bounds = list(range(0, samples, _TEST_CHUNK))[: max(1, samples // _TEST_CHUNK)] + [samples]
+    if ensemble.activation is erf and resolve_estimator(estimator).positive is not None:
+        longest = int(np.max(np.diff(bounds)))
+        score = _CertifiedErfScores(ensemble, W, estimator == "avg_sign", longest)
+    else:
+        score = partial(_exact_scores, _learners(ensemble), W)
     for start, stop in zip(bounds[:-1], bounds[1:]):
         X = rng.standard_normal((stop - start, ensemble.d))
         y[start:stop] = apply_teacher(teacher_field(X, theta), teacher)
-        for k, learner in enumerate(learners):
-            (U,) = featurize(X, learner)
-            scores[start:stop, k] = preactivation(U, W[:, k])
+        score(X, scores[start:stop])
     return y, scores
 
 
@@ -425,7 +537,9 @@ def run_trial(
         if spec.loss == "square" and estimator == "mean" and activation is erf:
             test_error = square_test_error_erf(dataset.theta, ensemble, W)
         else:
-            y_test, scores = _sampled_test_scores(seed, dataset.theta, spec.teacher, ensemble, W, test_samples)
+            y_test, scores = _sampled_test_scores(
+                seed, dataset.theta, spec.teacher, ensemble, W, test_samples, estimator
+            )
             y_hat = resolve_estimator(estimator).f_hat(scores)
             if spec.loss == "square":
                 test_error = float(np.mean((y_test - y_hat) ** 2))

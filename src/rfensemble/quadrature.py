@@ -96,13 +96,6 @@ def _check_finite(values: np.ndarray, what: str, *nodes: np.ndarray) -> None:
         raise NumericalError(f"{what} evaluated non-finite at node {node}")
 
 
-def expect_1d(g: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> float:
-    """E[g(Z)], Z ~ N(0,1). g must accept an array of nodes."""
-    vals = np.asarray(g(rule.nodes), dtype=float)
-    _check_finite(vals, "integrand", rule.nodes)
-    return float(rule.weights @ vals)
-
-
 def expect_2d_correlated(
     g: Callable[[np.ndarray, np.ndarray], np.ndarray],
     q0: float,

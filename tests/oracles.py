@@ -1,5 +1,9 @@
 """Second routes kept as test oracles for formulas the package computes once.
 
+- The one-dimensional Gaussian expectation E[g(Z)] on a Gauss-Hermite rule
+  and the square-loss proximal (formula row 5): the package's expectations
+  are two-dimensional or written out where they are used, and its square
+  channel is closed form (row 8).
 - The empirical feature spectrum (formula row 3): the exact eigenvalues of
   one sampled Omega, the finite-p counterpart of the closed-form
   Marchenko-Pastur model. A finite-p spectral integral is their mean.
@@ -42,11 +46,30 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import erf, expit
 
 from rfensemble import ConfigError, DomainError, NumericalError, OrderParams, prox_hinge, teacher_z0
-from rfensemble import erm_lab, solver
+from rfensemble import erm_lab, quadrature, solver
 from rfensemble.channels import ConjugateParams, channel_update
 from rfensemble.observables import MC_BLOCK, resolve_estimator
 from rfensemble.priors import kernel_channel_update, kernel_prior_update, prior_update_spectral
 from rfensemble.spectrum import sample_feature_matrix
+
+
+# ---------------------------------------------------------------------------
+# One-dimensional expectation and the square-loss proximal
+# ---------------------------------------------------------------------------
+
+
+def expect_1d(g, rule):
+    """E[g(Z)], Z ~ N(0,1), on a Gauss-Hermite rule; g must accept an array of nodes."""
+    vals = np.asarray(g(rule.nodes), dtype=float)
+    quadrature._check_finite(vals, "integrand", rule.nodes)
+    return float(rule.weights @ vals)
+
+
+def prox_square(y, omega, v: float):
+    """argmin_x (x-omega)^2/(2v) + (y-x)^2/2 = (omega + v y)/(1 + v)."""
+    if not v > 0:
+        raise DomainError(f"v must be positive, got {v}")
+    return (np.asarray(omega) + v * np.asarray(y)) / (1.0 + v)
 
 
 # ---------------------------------------------------------------------------

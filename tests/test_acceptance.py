@@ -26,7 +26,6 @@ from rfensemble import (
     channel_update_hinge_closed_form,
     classification_error_avg,
     disagreement_probability,
-    expect_1d,
     featurize,
     gauss_hermite_rule,
     generate_dataset,
@@ -46,7 +45,7 @@ from rfensemble import (
 )
 from rfensemble.erm_lab import derive_seed, run_experiment
 
-from oracles import hinge_q1_hat, prior_update_matrix_oracle
+from oracles import expect_1d, hinge_q1_hat, prior_update_matrix_oracle
 
 COEFFS = activation_coeffs(erf, gauss_hermite_rule(201))
 SQUARE = ChannelSpec(loss="square", teacher="linear")

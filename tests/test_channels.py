@@ -14,7 +14,6 @@ from rfensemble import (
     channel_update_hinge_closed_form,
     prox_hinge,
     prox_logistic,
-    prox_square,
     teacher_dz0,
     teacher_z0,
     training_loss,
@@ -23,6 +22,7 @@ import rfensemble.channels as channels
 from rfensemble.channels import _hinge_pair_inner
 
 import oracles
+from oracles import prox_square
 
 SQUARE = ChannelSpec(loss="square", teacher="linear")
 LOGISTIC = ChannelSpec(loss="logistic", teacher="sign")

@@ -17,7 +17,6 @@ REQUIRED = [
     "rfensemble.spectrum.mp_spectral_model",
     "rfensemble.channels.teacher_z0",
     "rfensemble.channels.teacher_dz0",
-    "rfensemble.channels.prox_square",
     "rfensemble.channels.prox_logistic",
     "rfensemble.channels.prox_hinge",
     "rfensemble.channels.channel_update",

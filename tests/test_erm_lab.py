@@ -154,6 +154,35 @@ class TestTrainRidge:
             w += np.linalg.solve(A, b - A @ w)
             assert np.linalg.norm(W[:, k] - w) <= 1e-10 * np.linalg.norm(w)
 
+    @pytest.mark.parametrize("n,p", [(60, 40), (40, 60)], ids=["p<n", "p>n-dual"])
+    @pytest.mark.parametrize("scale,solves", [(1.0, 1), (1.0 + 1e-6, 2)], ids=["first-solve-meets", "refined"])
+    def test_refines_only_when_the_first_solve_misses_the_contract(self, monkeypatch, n, p, scale, solves):
+        # the first solve's answer scaled by 1 + 1e-6 stands for a solve that misses the contract
+        ds = generate_dataset(n, 30, 1.0, "linear", seed=17)
+        feats = featurize(ds.X, sample_feature_ensemble(1, p, 30, COEFFS, ds.theta, seed=18, activation=erf))
+        want, _ = train_ridge(feats, ds.y, 1e-2)
+        calls = []
+        real = np.linalg.solve
+
+        def solve(M, rhs):
+            calls.append(rhs)
+            return real(M, rhs) * (scale if len(calls) == 1 else 1.0)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        W, resid = train_ridge(feats, ds.y, 1e-2)
+        b = feats[0].T @ ds.y / math.sqrt(p)
+        assert len(calls) == solves
+        assert resid[0] <= 1e-10 * max(1.0, np.linalg.norm(b))
+        np.testing.assert_allclose(W, want, rtol=1e-10)
+
+    def test_refinement_that_misses_the_contract_raises(self, monkeypatch):
+        ds = generate_dataset(60, 30, 1.0, "linear", seed=17)
+        feats = featurize(ds.X, sample_feature_ensemble(1, 40, 30, COEFFS, ds.theta, seed=18, activation=erf))
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda M, rhs: 2.0 * real(M, rhs))
+        with pytest.raises(NumericalError, match="ridge optimality residual"):
+            train_ridge(feats, ds.y, 1e-2)
+
     @pytest.mark.parametrize("n,p", [(16, 4), (4, 16)], ids=["p<n", "p>n-dual"])
     def test_singular_system_raises_numerical_error(self, n, p):
         # constant features give a rank-one Gram matrix with exact entries, so once a
@@ -532,3 +561,117 @@ class TestOneLearnerAtATime:
         assert rise <= added_features + slack, (
             f"peak rose {rise / 1e6:.2f} MB from K = 1 to 6, against {added_features / 1e6:.2f} MB of F"
         )
+
+
+def _exact_erf(a):
+    """scipy's erf behind a wrapper, which takes a sign-estimator trial down the exact route."""
+    return erf(a)
+
+
+def _count_rescored(monkeypatch):
+    """Record each exact rescoring as (learner has a nonzero weight, rows rescored, rows in the chunk)."""
+    calls = []
+    real = erm_lab._rescore
+
+    def counting(X, F, w, rows, A, out):
+        calls.append((bool(np.any(w)), rows.size, X.shape[0]))
+        return real(X, F, w, rows, A, out)
+
+    monkeypatch.setattr(erm_lab, "_rescore", counting)
+    return calls
+
+
+class TestErfSurrogate:
+    """The float32 erf surrogate of the certified scores against scipy's erf, through the production code."""
+
+    @staticmethod
+    def surrogate(x):
+        x = np.asarray(x, dtype=float)
+        return erm_lab._erf_surrogate(x, *(np.empty(x.shape, np.float32) for _ in range(3))).astype(float)
+
+    def test_within_half_the_declared_bound_on_a_dense_grid(self):
+        # 10^7 points over [0, 6], the range where the surrogate is not clipped
+        worst = max(np.max(np.abs(self.surrogate(x) - erf(x))) for x in np.array_split(np.linspace(0, 6, 10**7), 10))
+        assert 2 * worst <= erm_lab._ERF_DELTA, f"worst error {worst:.3e}"
+
+    def test_within_half_the_declared_bound_out_to_1e3_and_on_a_log_grid(self):
+        x = np.concatenate([np.linspace(6, 1e3, 200_001), np.logspace(-300, 300, 6001)])
+        x = np.concatenate([x, -x])
+        worst = np.max(np.abs(self.surrogate(x) - erf(x)))
+        assert 2 * worst <= erm_lab._ERF_DELTA, f"worst error {worst:.3e}"
+
+    def test_infinities_huge_values_and_signed_zeros(self):
+        got = self.surrogate([np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0])
+        assert got.tolist() == [1.0, -1.0, 1.0, -1.0, 0.0, 0.0]
+        assert np.signbit(got).tolist() == [False, True, False, True, False, True]
+
+    def test_exactly_odd(self):
+        x = np.linspace(0, 8, 10**6 + 1)
+        np.testing.assert_array_equal(self.surrogate(-x), -self.surrogate(x))
+
+
+class TestCertifiedSigns:
+    """A sign estimator on erf features is scored by certified signs; the exact route is the oracle."""
+
+    @pytest.mark.parametrize("p", [60, 200, 400])
+    @pytest.mark.parametrize("lam", [1e-2, 1e-4])
+    @pytest.mark.parametrize("K", [1, 3, 5])
+    @pytest.mark.parametrize("estimator", ["avg_sign", "majority"])
+    @pytest.mark.parametrize("spec", [LOGISTIC, SQUARE], ids=["logistic", "square"])
+    def test_record_equals_exact_route(self, spec, estimator, K, lam, p):
+        args = (5, (59, K, p, round(-math.log10(lam))), spec, COEFFS)
+        kw = dict(n=80, p=p, d=30, K=K, rho=1.0, lam=lam, estimator=estimator, test_samples=2100)
+        rec = run_trial(*args, activation=erf, **kw)
+        assert rec.ok, rec.error
+        assert _differing_fields(rec, run_trial(*args, activation=_exact_erf, **kw)) == []
+
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("estimator", ["avg_sign", "majority"])
+    def test_record_equals_exact_route_with_a_coarse_surrogate(self, monkeypatch, estimator, K):
+        # tanh(2x/sqrt(pi)) is off erf by up to 0.035; declared as 0.08, its radius leaves many scores
+        # and sums uncertified, and the certified ones must still carry the exact route's signs
+        monkeypatch.setattr(erm_lab, "_ERF_P", (np.float32(0.0), np.float32(2 / math.sqrt(math.pi))))
+        monkeypatch.setattr(erm_lab, "_ERF_DELTA", 0.08)
+        x = np.linspace(-8, 8, 10**5 + 1)
+        assert 2 * np.max(np.abs(TestErfSurrogate.surrogate(x) - erf(x))) <= erm_lab._ERF_DELTA
+        calls = _count_rescored(monkeypatch)
+        args = (6, (60, K), LOGISTIC, COEFFS)
+        kw = dict(n=80, p=60, d=30, K=K, rho=1.0, lam=1e-2, estimator=estimator, test_samples=2100)
+        rec = run_trial(*args, activation=erf, **kw)
+        rescored = sum(rows for _, rows, _ in calls)
+        assert 0.2 * 2100 * K <= rescored < 2100 * K
+        assert _differing_fields(rec, run_trial(*args, activation=_exact_erf, **kw)) == []
+
+    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("estimator", ["avg_sign", "majority"])
+    def test_zero_weight_learner_is_rescored_on_every_row(self, monkeypatch, estimator, K):
+        # its radius is 0 and its screened scores are exactly 0, so nothing certifies them;
+        # rescored, they are exactly 0 again and count as positive
+        ds, ens, W = _trained_ensemble((61, K), n=80, p=60, d=30, K=K)
+        W[:, 0] = 0.0
+        calls = _count_rescored(monkeypatch)
+        y, scores = erm_lab._sampled_test_scores((62, 0), ds.theta, "sign", ens, W, 2100, estimator)
+        zero = [(rows, chunk) for nonzero, rows, chunk in calls if not nonzero]
+        assert [rows for rows, _ in zero] == [chunk for _, chunk in zero] == [1024, 1076]
+        assert np.all(scores[:, 0] == 0.0)
+        exact = dataclasses.replace(ens, activation=_exact_erf)
+        y_exact, scores_exact = erm_lab._sampled_test_scores((62, 0), ds.theta, "sign", exact, W, 2100, estimator)
+        np.testing.assert_array_equal(y, y_exact)
+        f_hat = erm_lab.resolve_estimator(estimator).f_hat
+        np.testing.assert_array_equal(f_hat(scores), f_hat(scores_exact))
+        np.testing.assert_array_equal(scores >= 0, scores_exact >= 0)
+        if K == 1:
+            assert np.all(f_hat(scores) == 1.0)
+
+    def test_few_rows_rescored_and_none_featurized_at_the_benchmark_logistic_size(self, monkeypatch):
+        # the erm-lab workload's logistic configuration (rfbench/worker.py), one trial
+        seed, n, d, K, samples = (0, 0, 2, 0), 200, 100, 2, 10_000
+        featurized = _count_featurize(monkeypatch)
+        calls = _count_rescored(monkeypatch)
+        rec = run_trial(0, seed, LOGISTIC, COEFFS, n=n, p=200, d=d, K=K, rho=1.0, lam=1e-4,
+                        estimator="avg_sign", activation=erf, test_samples=samples)
+        assert rec.ok, rec.error
+        assert sum(rows for _, rows, _ in calls) < 0.01 * samples * K
+        train, test = _rows_per_learner(featurized, generate_dataset(n, d, 1.0, "sign", seed).X)
+        assert sorted(train.values()) == [n] * K
+        assert test == {}

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rfensemble import ConfigError, DomainError, NumericalError, expect_1d, expect_2d_correlated, gauss_hermite_rule
+from rfensemble import ConfigError, DomainError, NumericalError, expect_2d_correlated, gauss_hermite_rule
+
+from oracles import expect_1d
 
 
 def gaussian_moment(k: int) -> float:
