@@ -16,10 +16,11 @@ It runs, with BLAS pinned to one thread:
   (sampled test error), on a logistic K = 3 case with the majority
   estimator, so that both sign estimators are pinned, and on a hinge case
   (every trial fails), hashing the records in the canonical form below;
-- corpus.evaluate_record on every record in goldens/, hashing the repr of
-  the evaluation in a canonical form: every float-like scalar is written as
-  `float(v).hex()`, so a float that becomes an np.float64 of the same value
-  (or back) leaves its line alone, while any change in the last bit shows;
+- corpus.evaluate_record (tests/corpus.py) on every record in goldens/,
+  hashing the repr of the evaluation in a canonical form: every float-like
+  scalar is written as `float(v).hex()`, so a float that becomes an
+  np.float64 of the same value (or back) leaves its line alone, while any
+  change in the last bit shows;
 - observables.generic_gen_error at 150,000 samples (two full Monte Carlo
   blocks and a partial one): avg_sign and majority zero-one error at K = 3
   and mean squared error at K = 2, hashing (estimate, std_error) in the
@@ -47,6 +48,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "rfbench"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from scipy.special import erf  # noqa: E402
 
@@ -55,11 +57,11 @@ from rfensemble import (  # noqa: E402
     RfensembleError,
     activation_coeffs,
     cli,
-    corpus,
     erm_lab,
     gauss_hermite_rule,
     generic_gen_error,
 )
+import corpus  # noqa: E402
 from worker import ErmLab  # noqa: E402
 
 # the delta axis moves n_over_d; every other axis is the config key of its own name

@@ -2,8 +2,9 @@
 
 Run from the repo root: python scripts/make_goldens.py
 Each record stores full-precision values plus an explicit tolerance and the
-oracle that produced it. Regeneration is checked by tests/test_corpus.py and
-rfensemble.corpus.regenerate_goldens.
+oracle that produced it. The records are evaluated by the golden harness in
+tests/corpus.py, which this script imports by putting tests/ on sys.path;
+tests/test_corpus.py and corpus.regenerate_goldens re-check them.
 """
 
 import json
@@ -12,8 +13,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
-from rfensemble import corpus  # noqa: E402
+import corpus  # noqa: E402
 
 RECORDS = [
     {

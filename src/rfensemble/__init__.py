@@ -57,7 +57,7 @@ from .priors import (
     prior_update_spectral,
     sample_feature_ensemble,
 )
-from .quadrature import QuadratureRule, QuadratureSet, expect_2d_correlated, gauss_hermite_rule
+from .quadrature import QuadratureRule, expect_2d_correlated, gauss_hermite_rule
 from .solver import (
     FixedPoint,
     ModelConfig,
@@ -92,7 +92,6 @@ __all__ = [
     "OrderParams",
     "Overlaps",
     "QuadratureRule",
-    "QuadratureSet",
     "ResourceError",
     "RfensembleError",
     "SolveOptions",

@@ -12,11 +12,13 @@ evaluated at w0 = m*omega/q0, s0 = rho - m^2/q0 for the single-learner
 moments and at the pair-conditioned arguments m(omega+omega')/(q0+q1),
 rho - 2 m^2/(q0+q1) for the cross moment.
 
-Logistic integrands are smooth and use the Gauss-Hermite rules supplied by
-the caller. Hinge integrands have kinks at the proximal branch boundaries;
-those expectations use composite Gauss-Legendre panels split exactly at the
-knots (Gauss-Hermite stalls near 1e-4 on kinked integrands regardless of
-order). The hinge pair expectation reduces to such a 1D panel integral over
+Logistic integrands are smooth and use Gauss-Hermite rules of the fixed
+orders ORDER_1D (single-learner moments and the training loss) and ORDER_2D
+(per axis of the pair grid); this module is the only one that knows them.
+Hinge integrands have kinks at the proximal branch boundaries; those
+expectations use composite Gauss-Legendre panels split exactly at the knots
+(Gauss-Hermite stalls near 1e-4 on kinked integrands regardless of order).
+The hinge pair expectation reduces to such a 1D panel integral over
 s = omega + omega' of an inner integral given s that is analytic.
 """
 
@@ -29,7 +31,7 @@ import numpy as np
 from scipy.special import erf, expit
 
 from .errors import ConfigError, ConvergenceError, DomainError
-from .quadrature import QuadratureSet, expect_2d_correlated
+from .quadrature import expect_2d_correlated, gauss_hermite_rule
 
 LOSSES = ("square", "logistic", "hinge")
 TEACHERS = ("linear", "sign")
@@ -40,6 +42,10 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _START_GRID = np.linspace(-40.0, 40.0, 129)
 _PROX_TOL = 1e-12  # relative to the bracket magnitude
 _PROX_MAX_ITER = 300
+# Gauss-Hermite orders of the logistic integrals; the rules are looked up
+# (cached) when a logistic branch runs, so importing the module builds none
+ORDER_1D = 101
+ORDER_2D = 61
 
 
 @dataclass(frozen=True)
@@ -269,7 +275,6 @@ def channel_update(
     alpha: float,
     gamma: float,
     spec: ChannelSpec,
-    rules: QuadratureSet | None = None,
 ) -> ConjugateParams:
     """One channel step: order parameters to conjugate parameters."""
     if alpha < 0:
@@ -282,7 +287,6 @@ def channel_update(
     if alpha == 0.0:
         return ConjugateParams(0.0, 0.0, 0.0, 0.0)
     params.validate(rho)
-    rules = rules or QuadratureSet()
     m, q0, q1, v = params.m, params.q0, params.q1, params.v
     s0, s_pair = _teacher_variances(params, rho)
 
@@ -291,8 +295,9 @@ def channel_update(
     # teacher flips with its mean argument, so the y-sum is twice the y=+1
     # term node for node.
     if spec.loss == "logistic":
-        w = np.sqrt(q0) * rules.rule_1d.nodes
-        wt = rules.rule_1d.weights
+        rule = gauss_hermite_rule(ORDER_1D)
+        w = np.sqrt(q0) * rule.nodes
+        wt = rule.weights
     else:
         w, wt_raw = _kink_grid_1d(np.sqrt(q0), hinge_knots(1.0, v))
         wt = wt_raw * np.exp(-(w**2) / (2.0 * q0)) / np.sqrt(2.0 * np.pi * q0)
@@ -320,7 +325,7 @@ def channel_update(
             fa, fb = f[: wa.size].reshape(wa.shape), f[wa.size :].reshape(wb.shape)
             return teacher_z0(1.0, m * (wa + wb) / (q0 + q1), s_pair) * fa * fb
 
-        q1h = 2.0 * alpha * expect_2d_correlated(pair_integrand, q0, q1, rules.rule_2d)
+        q1h = 2.0 * alpha * expect_2d_correlated(pair_integrand, q0, q1, gauss_hermite_rule(ORDER_2D))
     return ConjugateParams(m_hat=mh, q0_hat=q0h, q1_hat=q1h, v_hat=vh)
 
 
@@ -447,18 +452,12 @@ def channel_update_hinge_closed_form(params: OrderParams, rho: float, alpha: flo
     return ConjugateParams(m_hat=m_hat, q0_hat=q0_hat, q1_hat=q1_hat, v_hat=v_hat)
 
 
-def training_loss(
-    params: OrderParams,
-    rho: float,
-    spec: ChannelSpec,
-    rules: QuadratureSet | None = None,
-) -> float:
+def training_loss(params: OrderParams, rho: float, spec: ChannelSpec) -> float:
     """Asymptotic per-sample training loss of a single learner at a fixed point."""
     m, q0, v = params.m, params.q0, params.v
     if spec.loss == "square":
         return (rho - 2.0 * m + q0) / (2.0 * (1.0 + v) ** 2)
     params.validate(rho)
-    rules = rules or QuadratureSet()
     s0, _ = _teacher_variances(params, rho)
 
     def loss_val(y, h):
@@ -474,8 +473,8 @@ def training_loss(
             return teacher_z0(y, m * w / q0, s0) * loss_val(y, h)
 
         if spec.loss == "logistic":
-            w = np.sqrt(q0) * rules.rule_1d.nodes
-            total += float(rules.rule_1d.weights @ integrand(w))
+            rule = gauss_hermite_rule(ORDER_1D)
+            total += float(rule.weights @ integrand(np.sqrt(q0) * rule.nodes))
         else:
             total += _expect_kinked_1d(integrand, q0, hinge_knots(y, v))
     return total

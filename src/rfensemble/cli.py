@@ -72,8 +72,6 @@ _SCHEMA = {
     "damping": (float, SolveOptions.damping),
     "tol": (float, SolveOptions.tol),
     "max_iters": (int, SolveOptions.max_iters),
-    "order_1d": (int, SolveOptions.order_1d),
-    "order_2d": (int, SolveOptions.order_2d),
     "axis": (str, _REQUIRED),
     "grid": (list, _REQUIRED),
     "out": (str, _REQUIRED),
@@ -196,7 +194,7 @@ def parse_problem(cfg: dict) -> TheoryProblem:
 
 
 def solve_options_from(cfg: dict) -> SolveOptions:
-    return SolveOptions(**{key: _read(cfg, key) for key in ("damping", "tol", "max_iters", "order_1d", "order_2d")})
+    return SolveOptions(**{key: _read(cfg, key) for key in ("damping", "tol", "max_iters")})
 
 
 def solve_point(problem: TheoryProblem, opts: SolveOptions) -> FixedPoint:
@@ -222,7 +220,7 @@ def cmd_solve(cfg: dict, args) -> int:
     payload = fp.as_dict()
     payload["observables"] = observable_row(problem, fp)
     try:
-        payload["train_loss"] = training_loss(fp.params, problem.rho, problem.spec, opts.rules())
+        payload["train_loss"] = training_loss(fp.params, problem.rho, problem.spec)
     except RfensembleError:
         payload["train_loss"] = math.nan
     print(json.dumps(payload, sort_keys=True))
@@ -455,8 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--damping", type=float, default=None)
         if name == "simulate":
             sp.add_argument("--jobs", type=int, default=1)
             sp.add_argument("--seed", type=int, default=None)
@@ -469,10 +465,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _load_config(args.config)
         _check_keys(cfg)
-        # the flags override the config's solver block for every command
-        for key in ("tol", "damping"):
-            if getattr(args, key) is not None:
-                cfg[key] = getattr(args, key)
         return args.fn(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -138,35 +138,27 @@ MC_BLOCK = 1 << 16
 MC_BUFFER = 4 * MC_BLOCK
 
 
-def _sample_block(cov: EnsembleCovariance, block: int, count: int, seed: int, u=None, z=None):
-    """Draw the first `count` samples of fixed-size block `block` as (nu, mu).
-
-    Each block owns an independent stream keyed by (seed, block index), from
-    which the ziggurat draws K+1 standard normals per sample, sample-major.
-    The stream is consumed in sample order, so the first `count` samples of a
-    block do not depend on `count`: the draws depend only on (seed, block,
-    position), reproducible and shard-invariant. `_draw_samples` continues a
-    block's stream in chunks on the same grounds.
-
-    Both buffers may be passed in (at least `count` samples wide) to be
-    reused across blocks; see `_draw_samples`.
-    """
-    return _draw_samples(cov, _block_stream(seed, block), count, u, z)
-
-
 def _block_stream(seed: int, block: int) -> np.random.Generator:
+    """The independent stream of fixed-size block `block`, keyed by (seed, block index)."""
     return np.random.Generator(np.random.Philox(key=(seed, block)))
 
 
 def _draw_samples(cov: EnsembleCovariance, rng: np.random.Generator, count: int, u=None, z=None):
     """The next `count` samples of the stream `rng` as (nu, mu).
 
-    The work is field-major: the normals, drawn as (count, K+1) into `u`, are
-    copied transposed into the (K+1, count) field buffer `z`, row 0 the
-    teacher and rows 1..K the learners; the returned nu (count,) and mu
-    (count, K) are views of `z`, overwritten by the next draw into it. The
-    learners' shared term sums their normals left to right, xi_1 + xi_2 +
-    ... + xi_K, for every K.
+    The ziggurat draws K+1 standard normals per sample, sample-major, and
+    consumes the stream in sample order. The first `count` samples of a
+    block's stream therefore do not depend on `count`, and a block drawn in
+    consecutive chunks gives the samples of one draw: the samples depend only
+    on (seed, block, position), reproducible and shard-invariant.
+
+    Both buffers may be passed in (at least `count` samples wide) to be
+    reused across draws. The work is field-major: the normals, drawn as
+    (count, K+1) into `u`, are copied transposed into the (K+1, count) field
+    buffer `z`, row 0 the teacher and rows 1..K the learners; the returned
+    nu (count,) and mu (count, K) are views of `z`, overwritten by the next
+    draw into it. The learners' shared term sums their normals left to
+    right, xi_1 + xi_2 + ... + xi_K, for every K.
     """
     K = cov.K
     width = K + 1
@@ -254,7 +246,7 @@ def generic_gen_error(
 
     Returns (estimate, std_error). Deterministic for a fixed seed and
     invariant to how blocks are distributed across workers. Samples come in
-    blocks of MC_BLOCK, each drawn from its own stream (`_sample_block`) in
+    blocks of MC_BLOCK, each drawn from its own stream (`_block_stream`) in
     consecutive chunks of MC_BUFFER // (K+1) samples, into one sample-major
     normal buffer and one field-major (K+1, chunk) buffer allocated per call
     and reused by every chunk, so memory does not grow with K; a chunk's

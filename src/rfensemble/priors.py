@@ -17,7 +17,6 @@ from scipy.special import erf
 
 from .channels import ChannelSpec, ConjugateParams, OrderParams, channel_update
 from .errors import ConfigError, DomainError, ResourceError
-from .quadrature import QuadratureSet
 from .spectrum import (
     MAX_MATRIX_ENTRIES,
     ActivationCoeffs,
@@ -137,12 +136,11 @@ def kernel_channel_update(
     rho: float,
     delta: float,
     spec: ChannelSpec,
-    rules: QuadratureSet | None = None,
 ) -> ConjugateParams:
     """Channel step in rescaled kernel variables; m_hat carries sqrt(delta)."""
     if delta < 0:
         raise DomainError(f"delta must be nonnegative, got {delta}")
-    base = channel_update(params, rho, alpha=1.0, gamma=1.0, spec=spec, rules=rules)
+    base = channel_update(params, rho, alpha=1.0, gamma=1.0, spec=spec)
     return ConjugateParams(
         m_hat=np.sqrt(delta) * base.m_hat,
         q0_hat=base.q0_hat,

@@ -9,7 +9,7 @@ abscissae of the standard normal, so scaling lives in the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -18,9 +18,6 @@ import numpy as np
 from .errors import ConfigError, DomainError, NumericalError
 
 MAX_ORDER = 320
-
-DEFAULT_ORDER_1D = 101
-DEFAULT_ORDER_2D = 61
 
 
 @dataclass(frozen=True)
@@ -64,18 +61,6 @@ def _build_gauss_hermite_rule(order: int) -> QuadratureRule:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(nodes=nodes, weights=weights, order=order)
-
-
-@dataclass(frozen=True)
-class QuadratureSet:
-    """The 1D rule and the per-axis 2D rule used by the channel integrals."""
-
-    rule_1d: QuadratureRule = field(default_factory=lambda: gauss_hermite_rule(DEFAULT_ORDER_1D))
-    rule_2d: QuadratureRule = field(default_factory=lambda: gauss_hermite_rule(DEFAULT_ORDER_2D))
-
-    @staticmethod
-    def with_orders(order_1d: int = DEFAULT_ORDER_1D, order_2d: int = DEFAULT_ORDER_2D) -> "QuadratureSet":
-        return QuadratureSet(gauss_hermite_rule(order_1d), gauss_hermite_rule(order_2d))
 
 
 def _check_finite(values: np.ndarray, what: str, *nodes: np.ndarray) -> None:

@@ -24,7 +24,6 @@ import numpy as np
 from .channels import ChannelSpec, ConjugateParams, OrderParams, channel_update
 from .errors import ConfigError, DomainError
 from .priors import kernel_channel_update, kernel_prior_update, prior_update_spectral
-from .quadrature import DEFAULT_ORDER_1D, DEFAULT_ORDER_2D, QuadratureSet
 from .spectrum import ActivationCoeffs, SpectralModel
 
 DIVERGENCE_Q0 = 1e12
@@ -73,8 +72,6 @@ class SolveOptions:
     tol: float = 1e-9
     max_iters: int = 50_000
     init: OrderParams = DEFAULT_INIT
-    order_1d: int = DEFAULT_ORDER_1D
-    order_2d: int = DEFAULT_ORDER_2D
 
     def __post_init__(self):
         if not (0 < self.damping <= 1):
@@ -83,9 +80,6 @@ class SolveOptions:
             raise ConfigError("tol must be positive")
         if not self.max_iters >= 1:
             raise ConfigError("max_iters must be at least 1")
-
-    def rules(self) -> QuadratureSet:
-        return QuadratureSet.with_orders(self.order_1d, self.order_2d)
 
 
 @dataclass(frozen=True)
@@ -239,10 +233,9 @@ def _newton_point(step, x: list, fx: list, rho: float) -> Optional[OrderParams]:
 def solve_fixed_point(config: ModelConfig, opts: SolveOptions | None = None) -> FixedPoint:
     """Solve the self-consistent equations for a finite-size-ratio model."""
     opts = opts or SolveOptions()
-    rules = opts.rules()
 
     def step(params: OrderParams):
-        conj = channel_update(params, config.rho, config.alpha, config.gamma, config.spec, rules)
+        conj = channel_update(params, config.rho, config.alpha, config.gamma, config.spec)
         update = prior_update_spectral(conj, config.lam, config.gamma, config.spectrum, config.coeffs)
         return update, conj
 
@@ -349,10 +342,9 @@ def solve_kernel_limit(
     if not lam > 0:
         raise ConfigError("kernel mode requires lam > 0")
     opts = opts or SolveOptions()
-    rules = opts.rules()
 
     def step(params: OrderParams):
-        conj = kernel_channel_update(params, rho, delta, spec, rules)
+        conj = kernel_channel_update(params, rho, delta, spec)
         update = kernel_prior_update(conj, lam, delta, coeffs)
         return update, conj
 

@@ -5,6 +5,10 @@ field tolerance, and a provenance note naming the oracle that produced the
 value (independent quadrature, high-sample Monte Carlo with a pinned seed,
 closed form, ...). Records store full-precision floats plus explicit
 tolerances; regeneration never overwrites without an explicit flag.
+
+A test harness, not part of the package: the tests import it from their own
+directory, and scripts/make_goldens.py and scripts/cli_digest.py put tests/
+on sys.path to reach it.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, RfensembleError
-from .observables import EnsembleCovariance, generic_gen_error, majority_vote_error
-from .spectrum import mp_spectral_model, spectral_integral
-from . import cli
+from rfensemble import cli
+from rfensemble.errors import ConfigError, RfensembleError
+from rfensemble.observables import EnsembleCovariance, generic_gen_error, majority_vote_error
+from rfensemble.spectrum import mp_spectral_model, spectral_integral
 
 KINDS = ("fixed_point", "kernel_fixed_point", "mc_estimate", "spectral_moment", "sweep_property")
 

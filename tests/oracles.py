@@ -406,10 +406,9 @@ def damped_full_map_oracle(step, init, rho, opts):
 
 def damped_solve_oracle(config, opts):
     """`damped_full_map_oracle` on the finite-ratio map of `config`."""
-    rules = opts.rules()
 
     def step(params):
-        conj = channel_update(params, config.rho, config.alpha, config.gamma, config.spec, rules)
+        conj = channel_update(params, config.rho, config.alpha, config.gamma, config.spec)
         return prior_update_spectral(conj, config.lam, config.gamma, config.spectrum, config.coeffs), conj
 
     return damped_full_map_oracle(step, opts.init, config.rho, opts)
@@ -417,10 +416,9 @@ def damped_solve_oracle(config, opts):
 
 def damped_kernel_oracle(delta, rho, lam, spec, coeffs, opts):
     """`damped_full_map_oracle` on the kernel-limit map at delta = n/d."""
-    rules = opts.rules()
 
     def step(params):
-        conj = kernel_channel_update(params, rho, delta, spec, rules)
+        conj = kernel_channel_update(params, rho, delta, spec)
         return kernel_prior_update(conj, lam, delta, coeffs), conj
 
     return damped_full_map_oracle(step, opts.init, rho, opts)
@@ -454,7 +452,8 @@ ESTIMATOR_ORACLES = {
 
 
 def sample_block_oracle(cov, block, count, seed):
-    """`observables._sample_block` sample-major, with every intermediate a new array."""
+    """`observables._draw_samples` on the stream of block `block`, sample-major,
+    with every intermediate a new array."""
     K = cov.K
     z = np.random.Generator(np.random.Philox(key=(seed, block))).standard_normal((count, K + 1))
     z0 = z[:, 0]

@@ -9,7 +9,6 @@ from rfensemble import (
     ConfigError,
     DomainError,
     OrderParams,
-    QuadratureSet,
     channel_update,
     channel_update_hinge_closed_form,
     prox_hinge,
@@ -324,10 +323,13 @@ class TestChannelUpdate:
         want, err = quad(q0h_integrand, -12 * math.sqrt(q0), 12 * math.sqrt(q0), epsabs=1e-13, limit=500)
         assert conj.q0_hat == pytest.approx(2 * alpha * want, abs=1e-9)
 
-    def test_refining_orders_changes_little(self):
+    def test_refining_orders_changes_little(self, monkeypatch):
         params = OrderParams(m=0.5, q0=1.4, q1=0.9, v=0.8)
-        base = channel_update(params, 1.0, 1.0, 1.0, LOGISTIC, QuadratureSet.with_orders(101, 61))
-        fine = channel_update(params, 1.0, 1.0, 1.0, LOGISTIC, QuadratureSet.with_orders(202, 122))
+        assert (channels.ORDER_1D, channels.ORDER_2D) == (101, 61)
+        base = channel_update(params, 1.0, 1.0, 1.0, LOGISTIC)
+        monkeypatch.setattr(channels, "ORDER_1D", 202)
+        monkeypatch.setattr(channels, "ORDER_2D", 122)
+        fine = channel_update(params, 1.0, 1.0, 1.0, LOGISTIC)
         assert np.max(np.abs(base.as_array() - fine.as_array())) < 1e-9
 
 

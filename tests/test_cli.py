@@ -28,8 +28,8 @@ from rfensemble import (
 )
 from rfensemble import cli, erm_lab
 from rfensemble.cli import main, observable_row, parse_problem, solve_options_from, solve_point
-from rfensemble.corpus import GoldenRecord, evaluate_record
 
+from corpus import GoldenRecord, evaluate_record
 from oracles import kernel_ridge_closed_form, kernel_ridge_closed_form_derived
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -109,17 +109,6 @@ class TestSolve:
         cfg = dict(RIDGE_CFG, loss="logistic", K=[1, 3, "inf"])
         assert main(["solve", "--config", write_cfg(tmp_path, cfg)]) == 3
         assert "error:" in capsys.readouterr().err
-
-    def test_train_loss_uses_the_config_quadrature_orders(self, tmp_path, capsys):
-        cfg = {"loss": "logistic", "rho": 1.0, "lambda": 1e-2, "p_over_n": 0.8, "n_over_d": 2.0, "K": [1],
-               "tol": 1e-10, "order_1d": 21, "order_2d": 21}
-        assert main(["solve", "--config", write_cfg(tmp_path, cfg)]) == 0
-        printed = json.loads(capsys.readouterr().out)["train_loss"]
-        opts = solve_options_from(cfg)
-        params = solve_point(parse_problem(cfg), opts).params
-        spec = ChannelSpec(loss="logistic", teacher="sign")
-        assert printed == training_loss(params, 1.0, spec, opts.rules())
-        assert printed != training_loss(params, 1.0, spec)  # the default orders 101/61
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "nope.json")])
@@ -652,8 +641,10 @@ class TestResolver:
             ("solve", dict(RIDGE_CFG, dampning=0.2), "'dampning'", "'damping'"),
             ("sweep", dict(SWEEP_CFG, gird=[1.0]), "'gird'", "'grid'"),
             ("simulate", dict(SIM_CFG, simulate={"trails": 2, "d": 40}), "'simulate.trails'", "'simulate.trials'"),
+            # the quadrature orders are fixed in the channel module, not set by a config
+            ("solve", dict(LOGISTIC_POINT_CFG, order_1d=101), "'order_1d'", "'n_over_d'"),
         ],
-        ids=["solve-dampning", "sweep-gird", "simulate-trails"],
+        ids=["solve-dampning", "sweep-gird", "simulate-trails", "solve-order_1d"],
     )
     def test_unknown_key_exits_2_naming_the_nearest_known_key(self, tmp_path, capsys, command, cfg, key, near):
         code = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "x.csv")])
@@ -729,33 +720,25 @@ class TestResolver:
             assert point.kernel or point.model().alpha == point.alpha
 
 
-class TestSolverFlags:
-    def test_sweep_tol_flag_equals_config_tol(self, tmp_path):
-        base = tmp_path / "base.csv"
-        flag = tmp_path / "flag.csv"
-        config = tmp_path / "config.csv"
-        path = write_cfg(tmp_path, SWEEP_CFG)
-        assert main(["sweep", "--config", path, "--out", str(base)]) == 0
-        assert main(["sweep", "--config", path, "--out", str(flag), "--tol", "1e-5"]) == 0
-        cfg = write_cfg(tmp_path, dict(SWEEP_CFG, tol=1e-5), "loose.json")
-        assert main(["sweep", "--config", cfg, "--out", str(config)]) == 0
-        assert flag.read_bytes() == config.read_bytes()
-        assert flag.read_bytes() != base.read_bytes()
+class TestSolverSettings:
+    """Solver settings come from the config only; the command line carries the
+    paths, and `simulate` also its `--jobs` and `--seed`."""
 
-    def test_solve_damping_flag_changes_iterations(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, RIDGE_CFG)
-        assert main(["solve", "--config", path]) == 0
+    def test_config_damping_changes_iterations(self, tmp_path, capsys):
+        assert main(["solve", "--config", write_cfg(tmp_path, RIDGE_CFG)]) == 0
         base = json.loads(capsys.readouterr().out)
-        assert main(["solve", "--config", path, "--damping", "0.9"]) == 0
-        flag = json.loads(capsys.readouterr().out)
         assert main(["solve", "--config", write_cfg(tmp_path, dict(RIDGE_CFG, damping=0.9), "d.json")]) == 0
-        config = json.loads(capsys.readouterr().out)
-        assert flag["iterations"] != base["iterations"]
-        assert flag == config
+        damped = json.loads(capsys.readouterr().out)
+        assert damped["iterations"] != base["iterations"]
 
-    @pytest.mark.parametrize("command", ["solve", "sweep", "confidence-density"])
-    @pytest.mark.parametrize("flag", ["--jobs", "--seed"])
+    @pytest.mark.parametrize(
+        "flag,command",
+        [(flag, command) for flag in ("--jobs", "--seed") for command in ("solve", "sweep", "confidence-density")]
+        + [(flag, command) for flag in ("--tol", "--damping")
+           for command in ("solve", "sweep", "simulate", "confidence-density")],
+    )
     def test_jobs_and_seed_belong_to_simulate(self, tmp_path, capsys, command, flag):
+        # and `--tol`, `--damping` to no command: the config sets both
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", write_cfg(tmp_path, RIDGE_CFG), flag, "2"])
         assert exc.value.code == 2

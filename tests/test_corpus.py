@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from rfensemble.corpus import GoldenRecord, check_record, load_corpus, regenerate_goldens
 from rfensemble.errors import ConfigError
+
+from corpus import GoldenRecord, check_record, load_corpus, regenerate_goldens
 
 CORPUS = Path(__file__).resolve().parents[1] / "goldens"
 

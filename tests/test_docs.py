@@ -110,7 +110,7 @@ def test_config_schema_tables_match_the_known_keys():
 def documented_defaults(cell, count):
     """The defaults a default cell gives its row's `count` keys.
 
-    Backticked JSON values, one per key (`101`, `61`); else `required`, or
+    Backticked JSON values, one per key; else `required`, or
     other text (none, implied by loss) for no default.
     """
     values = re.findall(r"`([^`]+)`", cell)

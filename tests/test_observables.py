@@ -18,7 +18,7 @@ from rfensemble import (
     majority_vote_error,
     mse_test_error,
 )
-from rfensemble.observables import MC_BLOCK, MC_BUFFER, _sample_block, resolve_estimator
+from rfensemble.observables import MC_BLOCK, MC_BUFFER, _block_stream, _draw_samples, resolve_estimator
 
 from oracles import ESTIMATOR_ORACLES, gen_error_oracle, sample_block_oracle
 
@@ -118,7 +118,7 @@ class TestCovariance:
 class TestMonteCarlo:
     def test_sampling_matches_covariance(self):
         c = cov(m=0.4, q0=1.2, q1=0.7, K=3)
-        nu, mu = _sample_block(c, 0, 200_000, seed=5)
+        nu, mu = _draw_samples(c, _block_stream(5, 0), 200_000)
         assert np.var(nu) == pytest.approx(c.rho, rel=0.02)
         emp = np.cov(mu.T)
         np.testing.assert_allclose(np.diag(emp), c.q0, rtol=0.03)
@@ -177,7 +177,7 @@ class TestMonteCarlo:
         total, done, block = 0.0, 0, 0
         while done < 150_000:
             count = min(MC_BLOCK, 150_000 - done)
-            nu, mu = _sample_block(c, block, count, seed=9)
+            nu, mu = _draw_samples(c, _block_stream(9, block), count)
             total += float(np.sum(_sign_pm1(nu) != _sign_pm1(mu.sum(axis=1))))
             done += count
             block += 1
@@ -191,7 +191,7 @@ class TestMonteCarlo:
 
     def test_disagreement_matches_mc_frequency(self):
         c = cov(m=0.3, q0=1.0, q1=0.6, K=2)
-        nu, mu = _sample_block(c, 0, 300_000, seed=7)
+        nu, mu = _draw_samples(c, _block_stream(7, 0), 300_000)
         freq = float(np.mean(np.sign(mu[:, 0]) != np.sign(mu[:, 1])))
         se = math.sqrt(freq * (1 - freq) / 300_000)
         assert abs(freq - disagreement_probability(1.0, 0.6)) <= 3 * se
@@ -211,7 +211,7 @@ class TestMonteCarlo:
         for block, count in ((0, MC_BLOCK), (3, MC_BLOCK), (7, 1000)):
             want_nu, want_mu = sample_block_oracle(c, block, count, seed=11)
             for buffers in ((), (u, z)):
-                nu, mu = _sample_block(c, block, count, 11, *buffers)
+                nu, mu = _draw_samples(c, _block_stream(11, block), count, *buffers)
                 assert np.array_equal(nu, want_nu) and np.array_equal(mu, want_mu)
 
     @pytest.mark.parametrize("K", ORACLE_KS)
@@ -248,15 +248,15 @@ class TestMonteCarlo:
     def test_block_prefix_does_not_depend_on_count(self, K):
         c = cov(m=0.4, q0=1.1, q1=0.6, K=K)
         for buffers in ((), (np.empty((MC_BLOCK, K + 1)), np.empty((K + 1, MC_BLOCK)))):
-            full_nu, full_mu = (a.copy() for a in _sample_block(c, 2, MC_BLOCK, 13, *buffers))
-            nu, mu = _sample_block(c, 2, 1000, 13, *buffers)
+            full_nu, full_mu = (a.copy() for a in _draw_samples(c, _block_stream(13, 2), MC_BLOCK, *buffers))
+            nu, mu = _draw_samples(c, _block_stream(13, 2), 1000, *buffers)
             assert np.array_equal(nu, full_nu[:1000]) and np.array_equal(mu, full_mu[:1000])
 
     @pytest.mark.parametrize("K", ORACLE_KS)
     def test_block_samples_are_finite(self, K):
         c = cov(m=7.78, q0=140.55, q1=83.63, K=K)
         for block in range(3):
-            nu, mu = _sample_block(c, block, MC_BLOCK, 13)
+            nu, mu = _draw_samples(c, _block_stream(13, block), MC_BLOCK)
             assert np.isfinite(nu).all() and np.isfinite(mu).all()
 
     @pytest.mark.parametrize("K", ORACLE_KS)
