@@ -39,6 +39,8 @@ _NEWTON_GRAD_TOL = 1e-9
 _NEWTON_MAX_ITER = 100
 # rows of sampled test points featurized at a time
 _TEST_CHUNK = 1024
+# rows of a chunk screened in float32 at a time, so the screen's buffers stay in cache
+_SCREEN_ROWS = 256
 # The erf surrogate tanh(a P(a^2)) with a = clip(x, -6, 6) and P of degree 4,
 # evaluated in float32: the odd polynomial a P(a^2) is a minimax fit on [0, 6],
 # where it rises from 0 to 234. Past 6 erf is 1 to within 2e-17. Its worst
@@ -48,6 +50,9 @@ _TEST_CHUNK = 1024
 _ERF_CLIP = 6.0
 _ERF_P = tuple(np.float32(c) for c in (3.22722375e-05, -4.15366107e-04, -4.96410745e-04, 0.102932951, 1.12835812))
 _ERF_DELTA = 7e-6
+# scipy's erf is within _ERF_EPS of erf everywhere; its worst distance from
+# math.erf is 3.3e-16 (tests/test_erm_lab.py::TestErfSurrogate)
+_ERF_EPS = 2.0**-49
 
 
 def derive_seed(*parts) -> tuple:
@@ -120,11 +125,17 @@ def _preactivations(X: np.ndarray, F: np.ndarray, out: Optional[np.ndarray] = No
 
 
 def featurize(X: np.ndarray, ensemble: FeatureEnsemble) -> list[np.ndarray]:
-    """Per-learner feature blocks u_k = phi(F_k x / sqrt(d)), each n x p."""
+    """Per-learner feature blocks u_k = phi(F_k x / sqrt(d)), each n x p.
+
+    A float64 ufunc activation (erf, tanh) is applied in place on the
+    pre-activations, so one n x p block is held per learner, not two.
+    """
     X = np.asarray(X)
     if X.shape[1] != ensemble.d:
         raise ConfigError(f"inputs have d={X.shape[1]} but ensemble expects d={ensemble.d}")
-    return [ensemble.activation(_preactivations(X, F)) for F in ensemble.F_list]
+    phi = ensemble.activation
+    in_place = isinstance(phi, np.ufunc) and "d->d" in phi.types
+    return [phi(A, out=A) if in_place else phi(A) for A in (_preactivations(X, F) for F in ensemble.F_list)]
 
 
 def _learners(ensemble: FeatureEnsemble) -> list[FeatureEnsemble]:
@@ -157,7 +168,8 @@ def train_ridge(features: Sequence[np.ndarray], y: np.ndarray, lam: float) -> tu
         b = U.T @ y / math.sqrt(p)
         bound = 1e-10 * max(1.0, float(np.linalg.norm(b)))
         dual = p > n
-        M = U @ U.T / p if dual else U.T @ U / p
+        M = U @ U.T if dual else U.T @ U
+        M /= p
         M[np.diag_indices_from(M)] += lam
         rhs = y if dual else b
         x = None
@@ -381,51 +393,149 @@ class _CertifiedErfScores:
     """Scores of erf-featurized test rows whose signs, and the signs of their sums, are the exact route's.
 
     The exact route's score is s_k = erf(A_k) w_k/sqrt(p), A_k = X F_k^T/sqrt(d),
-    a float64 product. Each score is first screened as s~_k, the same product
-    with the float32 surrogate of erf in place of erf. The surrogate and erf
-    differ by at most delta and are both at most 1 in size, and a float64 dot
-    product of p terms is off by at most gamma_p sum_j |x_j w_j|, with
-    gamma_p = p 2^-53/(1 - p 2^-53). So
+    float64 products throughout (`featurize` followed by `preactivation`).
+    Each chunk is first screened in float32: A~_k = fl32(X) G_k^T with
+    G_k = fl32(F_k/sqrt(d)), the surrogate erf~ applied in place on it, and
+    s~_k = erf~(A~_k) fl32(w_k)/sqrt(p). A dot product of n terms in unit
+    roundoff u is off by at most gamma_n = n u/(1 - n u) times the sum of
+    its terms' sizes, in any summation order (Higham 2002, sec. 3.1). With
+    erf 2/sqrt(pi)-Lipschitz, erf~ within delta of scipy's erf, and scipy's
+    erf within eps of erf, row i's screened score is within
 
-      |s~_k - s_k| sqrt(p) <= delta |w_k|_1          surrogate against erf
-                              + 2 gamma_p |w_k|_1    both float64 products
-                              + (p + 2) 2^-1074      underflow
-                           <= (delta + 4 gamma_{p+4}) |w_k|_1 + 2^-1000 = r_k sqrt(p),
+      r_ik sqrt(p) = (delta + 2 eps + g32_{p+4} + g64_{p+4}) |w_k|_1
+                     + (2/sqrt(pi)) (g32_{d+4} + g64_{d+4}) (|X_i| . v_k)/sqrt(d)
+                     + 4 p 2^-150 + 2^-148 |v_k|_1/sqrt(d) + 2^-1000,   v_k = |F_k|^T |w_k|,
 
-    with room for the float64 roundings of the scaling, of |w_k|_1 and of r_k
-    (for p 2^-53 < 1/100). A score with |s~_k| > r_k has the sign of s_k. For
-    a summing estimator, a row whose screened sum S~ has
-    |S~| > R + K 2^-50 (sum_k |s~_k| + R), R = sum_k r_k, has the sign of the
-    exact route's sum: the last term bounds the float64 rounding of both
-    sums, in any order, also where some of the row's screened scores are
-    then replaced by exact ones. A nan score or an infinite radius certifies
-    nothing. Every score not certified is rescored exactly by `_rescore`.
-    The buffers are sized for the longest chunk and reused.
+    of the exact route's: the first line is the surrogate, both erfs and
+    both score products, the second both pre-activation products, the
+    third the float32 and float64 underflows (g32, g64 are gamma in 2^-24
+    and 2^-53; the +4 leaves room for the conversions to float32, the
+    scalings and the rounding of r itself). The radius is infinite for a
+    learner whose weights or G_k do not fit float32 (|w_k|_1 > 2^64, or an
+    entry of F_k/sqrt(d) that is not 0 and not of size in [2^-126, 2^64]);
+    the test rows are standard normal, so fl32(X) overflows nowhere.
+
+    A score with |s~_ik| > r_ik has the sign of s_ik. For a summing
+    estimator, a row whose sum S~ has |S~| > R + K 2^-50 (sum_k |s~_k| + R),
+    R = sum_k r_ik, has the sign of the exact route's sum: the last term
+    bounds the float64 rounding of both sums, in any order, also where some
+    of the row's scores are then replaced by better ones. A nan score or an
+    infinite radius certifies nothing.
+
+    Every score the screen leaves open, and every score of a row whose sum it
+    leaves open, is recomputed in float64 on those rows alone
+    (`_row_scores`). That route and the exact route are float64 products
+    over blocks of different shapes, so they may round differently, each
+    within its gamma bounds: the row score is within
+
+      r'_ik sqrt(p) = (2 eps + 2 g64_{p+4}) |w_k|_1
+                      + (2/sqrt(pi)) 2 g64_{d+4} (|X_i| . v_k)/sqrt(d) + 2^-1000
+
+    of the exact route's, and the same two tests run again with r' in place
+    of r. What they still leave open is rescored on the exact route itself
+    by `_rescore`. The screen runs _SCREEN_ROWS rows at a time in buffers
+    reused across blocks and chunks.
     """
 
     def __init__(self, ensemble: FeatureEnsemble, W: np.ndarray, sums: bool, rows: int):
-        p = ensemble.p
+        p, d = ensemble.p, ensemble.d
         self.F_list, self.W, self.sums = ensemble.F_list, W, sums
-        gamma = (p + 4) * 2.0**-53 / (1.0 - (p + 4) * 2.0**-53)
-        self.radius = ((_ERF_DELTA + 4.0 * gamma) * np.abs(W).sum(axis=0) + 2.0**-1000) / math.sqrt(p)
-        self.A = np.empty((rows, p))
+        self.sqrt_p = math.sqrt(p)
+        absW = np.abs(W)
+        w1 = absW.sum(axis=0)
+        self.V = np.column_stack([np.abs(F).T @ absW[:, k] for k, F in enumerate(self.F_list)])
+        self.fits = [w1[k] <= 2.0**64 and _fits_float32(F / math.sqrt(d)) for k, F in enumerate(self.F_list)]
+        g32, g64 = partial(_gamma, u=2.0**-24), partial(_gamma, u=2.0**-53)
+        lipschitz = 2.0 / math.sqrt(math.pi) / math.sqrt(d)
+        screen_w = (
+            (_ERF_DELTA + 2.0 * _ERF_EPS + g32(p + 4) + g64(p + 4)) * w1
+            + 4 * p * 2.0**-150 + 2.0**-148 * self.V.sum(axis=0) / math.sqrt(d) + 2.0**-1000
+        )
+        self.screen_coef = (lipschitz * (g32(d + 4) + g64(d + 4)), np.where(self.fits, screen_w, np.inf))
+        self.row_coef = (lipschitz * 2.0 * g64(d + 4), (2.0 * _ERF_EPS + 2.0 * g64(p + 4)) * w1 + 2.0**-1000)
+        rows = min(rows, _SCREEN_ROWS)
+        self.G32, self.w32 = np.empty((p, d), dtype=np.float32), np.empty(p, dtype=np.float32)
+        self.X32 = np.empty((rows, d), dtype=np.float32)
+        self.absX = np.empty((rows, d))
         self.buffers = [np.empty((rows, p), dtype=np.float32) for _ in range(3)]
+
+    def screen(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the screened (rows, K) scores of the inputs X into `out`; return |X_i| . v_k, (rows, K).
+
+        One learner at a time, in blocks of _SCREEN_ROWS rows; a learner that
+        does not fit float32 is screened as zeros, which its infinite radius
+        leaves open.
+        """
+        blocks = [slice(start, start + _SCREEN_ROWS) for start in range(0, X.shape[0], _SCREEN_ROWS)]
+        G, w32 = self.G32, self.w32
+        for k, F in enumerate(self.F_list):
+            if not self.fits[k]:
+                out[:, k] = 0.0
+                continue
+            np.divide(F, math.sqrt(F.shape[1]), out=G, casting="same_kind")
+            np.copyto(w32, self.W[:, k], casting="same_kind")
+            for block in blocks:
+                rows = X[block].shape[0]
+                X32 = self.X32[:rows]
+                np.copyto(X32, X[block], casting="same_kind")
+                A, a2, t = (buf[:rows] for buf in self.buffers)
+                np.matmul(X32, G.T, out=A)
+                out[block, k] = np.matmul(_erf_surrogate(A, A, a2, t), w32)
+        out /= self.sqrt_p
+        xv = np.empty(out.shape)
+        for block in blocks:
+            np.matmul(np.abs(X[block], out=self.absX[: X[block].shape[0]]), self.V, out=xv[block])
+        return xv
+
+    def radius(self, xv: np.ndarray, coef: tuple) -> np.ndarray:
+        """The radii (x xv + w)/sqrt(p) of one level, coef = (x, w) with w per learner."""
+        x, w = coef
+        return (x * xv + w) / self.sqrt_p
+
+    def open_scores(self, scores: np.ndarray, radius: np.ndarray) -> np.ndarray:
+        """(rows, K) mask of the scores whose sign, or whose row's summed sign, the radii leave open."""
+        open_ = ~(np.abs(scores) > radius)
+        if self.sums:
+            R = radius.sum(axis=1)
+            bound = R + scores.shape[1] * 2.0**-50 * (np.abs(scores).sum(axis=1) + R)
+            open_ |= ~(np.abs(scores.sum(axis=1)) > bound)[:, None]
+        return open_
 
     def __call__(self, X: np.ndarray, out: np.ndarray) -> None:
         """Write the (rows, K) scores of the inputs X into `out`."""
-        rows, K = X.shape[0], len(self.F_list)
-        A = self.A[:rows]
-        a, a2, t = (buf[:rows] for buf in self.buffers)
+        xv = self.screen(X, out)
+        radius = self.radius(xv, self.screen_coef)
+        open_ = self.open_scores(out, radius)
+        if not open_.any():
+            return
+        row_radius = self.radius(xv, self.row_coef)
         for k, F in enumerate(self.F_list):
-            _preactivations(X, F, out=A)
-            np.copyto(A, _erf_surrogate(A, a, a2, t))  # A is recomputed wherever a row is rescored
-            out[:, k] = preactivation(A, self.W[:, k])
-        certain = np.abs(out) > self.radius
-        if self.sums:
-            R = float(self.radius.sum())
-            certain &= (np.abs(out.sum(axis=1)) > R + K * 2.0**-50 * (np.abs(out).sum(axis=1) + R))[:, None]
-        for k, F in enumerate(self.F_list):
-            _rescore(X, F, self.W[:, k], np.flatnonzero(~certain[:, k]), A, out[:, k])
+            rows = np.flatnonzero(open_[:, k])
+            if rows.size:
+                out[rows, k] = _row_scores(X[rows], F, self.W[:, k])
+                radius[rows, k] = row_radius[rows, k]
+        open_ = self.open_scores(out, radius)
+        if open_.any():
+            A = np.empty((X.shape[0], self.W.shape[0]))
+            for k, F in enumerate(self.F_list):
+                _rescore(X, F, self.W[:, k], np.flatnonzero(open_[:, k]), A, out[:, k])
+
+
+def _gamma(n: int, u: float) -> float:
+    """gamma_n = n u/(1 - n u), infinite once n u reaches 1/2."""
+    return n * u / (1.0 - n * u) if n * u < 0.5 else math.inf
+
+
+def _fits_float32(G: np.ndarray) -> bool:
+    """Whether every entry of G is 0 or of size in [2^-126, 2^64], so float32 holds it to relative 2^-24."""
+    size = np.abs(G)
+    return bool(np.all((size == 0) | ((size >= 2.0**-126) & (size <= 2.0**64))))
+
+
+def _row_scores(X: np.ndarray, F: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The float64 scores erf(X F^T/sqrt(d)) w/sqrt(p) of the rows X, formed on those rows alone."""
+    A = _preactivations(X, F)
+    return preactivation(erf(A, out=A), w)
 
 
 def _rescore(X, F, w, rows: np.ndarray, A: np.ndarray, out: np.ndarray) -> None:
@@ -453,29 +563,31 @@ def _sampled_test_scores(seed, theta, teacher, ensemble, W, samples, estimator):
     """Labels (samples,) and scores (samples, K) of fresh test points, scored in row chunks.
 
     The points come from the trial's "test" stream, drawn _TEST_CHUNK rows at
-    a time, which gives the rows of one (samples, d) draw, and each chunk is
-    scored one learner at a time, so memory grows neither with `samples`
-    beyond the labels and scores nor with K beyond one column of scores. The
-    last chunk takes the remainder: a BLAS product over a few rows takes
-    another kernel and rounds differently, so no chunk is shorter than
-    _TEST_CHUNK rows unless it is the only one.
+    a time into one reused buffer, which gives the rows of one (samples, d)
+    draw, and each chunk is scored one learner at a time, so memory grows
+    neither with `samples` beyond the labels and scores nor with K beyond
+    one column of scores. The last chunk takes the remainder: a BLAS product
+    over a few rows takes another kernel and rounds differently, so no chunk
+    is shorter than _TEST_CHUNK rows unless it is the only one.
 
     A named sign estimator on erf features reads only signs, so its chunks
-    are scored by `_CertifiedErfScores`, which gives every sign it reads
-    as the exact route does and computes erf only on the rows it cannot
-    decide; every other case featurizes each chunk exactly.
+    are scored by `_CertifiedErfScores`, which screens them in float32,
+    gives every sign it reads as the exact route does, and computes erf in
+    float64 only on the rows it cannot decide; every other case featurizes
+    each chunk exactly.
     """
     rng = np.random.default_rng(derive_seed(seed, "test"))
     y = np.empty(samples)
     scores = np.empty((samples, W.shape[1]))
     bounds = list(range(0, samples, _TEST_CHUNK))[: max(1, samples // _TEST_CHUNK)] + [samples]
+    longest = int(np.max(np.diff(bounds)))
     if ensemble.activation is erf and resolve_estimator(estimator).positive is not None:
-        longest = int(np.max(np.diff(bounds)))
         score = _CertifiedErfScores(ensemble, W, estimator == "avg_sign", longest)
     else:
         score = partial(_exact_scores, _learners(ensemble), W)
+    points = np.empty((longest, ensemble.d))
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        X = rng.standard_normal((stop - start, ensemble.d))
+        X = rng.standard_normal(out=points[: stop - start])
         y[start:stop] = apply_teacher(teacher_field(X, theta), teacher)
         score(X, scores[start:stop])
     return y, scores

@@ -49,20 +49,20 @@ def prior_update_spectral(
     ks2 = coeffs.kappa_star_sq
     a2 = q0h + mh**2
     b1 = mh**2 * ks2
+    s_sq, s_shifted = model.node_terms(ks2)
 
     def integrands(s):
         # v, I_theta and q0 in one pass over the support, written into one
         # buffer; each element sees the operations of the textbook form
-        # s/D, (s - ks2)/D, (a2 s^2 - b1 s)/D^2 in the same order
+        # s/D, (s - ks2)/D, (a2 s^2 - b1 s)/D^2 in the same order, s^2 and
+        # s - ks2 read from the model's cache of its fixed nodes
         rows = np.empty((3, len(s)))
         v_row, i_row, q_row = rows
         denom = np.multiply(vh, s)
         np.add(lam, denom, out=denom)
         np.divide(s, denom, out=v_row)
-        np.subtract(s, ks2, out=i_row)
-        np.divide(i_row, denom, out=i_row)
-        np.multiply(s, s, out=q_row)
-        np.multiply(a2, q_row, out=q_row)
+        np.divide(s_shifted, denom, out=i_row)
+        np.multiply(a2, s_sq, out=q_row)
         q_row -= np.multiply(b1, s)
         np.multiply(denom, denom, out=denom)
         np.divide(q_row, denom, out=q_row)

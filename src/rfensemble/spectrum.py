@@ -113,6 +113,21 @@ class SpectralModel:
             nodes.setflags(write=False)
         return nodes
 
+    @cached_property
+    def _node_terms(self) -> dict:
+        return {}
+
+    def node_terms(self, ks2: float) -> tuple[np.ndarray, np.ndarray]:
+        """s*s and s - ks2 on the support nodes, read-only, built once per ks2 and kept with the model."""
+        terms = self._node_terms.get(ks2)
+        if terms is None:
+            s = self.support_nodes
+            terms = (np.multiply(s, s), np.subtract(s, ks2))
+            for t in terms:
+                t.setflags(write=False)
+            self._node_terms[ks2] = terms
+        return terms
+
 
 def mp_spectral_model(alpha: float, gamma: float, coeffs: ActivationCoeffs, bulk_nodes: int = DEFAULT_BULK_NODES) -> SpectralModel:
     """Closed-form shifted Marchenko-Pastur model for Gaussian feature matrices.

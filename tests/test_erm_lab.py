@@ -569,16 +569,30 @@ def _exact_erf(a):
 
 
 def _count_rescored(monkeypatch):
-    """Record each exact rescoring as (learner has a nonzero weight, rows rescored, rows in the chunk)."""
+    """Record each float64 rescoring as (route, learner has a nonzero weight, rows rescored, rows in the chunk).
+
+    The route is "row" for `_row_scores`, which sees only the rows it rescores (so its chunk is
+    None), and "chunk" for `_rescore`, the exact route over the whole chunk.
+    """
     calls = []
-    real = erm_lab._rescore
+    real_row, real_chunk = erm_lab._row_scores, erm_lab._rescore
 
-    def counting(X, F, w, rows, A, out):
-        calls.append((bool(np.any(w)), rows.size, X.shape[0]))
-        return real(X, F, w, rows, A, out)
+    def row(X, F, w):
+        calls.append(("row", bool(np.any(w)), X.shape[0], None))
+        return real_row(X, F, w)
 
-    monkeypatch.setattr(erm_lab, "_rescore", counting)
+    def chunk(X, F, w, rows, A, out):
+        calls.append(("chunk", bool(np.any(w)), rows.size, X.shape[0]))
+        return real_chunk(X, F, w, rows, A, out)
+
+    monkeypatch.setattr(erm_lab, "_row_scores", row)
+    monkeypatch.setattr(erm_lab, "_rescore", chunk)
     return calls
+
+
+def _rescored(calls, route):
+    """Rows rescored by one route, summed over its calls."""
+    return sum(rows for r, _, rows, _ in calls if r == route)
 
 
 class TestErfSurrogate:
@@ -609,6 +623,52 @@ class TestErfSurrogate:
         x = np.linspace(0, 8, 10**6 + 1)
         np.testing.assert_array_equal(self.surrogate(-x), -self.surrogate(x))
 
+    def test_scipy_erf_within_half_the_declared_allowance_of_math_erf(self):
+        # the certificate's radii take scipy's erf within _ERF_EPS of erf
+        x = np.concatenate([np.linspace(-7, 7, 10**6 + 1), np.logspace(-300, 2, 10**4)])
+        x = np.concatenate([x, -x])
+        worst = np.max(np.abs(erf(x) - np.array([math.erf(v) for v in x])))
+        assert 2 * worst <= erm_lab._ERF_EPS, f"worst error {worst:.3e}"
+
+
+def _trained_logistic(seed, n, p, d, K, lam):
+    ds = generate_dataset(n, d, 1.0, "sign", seed)
+    ens = sample_feature_ensemble(K, p, d, COEFFS, ds.theta, seed=derive_seed(seed, "features"), activation=erf)
+    W, _, _ = train_logistic(featurize(ds.X, ens), ds.y, lam)
+    return ds, ens, W
+
+
+class TestCertificateRadii:
+    """The two levels of radii of the certified scores against the exact route's scores."""
+
+    def test_screened_and_row_scores_lie_within_their_radii_at_the_benchmark_logistic_size(self):
+        # the erm-lab workload's logistic configuration (rfbench/worker.py): 49 chunks x 2 learners,
+        # 100,352 scores; the row route runs on blocks of 7 rows, a shape the chunk route never takes
+        p, d, K = 200, 100, 2
+        _, ens, W = _trained_logistic((63, 0), n=200, p=p, d=d, K=K, lam=1e-4)
+        score = erm_lab._CertifiedErfScores(ens, W, True, CHUNK)
+        rng = np.random.default_rng(64)
+        screened, exact = np.empty((CHUNK, K)), np.empty((CHUNK, K))
+        worst = worst_row = 0.0
+        for _ in range(49):
+            X = rng.standard_normal((CHUNK, d))
+            xv = score.screen(X, screened)
+            erm_lab._exact_scores(erm_lab._learners(ens), W, X, exact)
+            ratio = np.abs(screened - exact) / score.radius(xv, score.screen_coef)
+            row_radius = score.radius(xv, score.row_coef)
+            for k, F in enumerate(ens.F_list):
+                rows = np.concatenate([erm_lab._row_scores(X[i:i + 7], F, W[:, k]) for i in range(0, CHUNK, 7)])
+                worst_row = max(worst_row, float(np.max(np.abs(rows - exact[:, k]) / row_radius[:, k])))
+            worst = max(worst, float(np.max(ratio)))
+        assert worst <= 1.0 and worst_row <= 1.0, f"largest |s~ - s|/r {worst:.3g}, |s_row - s|/r' {worst_row:.3g}"
+
+    def test_weights_beyond_float32_take_an_infinite_screen_radius(self):
+        _, ens, W = _trained_ensemble((66, 0), n=80, p=60, d=30, K=2)
+        assert np.all(np.isinf(erm_lab._CertifiedErfScores(ens, W * 1e39, True, CHUNK).screen_coef[1]))
+        for scale in (1.0, 1e-42):
+            coef = erm_lab._CertifiedErfScores(ens, W * scale, True, CHUNK).screen_coef[1]
+            assert np.all(np.isfinite(coef) & (coef > 0))
+
 
 class TestCertifiedSigns:
     """A sign estimator on erf features is scored by certified signs; the exact route is the oracle."""
@@ -638,21 +698,23 @@ class TestCertifiedSigns:
         args = (6, (60, K), LOGISTIC, COEFFS)
         kw = dict(n=80, p=60, d=30, K=K, rho=1.0, lam=1e-2, estimator=estimator, test_samples=2100)
         rec = run_trial(*args, activation=erf, **kw)
-        rescored = sum(rows for _, rows, _ in calls)
+        rescored = _rescored(calls, "row") + _rescored(calls, "chunk")
         assert 0.2 * 2100 * K <= rescored < 2100 * K
         assert _differing_fields(rec, run_trial(*args, activation=_exact_erf, **kw)) == []
 
     @pytest.mark.parametrize("K", [1, 3])
     @pytest.mark.parametrize("estimator", ["avg_sign", "majority"])
     def test_zero_weight_learner_is_rescored_on_every_row(self, monkeypatch, estimator, K):
-        # its radius is 0 and its screened scores are exactly 0, so nothing certifies them;
-        # rescored, they are exactly 0 again and count as positive
+        # its screened and row scores are exactly 0 and its radii are underflow terms alone, so
+        # nothing certifies them; rescored on the exact route, they are exactly 0 again and count
+        # as positive
         ds, ens, W = _trained_ensemble((61, K), n=80, p=60, d=30, K=K)
         W[:, 0] = 0.0
         calls = _count_rescored(monkeypatch)
         y, scores = erm_lab._sampled_test_scores((62, 0), ds.theta, "sign", ens, W, 2100, estimator)
-        zero = [(rows, chunk) for nonzero, rows, chunk in calls if not nonzero]
-        assert [rows for rows, _ in zero] == [chunk for _, chunk in zero] == [1024, 1076]
+        zero = [(route, rows, chunk) for route, nonzero, rows, chunk in calls if not nonzero]
+        assert [rows for route, rows, _ in zero if route == "row"] == [1024, 1076]
+        assert [(rows, chunk) for route, rows, chunk in zero if route == "chunk"] == [(1024, 1024), (1076, 1076)]
         assert np.all(scores[:, 0] == 0.0)
         exact = dataclasses.replace(ens, activation=_exact_erf)
         y_exact, scores_exact = erm_lab._sampled_test_scores((62, 0), ds.theta, "sign", exact, W, 2100, estimator)
@@ -663,6 +725,51 @@ class TestCertifiedSigns:
         if K == 1:
             assert np.all(f_hat(scores) == 1.0)
 
+    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("estimator", ["avg_sign", "majority"])
+    @pytest.mark.parametrize("weights", ["times 1e39", "times 1e-42", "first learner zero"])
+    def test_record_equals_exact_route_with_extreme_weights(self, monkeypatch, weights, estimator, K):
+        # x 1e39 overflows float32, so the screen certifies nothing and the row route scores every
+        # point; x 1e-42 makes every float32 weight subnormal; a zero learner is left open by both
+        # levels and rescored on the exact route
+        trained = []
+        real = erm_lab.train_logistic
+
+        def scaled(features, y, lam):
+            W, gn, its = real(features, y, lam)
+            trained.append(None)
+            if weights == "first learner zero":
+                return (W * 0.0 if len(trained) == 1 else W), gn, its
+            return W * {"times 1e39": 1e39, "times 1e-42": 1e-42}[weights], gn, its
+
+        monkeypatch.setattr(erm_lab, "train_logistic", scaled)
+        calls = _count_rescored(monkeypatch)
+        args = (7, (65, K), LOGISTIC, COEFFS)
+        kw = dict(n=80, p=60, d=30, K=K, rho=1.0, lam=1e-2, estimator=estimator, test_samples=2100)
+        rec = run_trial(*args, activation=erf, **kw)
+        assert rec.ok, rec.error
+        if weights == "times 1e39":
+            assert _rescored(calls, "row") == 2100 * K
+        if weights == "first learner zero":
+            assert _rescored(calls, "chunk") >= 2100
+        trained.clear()
+        assert _differing_fields(rec, run_trial(*args, activation=_exact_erf, **kw)) == []
+
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("estimator", ["avg_sign", "majority"])
+    def test_record_equals_exact_route_when_the_row_certificate_fails(self, monkeypatch, estimator, K):
+        # the coarse surrogate leaves many scores open, and nan row scores certify nothing, so every
+        # score the screen leaves open goes on to the exact route
+        monkeypatch.setattr(erm_lab, "_ERF_P", (np.float32(0.0), np.float32(2 / math.sqrt(math.pi))))
+        monkeypatch.setattr(erm_lab, "_ERF_DELTA", 0.08)
+        monkeypatch.setattr(erm_lab, "_row_scores", lambda X, F, w: np.full(X.shape[0], np.nan))
+        calls = _count_rescored(monkeypatch)
+        args = (6, (67, K), LOGISTIC, COEFFS)
+        kw = dict(n=80, p=60, d=30, K=K, rho=1.0, lam=1e-2, estimator=estimator, test_samples=2100)
+        rec = run_trial(*args, activation=erf, **kw)
+        assert _rescored(calls, "chunk") >= _rescored(calls, "row") >= 0.2 * 2100 * K
+        assert _differing_fields(rec, run_trial(*args, activation=_exact_erf, **kw)) == []
+
     def test_few_rows_rescored_and_none_featurized_at_the_benchmark_logistic_size(self, monkeypatch):
         # the erm-lab workload's logistic configuration (rfbench/worker.py), one trial
         seed, n, d, K, samples = (0, 0, 2, 0), 200, 100, 2, 10_000
@@ -671,7 +778,8 @@ class TestCertifiedSigns:
         rec = run_trial(0, seed, LOGISTIC, COEFFS, n=n, p=200, d=d, K=K, rho=1.0, lam=1e-4,
                         estimator="avg_sign", activation=erf, test_samples=samples)
         assert rec.ok, rec.error
-        assert sum(rows for _, rows, _ in calls) < 0.01 * samples * K
+        assert _rescored(calls, "row") + _rescored(calls, "chunk") < 0.01 * samples * K
+        assert _rescored(calls, "chunk") == 0
         train, test = _rows_per_learner(featurized, generate_dataset(n, d, 1.0, "sign", seed).X)
         assert sorted(train.values()) == [n] * K
         assert test == {}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -119,6 +120,17 @@ class TestOnePassPrior:
                 got = prior_update_spectral(conj, lam, model.aspect, model, COEFFS)
                 want = prior_update_three_pass(conj, lam, model.aspect, model, COEFFS)
                 assert (got.m, got.q0, got.q1, got.v) == (want.m, want.q0, want.q1, want.v)
+
+    def test_cached_node_terms_follow_kappa_star(self):
+        # s^2 and s - kappa_star^2 are cached per (model, kappa_star^2); one model meets two in turn
+        model = mp_spectral_model(1.0, 0.5, COEFFS)
+        other = dataclasses.replace(COEFFS, kappa_star=0.5 * COEFFS.kappa_star)
+        rng = np.random.default_rng(18)
+        for coeffs in (COEFFS, other, COEFFS, other):
+            conj = random_conjugates(rng)
+            got = prior_update_spectral(conj, 1e-2, model.aspect, model, coeffs)
+            want = prior_update_three_pass(conj, 1e-2, model.aspect, model, coeffs)
+            assert (got.m, got.q0, got.q1, got.v) == (want.m, want.q0, want.q1, want.v)
 
 
 class TestSampleFeatureEnsemble:
