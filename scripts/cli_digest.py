@@ -5,7 +5,9 @@ Usage: python scripts/cli_digest.py > digest.txt  (from any directory; no option
 It runs, with BLAS pinned to one thread:
 - `sweep` on every sweep config (one with an "axis") in configs/ and
   rfbench/configs/, hashing the CSV it writes;
-- `solve` at the first grid point of each of those configs, hashing the JSON
+- `solve` at the first grid point of each of those configs, and on the
+  hinge at lambda = 1e-4, p/n = 2 (v ~ 1e3, so the hinge's middle branch
+  reaches far past the 12 sd its integrals are clipped to), hashing the JSON
   it prints;
 - `confidence-density` on configs/confidence_density.json, hashing its CSV;
 - `simulate` on configs/logistic_overlaps.json cut to two grid points and
@@ -123,6 +125,8 @@ def main() -> int:
             point = {k: v for k, v in cfg.items() if k not in ("axis", "grid")}
             point[AXIS_KEYS.get(cfg["axis"], cfg["axis"])] = cfg["grid"][0]
             run_cli("solve", point, f"{label}@{cfg['axis']}={cfg['grid'][0]}", tmp)
+        hinge = {"loss": "hinge", "rho": 1.0, "lambda": 1e-4, "n_over_d": 2.0, "p_over_n": 2.0, "K": [1, 3, "inf"]}
+        run_cli("solve", hinge, "hinge lambda=1e-4 n/d=2 p/n=2", tmp)
         density = ROOT / "configs" / "confidence_density.json"
         run_cli("confidence-density", json.loads(density.read_text()), str(density.relative_to(ROOT)), tmp)
         simulate = ROOT / "configs" / "logistic_overlaps.json"

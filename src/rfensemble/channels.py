@@ -12,20 +12,27 @@ evaluated at w0 = m*omega/q0, s0 = rho - m^2/q0 for the single-learner
 moments and at the pair-conditioned arguments m(omega+omega')/(q0+q1),
 rho - 2 m^2/(q0+q1) for the cross moment.
 
+Both labels contribute equally to every margin-loss integral, so each is
+twice its y = +1 term.
+
 Logistic integrands are smooth and use Gauss-Hermite rules of the fixed
 orders ORDER_1D (single-learner moments and the training loss) and ORDER_2D
 (per axis of the pair grid); this module is the only one that knows them.
-Hinge integrands have kinks at the proximal branch boundaries; those
-expectations use composite Gauss-Legendre panels split exactly at the knots
-(Gauss-Hermite stalls near 1e-4 on kinked integrands regardless of order).
-The hinge pair expectation reduces to such a 1D panel integral over
-s = omega + omega' of an inner integral given s that is analytic.
+The hinge proximal is piecewise linear, so each hinge integral reduces to
+an integral of a polynomial against N(x; 0, var) (1 + erf(c x)) between
+branch boundaries, or, for m_hat, to truncated Gaussian moments
+(channel_update_hinge_closed_form). Every such integral runs on one rule,
+_erf_panels: composite Gauss-Legendre panels on the interval clipped to
+12 sd and split exactly at the kinks (Gauss-Hermite stalls near 1e-4 on
+kinked integrands regardless of order). The hinge pair expectation is that
+rule over s = omega + omega' of an inner integral given s that is
+analytic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy.special import erf, expit
@@ -211,48 +218,26 @@ def prox_hinge(y: float, omega, v: float) -> ProxResult:
     return ProxResult(h=h, f=f, df_domega=df)
 
 
-def _prox(loss: str, y: float, omega, v: float) -> ProxResult:
-    if loss == "logistic":
-        return prox_logistic(y, omega, v)
-    if loss == "hinge":
-        return prox_hinge(y, omega, v)
-    raise ConfigError(f"no proximal dispatch for loss {loss!r}")
+def _erf_panels(lo: float, hi: float, var: float, c: float, kinks: Iterable[float] = ()):
+    """Nodes x and weights w with sum(w * g(x)) = int_lo^hi N(x; 0, var) (1 + erf(c x)) g(x) dx.
 
-
-def hinge_knots(y: float, v: float) -> tuple[float, float]:
-    """Branch boundaries of the hinge proximal in the omega variable."""
-    a, b = (1.0 - v) / y, 1.0 / y
-    return (a, b) if a < b else (b, a)
-
-
-def _panel_nodes(a: float, b: float, max_width: float):
-    """Composite Gauss-Legendre nodes/weights on [a, b]."""
-    n_panels = max(1, int(np.ceil((b - a) / max_width)))
-    edges = np.linspace(a, b, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
+    Composite 24-point Gauss-Legendre on [lo, hi] clipped to [-12 sd, 12 sd]
+    (the Gaussian past 12 sd is below 1e-31 of its peak), split at the kinks
+    that fall inside and with panels at most sd/2 wide. An empty interval
+    gives no nodes.
+    """
+    sd = np.sqrt(var)
+    lo, hi = max(lo, -12.0 * sd), min(hi, 12.0 * sd)
+    if not lo < hi:
+        return np.empty(0), np.empty(0)
+    cuts = [lo, *sorted(k for k in kinks if lo < k < hi), hi]
+    starts = [np.linspace(a, b, max(1, int(np.ceil((b - a) / (0.5 * sd)))), endpoint=False) for a, b in zip(cuts, cuts[1:])]
+    edges = np.append(np.concatenate(starts), hi)
+    half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return nodes, weights
-
-
-def _kink_grid_1d(sd: float, knots: Iterable[float], span: float = 12.0):
-    """Panel grid over [-span*sd, span*sd] split at the interior knots."""
-    lo, hi = -span * sd, span * sd
-    cuts = sorted({lo, hi, *[k for k in knots if lo < k < hi]})
-    nodes, weights = [], []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        n, w = _panel_nodes(a, b, max_width=0.5 * sd)
-        nodes.append(n)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _expect_kinked_1d(g, q0: float, knots: Sequence[float]) -> float:
-    sd = np.sqrt(q0)
-    x, w = _kink_grid_1d(sd, knots)
-    pdf = np.exp(-(x**2) / (2.0 * q0)) / np.sqrt(2.0 * np.pi * q0)
-    return float(np.sum(w * pdf * g(x)))
+    x = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+    w = (half[:, None] * _GL_WEIGHTS).ravel()
+    return x, w * np.exp(-(x**2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var) * (1.0 + erf(c * x))
 
 
 def _teacher_variances(params: OrderParams, rho: float) -> tuple[float, float]:
@@ -286,31 +271,28 @@ def channel_update(
         return _channel_square(params, rho, alpha, gamma)
     if alpha == 0.0:
         return ConjugateParams(0.0, 0.0, 0.0, 0.0)
+    if spec.loss == "hinge":
+        conj = channel_update_hinge_closed_form(params, rho, alpha)
+        return ConjugateParams(conj.m_hat / np.sqrt(gamma), conj.q0_hat, conj.q1_hat, conj.v_hat)
     params.validate(rho)
     m, q0, q1, v = params.m, params.q0, params.q1, params.v
     s0, s_pair = _teacher_variances(params, rho)
 
-    # Both labels contribute equally: the margin losses obey
-    # f(-1, w) = -f(+1, -w), the grids are symmetric about 0, and the sign
-    # teacher flips with its mean argument, so the y-sum is twice the y=+1
-    # term node for node.
-    if spec.loss == "logistic":
-        rule = gauss_hermite_rule(ORDER_1D)
-        w = np.sqrt(q0) * rule.nodes
-        wt = rule.weights
-    else:
-        w, wt_raw = _kink_grid_1d(np.sqrt(q0), hinge_knots(1.0, v))
-        wt = wt_raw * np.exp(-(w**2) / (2.0 * q0)) / np.sqrt(2.0 * np.pi * q0)
-    pr = _prox(spec.loss, 1.0, w, v)
+    # Both labels contribute equally: the logistic loss obeys
+    # f(-1, w) = -f(+1, -w), the Gauss-Hermite nodes are symmetric about 0,
+    # and the sign teacher flips with its mean argument, so the y-sum is
+    # twice the y=+1 term node for node.
+    rule = gauss_hermite_rule(ORDER_1D)
+    w = np.sqrt(q0) * rule.nodes
+    wt = rule.weights
+    pr = prox_logistic(1.0, w, v)
     z0 = teacher_z0(1.0, m * w / q0, s0)
     dz0 = teacher_dz0(1.0, m * w / q0, s0)
     vh = -2.0 * alpha * float(wt @ (z0 * pr.df_domega))
     q0h = 2.0 * alpha * float(wt @ (z0 * pr.f**2))
     mh = 2.0 * (alpha / np.sqrt(gamma)) * float(wt @ (dz0 * pr.f))
 
-    if spec.loss == "hinge":
-        q1h = 2.0 * alpha * _hinge_pair_expectation(m, q0, q1, v, s_pair)
-    elif q1 >= q0 * (1 - 1e-12):
+    if q1 >= q0 * (1 - 1e-12):
         # perfectly correlated pair (solver stage 1 and stage 2's first q1
         # evaluation): q0_hat's integrand on its nodes, so q1_hat == q0_hat to
         # the bit and, in the kernel limit, that first evaluation is the root
@@ -395,28 +377,22 @@ def _hinge_pair_inner(s: np.ndarray, q0: float, q1: float, v: float) -> np.ndarr
 def _hinge_pair_expectation(m: float, q0: float, q1: float, v: float, s_pair: float) -> float:
     """E[Z0(+1, m s/(q0+q1), s_pair) f(W) f(W')], the y=+1 part of q1_hat.
 
-    Outer integral over s = W + W' on panels split at the kinks of the inner
-    integral; the inner integral given s is analytic (_hinge_pair_inner).
+    Outer integral over s = W + W' up to 2, where the inner integral
+    vanishes, on panels split at its kinks; the inner integral given s is
+    analytic (_hinge_pair_inner).
     """
-    var_s = 2.0 * (q0 + q1)
-    sd_s = np.sqrt(var_s)
-    # the inner integral vanishes for s >= 2; past 12 sd the density is nil
-    lo, hi = -12.0 * sd_s, min(2.0, 12.0 * sd_s)
-    cuts = sorted({lo, hi, *[k for k in (2.0 - 2.0 * v, 2.0 - v) if lo < k < hi]})
-    nodes, weights = zip(*(_panel_nodes(a, b, max_width=0.5 * sd_s) for a, b in zip(cuts[:-1], cuts[1:])))
-    s_nodes = np.concatenate(nodes)
-    s_weights = np.concatenate(weights)
-    pdf_s = np.exp(-(s_nodes**2) / (2.0 * var_s)) / np.sqrt(2.0 * np.pi * var_s)
-    z_factor = 0.5 * (1.0 + erf(m * s_nodes / ((q0 + q1) * np.sqrt(2.0 * s_pair))))
-    inner = _hinge_pair_inner(s_nodes, q0, q1, v)
-    return float(np.sum(s_weights * pdf_s * z_factor * inner))
+    c = m / ((q0 + q1) * np.sqrt(2.0 * s_pair))
+    s, w = _erf_panels(-np.inf, 2.0, 2.0 * (q0 + q1), c, (2.0 - 2.0 * v, 2.0 - v))
+    return 0.5 * float(w @ _hinge_pair_inner(s, q0, q1, v))
 
 
 def channel_update_hinge_closed_form(params: OrderParams, rho: float, alpha: float) -> ConjugateParams:
-    """Hinge channel via erf/Gaussian reductions and 1D quadrature only.
+    """Hinge channel via erf/Gaussian reductions and 1D quadrature only, m_hat at gamma = 1.
 
     Both labels contribute equally by the omega -> -omega symmetry, so every
-    expression below is twice the y=+1 term.
+    expression below is twice the y=+1 term. On the middle branch
+    1 - v <= omega <= 1 the proximal has f = (1 - omega)/v and df = -1/v,
+    below it f = 1 and df = 0, above it f = 0.
     """
     params.validate(rho)
     if alpha < 0:
@@ -425,20 +401,11 @@ def channel_update_hinge_closed_form(params: OrderParams, rho: float, alpha: flo
         return ConjugateParams(0.0, 0.0, 0.0, 0.0)
     m, q0, q1, v = params.m, params.q0, params.q1, params.v
     s0, s_pair = _teacher_variances(params, rho)
-    sd = np.sqrt(q0)
     c = m / (q0 * np.sqrt(2.0 * s0))
-
-    def gauss_erf(a: float, b: float, poly):
-        """integral over [a,b] of N(w;0,q0) (1+erf(c w)) poly(w) dw."""
-        x, w = _panel_nodes(a, b, max_width=0.5 * sd)
-        pdf = np.exp(-(x**2) / (2.0 * q0)) / np.sqrt(2.0 * np.pi * q0)
-        return float(np.sum(w * pdf * (1.0 + erf(c * x)) * poly(x)))
-
-    v_hat = (alpha / v) * gauss_erf(1.0 - v, 1.0, lambda w: np.ones_like(w))
-    q0_hat = alpha * (
-        gauss_erf(-12.0 * sd, 1.0 - v, lambda w: np.ones_like(w))
-        + gauss_erf(1.0 - v, 1.0, lambda w: ((1.0 - w) / v) ** 2)
-    )
+    _, w_below = _erf_panels(-np.inf, 1.0 - v, q0, c)
+    x, w_middle = _erf_panels(1.0 - v, 1.0, q0, c)
+    v_hat = (alpha / v) * float(np.sum(w_middle))
+    q0_hat = alpha * (float(np.sum(w_below)) + float(w_middle @ ((1.0 - x) / v) ** 2))
 
     # m_hat: the teacher-density weight folds into a single Gaussian of
     # variance q0*s0/rho, leaving elementary truncated moments.
@@ -453,28 +420,22 @@ def channel_update_hinge_closed_form(params: OrderParams, rho: float, alpha: flo
 
 
 def training_loss(params: OrderParams, rho: float, spec: ChannelSpec) -> float:
-    """Asymptotic per-sample training loss of a single learner at a fixed point."""
+    """Asymptotic per-sample training loss of a single learner at a fixed point.
+
+    Both labels contribute equally, as in channel_update, so each margin
+    loss is twice its y=+1 term: for the hinge, whose loss 1 - v - omega is
+    nonzero only below the middle branch, the erf-weighted integral over
+    omega < 1 - v.
+    """
     m, q0, v = params.m, params.q0, params.v
     if spec.loss == "square":
         return (rho - 2.0 * m + q0) / (2.0 * (1.0 + v) ** 2)
     params.validate(rho)
     s0, _ = _teacher_variances(params, rho)
-
-    def loss_val(y, h):
-        if spec.loss == "logistic":
-            return np.logaddexp(0.0, -y * h)
-        return np.maximum(0.0, 1.0 - y * h)
-
-    total = 0.0
-    for y in (1.0, -1.0):
-
-        def integrand(w, y=y):
-            h = _prox(spec.loss, y, w, v).h
-            return teacher_z0(y, m * w / q0, s0) * loss_val(y, h)
-
-        if spec.loss == "logistic":
-            rule = gauss_hermite_rule(ORDER_1D)
-            total += float(rule.weights @ integrand(np.sqrt(q0) * rule.nodes))
-        else:
-            total += _expect_kinked_1d(integrand, q0, hinge_knots(y, v))
-    return total
+    if spec.loss == "hinge":
+        x, w = _erf_panels(-np.inf, 1.0 - v, q0, m / (q0 * np.sqrt(2.0 * s0)))
+        return float(w @ (1.0 - v - x))
+    rule = gauss_hermite_rule(ORDER_1D)
+    w = np.sqrt(q0) * rule.nodes
+    h = prox_logistic(1.0, w, v).h
+    return 2.0 * float(rule.weights @ (teacher_z0(1.0, m * w / q0, s0) * np.logaddexp(0.0, -h)))

@@ -29,7 +29,8 @@ from .channels import ChannelSpec
 from .errors import ConfigError, ConvergenceError, DomainError, NumericalError
 from .observables import resolve_estimator
 from .priors import FeatureEnsemble, sample_feature_ensemble
-from .spectrum import ActivationCoeffs
+from .quadrature import gauss_hermite_rule
+from .spectrum import ActivationCoeffs, activation_coeffs
 
 DEFAULT_TEST_SAMPLES = 10_000
 # Newton stops at |grad| <= _NEWTON_GRAD_TOL sqrt(p) on the summed objective,
@@ -699,11 +700,18 @@ def run_experiment(
     """Run independent trials and aggregate; failures are recorded per trial.
 
     Trials are deterministic in (master_seed, trial index) or in the explicit
-    seed list; `map_fn` may be an executor map for parallel runs.
+    seed list; `map_fn` may be an executor map for parallel runs. The
+    overlaps read kappa1 and kappa_star^2 from `coeffs` while the features
+    apply `activation`, so `coeffs` must be the activation's own (on the
+    order-201 Gauss-Hermite rule) to 1e-9 relative.
     """
     if trials < 0:
         raise ConfigError("trials must be >= 0")
     _check_test_samples(test_samples)
+    own = activation_coeffs(activation, gauss_hermite_rule(201))
+    given, want = (np.array([c.kappa0, c.kappa1, c.kappa_star]) for c in (coeffs, own))
+    if np.max(np.abs(given - want)) > 1e-9 * np.max(np.abs(want)):
+        raise ConfigError(f"coeffs {coeffs} are not the activation's own {own}")
     estimator = estimator or _default_estimator(spec)
     if estimator == "mean" and spec.loss != "square":
         raise ConfigError(f"estimator 'mean' never equals a +-1 label; loss {spec.loss!r} needs a sign estimator")

@@ -26,16 +26,11 @@ from .spectrum import (
 )
 
 
-def prior_update_spectral(
-    conj: ConjugateParams,
-    lam: float,
-    gamma: float,
-    model: SpectralModel,
-    coeffs: ActivationCoeffs,
-) -> OrderParams:
+def prior_update_spectral(conj: ConjugateParams, lam: float, model: SpectralModel) -> OrderParams:
     """Spectral form of the ridge prior update.
 
-    q1 uses the factorized form (m_hat^2 + q1_hat) I^2 / gamma with
+    gamma and kappa_star^2 are the model's aspect and shift. q1 uses the
+    factorized form (m_hat^2 + q1_hat) I^2 / gamma with
     I = int (s - kappa_star^2) rho(s) / (lam + v_hat s) ds, which is
     algebraically identical to (1 + q1_hat/m_hat^2) m^2 but stays finite at
     m_hat = 0 (uninformative iterates of symmetric teachers).
@@ -46,10 +41,10 @@ def prior_update_spectral(
     smin = model.support_min
     if lam + vh * smin <= 0:
         raise DomainError(f"lam + v_hat*s vanishes on the spectral support (min s = {smin})")
-    ks2 = coeffs.kappa_star_sq
+    gamma = model.aspect
     a2 = q0h + mh**2
-    b1 = mh**2 * ks2
-    s_sq, s_shifted = model.node_terms(ks2)
+    b1 = mh**2 * model.shift
+    s_sq, s_shifted = model.node_terms
 
     def integrands(s):
         # v, I_theta and q0 in one pass over the support, written into one

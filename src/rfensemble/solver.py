@@ -64,6 +64,13 @@ class ModelConfig:
             )
         if self.K < 1:
             raise ConfigError("K must be >= 1")
+        # the spectral prior reads gamma and kappa_star^2 from the spectrum
+        spectrum = (self.spectrum.aspect, self.spectrum.scale, self.spectrum.shift)
+        own = (self.gamma, self.coeffs.kappa1, self.coeffs.kappa_star_sq)
+        if spectrum != own:
+            raise ConfigError(
+                f"spectrum (aspect, scale, shift) = {spectrum} is not the model's (gamma, kappa1, kappa_star^2) = {own}"
+            )
 
 
 @dataclass(frozen=True)
@@ -236,7 +243,7 @@ def solve_fixed_point(config: ModelConfig, opts: SolveOptions | None = None) -> 
 
     def step(params: OrderParams):
         conj = channel_update(params, config.rho, config.alpha, config.gamma, config.spec)
-        update = prior_update_spectral(conj, config.lam, config.gamma, config.spectrum, config.coeffs)
+        update = prior_update_spectral(conj, config.lam, config.spectrum)
         return update, conj
 
     return _solve_two_stage(step, opts.init, config.rho, opts, config.spec.loss != "square")

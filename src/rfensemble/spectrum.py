@@ -114,18 +114,12 @@ class SpectralModel:
         return nodes
 
     @cached_property
-    def _node_terms(self) -> dict:
-        return {}
-
-    def node_terms(self, ks2: float) -> tuple[np.ndarray, np.ndarray]:
-        """s*s and s - ks2 on the support nodes, read-only, built once per ks2 and kept with the model."""
-        terms = self._node_terms.get(ks2)
-        if terms is None:
-            s = self.support_nodes
-            terms = (np.multiply(s, s), np.subtract(s, ks2))
-            for t in terms:
-                t.setflags(write=False)
-            self._node_terms[ks2] = terms
+    def node_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """s*s and s - shift on the support nodes, read-only, built once per model."""
+        s = self.support_nodes
+        terms = (np.multiply(s, s), np.subtract(s, self.shift))
+        for t in terms:
+            t.setflags(write=False)
         return terms
 
 

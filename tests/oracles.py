@@ -11,14 +11,17 @@
   sampled feature matrices that the spectral prior must reproduce as p grows.
 - Kernel-ridge one-shot closed forms (row 17): the form as printed, whose q
   is wrong, and the q rederived from the fixed-point equations.
-- Hinge pair expectation q1_hat (rows 9 and 10). The package computes it from
-  an analytic inner integral over W given W + W', vectorised over the outer
-  nodes. Two references check it:
+- The hinge channel and training loss (rows 10 and 11) on the kinked-panel
+  grid: composite Gauss-Legendre panels over [-12 sd, 12 sd], split at the
+  proximal's branch boundaries, with prox_hinge evaluated at every node and
+  the two labels summed, or doubled from y = +1, as the package did before
+  its hinge route became the erf-weighted closed form. Its q1_hat is
+  checked two ways:
 
-  - a brute-force quadrature that tensorizes composite Gauss-Legendre panels
-    over (W, W'), split on each axis at the proximal's branch boundaries, and
-    evaluates prox_hinge at every node;
-  - the same analytic inner integral written as a loop over s-nodes and cells.
+  - a brute-force quadrature that tensorizes the same panels over (W, W')
+    and evaluates prox_hinge at every node;
+  - the package's analytic inner integral over W given W + W', written as
+    a loop over s-nodes and cells.
 - The damped single-learner loop (row 26) written on numpy (m, q0, v)
   arrays; the package's loop on Python floats must return the same
   FixedPoint bit for bit.
@@ -45,7 +48,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import erf, expit
 
-from rfensemble import ConfigError, DomainError, NumericalError, OrderParams, prox_hinge, teacher_z0
+from rfensemble import ConfigError, DomainError, NumericalError, OrderParams, prox_hinge, teacher_dz0, teacher_z0
 from rfensemble import erm_lab, quadrature, solver
 from rfensemble.channels import ConjugateParams, channel_update
 from rfensemble.observables import MC_BLOCK, resolve_estimator
@@ -183,7 +186,7 @@ def kernel_ridge_closed_form_derived(lam, delta, rho, coeffs):
 
 
 # ---------------------------------------------------------------------------
-# Hinge pair expectation
+# Hinge channel on kinked panels
 # ---------------------------------------------------------------------------
 
 
@@ -232,6 +235,42 @@ def hinge_q1_hat(params, rho, alpha):
         return teacher_z0(1.0, m * (wa + wb) / (q0 + q1), s_pair) * fa * fb
 
     return 2.0 * alpha * expect_kinked_2d(pair, q0, q1, (1.0 - v, 1.0))
+
+
+def kinked_gauss_grid(q0, knots):
+    """Nodes x and weights w with sum(w * g(x)) = E[g(W)], W ~ N(0, q0), on the kinked-panel grid."""
+    x, w = kink_grid_1d(np.sqrt(q0), knots)
+    return x, w * np.exp(-(x**2) / (2.0 * q0)) / np.sqrt(2.0 * np.pi * q0)
+
+
+def hinge_channel_oracle(params, rho, alpha, gamma):
+    """The hinge conjugates from prox_hinge on the kinked-panel grid: v_hat,
+    q0_hat and m_hat as twice their y = +1 term, q1_hat by the brute-force
+    2D quadrature (hinge_q1_hat)."""
+    params.validate(rho)
+    m, q0, v = params.m, params.q0, params.v
+    s0 = rho - m**2 / q0
+
+    def moments(x):
+        pr = prox_hinge(1.0, x, v)
+        z0, dz0 = teacher_z0(1.0, m * x / q0, s0), teacher_dz0(1.0, m * x / q0, s0)
+        return np.stack([-z0 * pr.df_domega, z0 * pr.f**2, dz0 * pr.f])
+
+    x, w = kinked_gauss_grid(q0, (1.0 - v, 1.0))
+    vh, q0h, mh = 2.0 * alpha * (moments(x) @ w)
+    return ConjugateParams(m_hat=mh / np.sqrt(gamma), q0_hat=q0h, q1_hat=hinge_q1_hat(params, rho, alpha), v_hat=vh)
+
+
+def hinge_training_loss_oracle(params, rho):
+    """sum_y E[Z0(y, m W/q0, s0) max(0, 1 - y h_y(W))], one kinked grid per label."""
+    params.validate(rho)
+    m, q0, v = params.m, params.q0, params.v
+    s0 = rho - m**2 / q0
+    total = 0.0
+    for y in (1.0, -1.0):
+        x, w = kinked_gauss_grid(q0, ((1.0 - v) / y, 1.0 / y))
+        total += float(w @ (teacher_z0(y, m * x / q0, s0) * np.maximum(0.0, 1.0 - y * prox_hinge(y, x, v).h)))
+    return total
 
 
 def _trunc_moments(mu, var, a, b):
@@ -409,7 +448,7 @@ def damped_solve_oracle(config, opts):
 
     def step(params):
         conj = channel_update(params, config.rho, config.alpha, config.gamma, config.spec)
-        return prior_update_spectral(conj, config.lam, config.gamma, config.spectrum, config.coeffs), conj
+        return prior_update_spectral(conj, config.lam, config.spectrum), conj
 
     return damped_full_map_oracle(step, opts.init, config.rho, opts)
 

@@ -23,7 +23,6 @@ from rfensemble import (
     SolveOptions,
     activation_coeffs,
     channel_update,
-    channel_update_hinge_closed_form,
     classification_error_avg,
     disagreement_probability,
     featurize,
@@ -45,7 +44,7 @@ from rfensemble import (
 )
 from rfensemble.erm_lab import derive_seed, run_experiment
 
-from oracles import expect_1d, hinge_q1_hat, prior_update_matrix_oracle
+from oracles import expect_1d, hinge_channel_oracle, prior_update_matrix_oracle
 
 COEFFS = activation_coeffs(erf, gauss_hermite_rule(201))
 SQUARE = ChannelSpec(loss="square", teacher="linear")
@@ -292,7 +291,7 @@ def test_criterion_6i_spectral_vs_matrix_traces():
         conj = ConjugateParams(m_hat=rng.uniform(0.1, 1.0), q0_hat=rng.uniform(0.1, 1.0),
                                q1_hat=rng.uniform(0.05, 0.8), v_hat=rng.uniform(0.2, 1.5))
         lam = rng.uniform(0.05, 0.5)
-        spectral = prior_update_spectral(conj, lam, gamma, model, COEFFS)
+        spectral = prior_update_spectral(conj, lam, model)
         ens = sample_feature_ensemble(2, p, d, COEFFS, np.zeros(d), seed=seed)
         oracle = prior_update_matrix_oracle(conj, lam, ens)
         rel = np.max(np.abs(spectral.as_array() - oracle.as_array()) / np.abs(oracle.as_array()))
@@ -314,16 +313,16 @@ HINGE_INTERIOR_POINTS = [
 def test_criterion_6ii_hinge_closed_form_vs_generic():
     worst = 0.0
     for params in HINGE_INTERIOR_POINTS:
-        closed = channel_update_hinge_closed_form(params, RHO, 1.0)
-        generic = channel_update(params, RHO, 1.0, 1.0, HINGE)
-        # both routes share the analytic q1_hat; the brute-force kinked 2D
-        # panel quadrature checks that one
-        oracle_q1 = hinge_q1_hat(params, RHO, 1.0)
-        gap = max(float(np.max(np.abs(closed.as_array() - generic.as_array()))), abs(generic.q1_hat - oracle_q1))
+        # the production channel (the erf-weighted closed form) against the
+        # kinked-panel oracle: prox_hinge on panels split at the branch
+        # boundaries, q1_hat by brute-force 2D panel quadrature
+        production = channel_update(params, RHO, 1.0, 1.0, HINGE)
+        oracle = hinge_channel_oracle(params, RHO, 1.0, 1.0)
+        gap = float(np.max(np.abs(production.as_array() - oracle.as_array())))
         worst = max(worst, gap)
         assert gap <= 1e-6
-    print(f"\n[acceptance 6ii] PASS: hinge closed form matches generic quadrature channel, q1_hat matches "
-          f"the kinked 2D quadrature (worst gap {worst:.2e} <= 1e-6 at 5 interior points)")
+    print(f"\n[acceptance 6ii] PASS: hinge channel matches the kinked-panel quadrature channel, q1_hat the "
+          f"kinked 2D quadrature (worst gap {worst:.2e} <= 1e-6 at 5 interior points)")
 
 
 def test_criterion_6iii_mc_vs_closed_forms():

@@ -344,6 +344,8 @@ HINGE_POINTS = [
 
 # the hinge fixed point of the theory-margin benchmark (lambda 0.1, p/n = 1)
 HINGE_MARGIN_POINT = OrderParams(m=0.9831587453979157, q0=1.7599095842317802, q1=1.364235700860087, v=1.1591076869174772)
+# the hinge fixed point at lambda 1e-4, p/n = 2, n/d = 2
+HINGE_SMALL_RIDGE_POINT = OrderParams(m=1.2235160988967058, q0=2.3418585470771176, q1=2.06000039962636, v=1058.043832204512)
 
 
 class TestHingeClosedForm:
@@ -354,19 +356,52 @@ class TestHingeClosedForm:
     def test_uninformative_iterate_still_generates_alignment(self):
         # the m_hat integrand is even under the joint (y, omega) flip, so it
         # does not vanish at m = 0 (otherwise the informative fixed point
-        # would be unreachable); closed form and generic channel must agree
+        # would be unreachable); closed form and kinked-panel oracle must agree
         params = OrderParams(m=0.0, q0=1.0, q1=0.3, v=1.0)
         closed = channel_update_hinge_closed_form(params, 1.0, 1.0)
-        generic = channel_update(params, 1.0, 1.0, 1.0, HINGE)
         assert closed.m_hat > 0.0
-        assert closed.m_hat == pytest.approx(generic.m_hat, abs=1e-10)
+        assert closed.m_hat == pytest.approx(oracles.hinge_channel_oracle(params, 1.0, 1.0, 1.0).m_hat, abs=1e-10)
 
     @pytest.mark.parametrize("params", HINGE_POINTS)
-    def test_matches_generic_channel(self, params):
+    def test_matches_kinked_panel_oracle(self, params):
         rho, alpha = 1.0, 1.0
         closed = channel_update_hinge_closed_form(params, rho, alpha)
-        generic = channel_update(params, rho, alpha, 1.0, HINGE)
-        np.testing.assert_allclose(closed.as_array(), generic.as_array(), atol=1e-6)
+        want = oracles.hinge_channel_oracle(params, rho, alpha, 1.0)
+        np.testing.assert_allclose(closed.as_array(), want.as_array(), atol=1e-6)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.3, 2.5])
+    def test_channel_update_is_the_closed_form(self, gamma):
+        # the hinge channel is the closed form, m_hat divided by sqrt(gamma)
+        params, rho, alpha = HINGE_POINTS[2], 1.2, 0.7
+        closed = channel_update_hinge_closed_form(params, rho, alpha)
+        conj = channel_update(params, rho, alpha, gamma, HINGE)
+        assert conj.as_array().tolist() == [closed.m_hat / np.sqrt(gamma), closed.q0_hat, closed.q1_hat, closed.v_hat]
+
+    def test_small_ridge_point_matches_oracle_on_clipped_panels(self, monkeypatch):
+        # the hinge fixed point at lambda 1e-4, p/n = 2 (n/d = 2): v ~ 1e3, so the
+        # middle branch [1 - v, 1] reaches far past the 12 sd of the Gaussian
+        params, alpha = HINGE_SMALL_RIDGE_POINT, 0.5
+        calls = []
+        erf_panels = channels._erf_panels
+
+        def recording(lo, hi, var, c, kinks=()):
+            x, w = erf_panels(lo, hi, var, c, kinks)
+            calls.append((var, x))
+            return x, w
+
+        monkeypatch.setattr(channels, "_erf_panels", recording)
+        conj = channel_update(params, 1.0, alpha, alpha / 2.0, HINGE)
+        want = oracles.hinge_channel_oracle(params, 1.0, alpha, alpha / 2.0)
+        np.testing.assert_allclose(conj.as_array(), want.as_array(), rtol=1e-12, atol=0)
+        # no more nodes than the +-12 sd grids split at the same kinks: the
+        # oracle's grid in omega, and that grid in s = omega + omega'
+        q0, q1, v = params.q0, params.q1, params.v
+        var_s = 2.0 * (q0 + q1)
+        assert {var for var, _ in calls} == {q0, var_s}
+        for var, kinks in ((q0, (1.0 - v, 1.0)), (var_s, (2.0 - 2.0 * v, 2.0 - v))):
+            nodes = np.concatenate([x for u, x in calls if u == var])
+            assert np.all(np.abs(nodes) <= 12.0 * np.sqrt(var))
+            assert nodes.size <= oracles.kink_grid_1d(np.sqrt(var), kinks)[0].size
 
     # the last point has q0 so small that both kinks lie beyond 12 sd
     @pytest.mark.parametrize("params", HINGE_POINTS + [HINGE_MARGIN_POINT, OrderParams(m=5e-5, q0=1e-8, q1=4e-9, v=0.7)])
@@ -409,8 +444,8 @@ class TestHingeClosedForm:
 
     def test_reference_point_tight(self):
         closed = channel_update_hinge_closed_form(HINGE_POINTS[0], 1.0, 1.0)
-        generic = channel_update(HINGE_POINTS[0], 1.0, 1.0, 1.0, HINGE)
-        np.testing.assert_allclose(closed.as_array(), generic.as_array(), atol=1e-12)
+        want = oracles.hinge_channel_oracle(HINGE_POINTS[0], 1.0, 1.0, 1.0)
+        np.testing.assert_allclose(closed.as_array(), want.as_array(), atol=1e-12)
 
 
 class TestTrainingLoss:
@@ -423,6 +458,11 @@ class TestTrainingLoss:
         params = OrderParams(m=0.99995 * 50.0, q0=2500.0, q1=2500.0 * 0.99995, v=0.02)
         loss = training_loss(params, 1.0, HINGE)
         assert 0.0 <= loss < 0.02
+
+    @pytest.mark.parametrize("params", HINGE_POINTS + [HINGE_MARGIN_POINT, HINGE_SMALL_RIDGE_POINT])
+    def test_hinge_matches_label_loop_oracle(self, params):
+        assert training_loss(params, 1.0, HINGE) == pytest.approx(oracles.hinge_training_loss_oracle(params, 1.0),
+                                                                  rel=1e-12, abs=1e-16)
 
     def test_logistic_positive_and_below_ln2(self):
         params = OrderParams(m=0.8, q0=1.5, q1=1.0, v=1.0)

@@ -355,6 +355,19 @@ class TestRunExperiment:
             run_trial(0, (53, 0), LOGISTIC, COEFFS, n=30, p=20, d=10, K=2, rho=1.0, lam=0.5,
                       estimator="avg_sign", activation=erf, test_samples=samples)
 
+    def test_coefficients_of_another_activation_rejected_before_any_trial(self):
+        # erf's coefficients with tanh features would give wrong overlaps without an error
+        def no_trials(*args):
+            raise AssertionError("ran a trial with mismatched coefficients")
+
+        with pytest.raises(ConfigError, match="coeffs"):
+            run_experiment(SQUARE, COEFFS, n=30, p=20, d=10, K=2, rho=1.0, lam=0.5, trials=2,
+                           activation=np.tanh, test_samples=100, map_fn=no_trials)
+        off = dataclasses.replace(COEFFS, kappa1=COEFFS.kappa1 * (1.0 + 1e-8))
+        with pytest.raises(ConfigError, match="coeffs"):
+            run_experiment(SQUARE, off, n=30, p=20, d=10, K=2, rho=1.0, lam=0.5, trials=2,
+                           activation=erf, test_samples=100, map_fn=no_trials)
+
     def test_failures_recorded_not_raised(self):
         hinge = ChannelSpec(loss="hinge", teacher="sign")
         res = run_experiment(hinge, COEFFS, n=30, p=20, d=10, K=1, rho=1.0, lam=0.5,

@@ -51,7 +51,7 @@ class TestPriorUpdateSpectral:
     def test_zero_conjugates_zero_overlaps(self):
         model = mp_spectral_model(1.0, 0.5, COEFFS)
         conj = ConjugateParams(0.0, 0.0, 0.0, 0.5)
-        out = prior_update_spectral(conj, 0.1, 0.5, model, COEFFS)
+        out = prior_update_spectral(conj, 0.1, model)
         assert out.m == out.q0 == out.q1 == 0.0
         want_v = spectral_integral(model, lambda s: s / (0.1 + 0.5 * s))
         assert out.v == pytest.approx(want_v, rel=1e-12)
@@ -59,8 +59,8 @@ class TestPriorUpdateSpectral:
     def test_infinite_ridge_scalings(self):
         model = mp_spectral_model(1.0, 0.5, COEFFS)
         conj = ConjugateParams(0.4, 0.3, 0.2, 0.6)
-        a = prior_update_spectral(conj, 1e6, 0.5, model, COEFFS)
-        b = prior_update_spectral(conj, 1e7, 0.5, model, COEFFS)
+        a = prior_update_spectral(conj, 1e6, model)
+        b = prior_update_spectral(conj, 1e7, model)
         assert a.v / b.v == pytest.approx(10.0, rel=1e-3)
         assert a.m / b.m == pytest.approx(10.0, rel=1e-3)
         assert a.q0 / b.q0 == pytest.approx(100.0, rel=1e-3)
@@ -68,7 +68,7 @@ class TestPriorUpdateSpectral:
 
     def test_q1_robust_form_at_zero_mhat(self):
         model = mp_spectral_model(1.0, 0.5, COEFFS)
-        out = prior_update_spectral(ConjugateParams(0.0, 0.3, 0.2, 0.6), 0.1, 0.5, model, COEFFS)
+        out = prior_update_spectral(ConjugateParams(0.0, 0.3, 0.2, 0.6), 0.1, model)
         assert np.isfinite(out.q1)
         assert out.m == 0.0
         assert out.q1 > 0.0
@@ -76,7 +76,7 @@ class TestPriorUpdateSpectral:
     def test_q1_equals_paper_form_when_mhat_nonzero(self):
         model = mp_spectral_model(1.0, 0.5, COEFFS)
         conj = ConjugateParams(0.7, 0.3, 0.2, 0.6)
-        out = prior_update_spectral(conj, 0.1, 0.5, model, COEFFS)
+        out = prior_update_spectral(conj, 0.1, model)
         paper_q1 = (1.0 + conj.q1_hat / conj.m_hat**2) * out.m**2
         assert out.q1 == pytest.approx(paper_q1, rel=1e-12)
 
@@ -84,13 +84,13 @@ class TestPriorUpdateSpectral:
         ident = activation_coeffs(lambda x: x, RULE)  # kappa_star = 0: atom can sit at s = 0
         model = mp_spectral_model(1.0, 0.5, ident)
         with pytest.raises(DomainError):
-            prior_update_spectral(ConjugateParams(0.1, 0.1, 0.1, 0.0), 0.0, 0.5, model, ident)
+            prior_update_spectral(ConjugateParams(0.1, 0.1, 0.1, 0.0), 0.0, model)
 
 
-def prior_update_three_pass(conj, lam, gamma, model, coeffs):
+def prior_update_three_pass(conj, lam, model):
     """The spectral prior update as three separate integrals: oracle of the one-pass form."""
     mh, q0h, q1h, vh = conj.m_hat, conj.q0_hat, conj.q1_hat, conj.v_hat
-    ks2 = coeffs.kappa_star_sq
+    gamma, ks2 = model.aspect, model.shift
     v = spectral_integral(model, lambda s: s / (lam + vh * s))
     i_theta = spectral_integral(model, lambda s: (s - ks2) / (lam + vh * s))
     m = mh / np.sqrt(gamma) * i_theta
@@ -117,19 +117,20 @@ class TestOnePassPrior:
         for lam in (1e-6, 1e-2, 3.0):
             for _ in range(5):
                 conj = random_conjugates(rng)
-                got = prior_update_spectral(conj, lam, model.aspect, model, COEFFS)
-                want = prior_update_three_pass(conj, lam, model.aspect, model, COEFFS)
+                got = prior_update_spectral(conj, lam, model)
+                want = prior_update_three_pass(conj, lam, model)
                 assert (got.m, got.q0, got.q1, got.v) == (want.m, want.q0, want.q1, want.v)
 
-    def test_cached_node_terms_follow_kappa_star(self):
-        # s^2 and s - kappa_star^2 are cached per (model, kappa_star^2); one model meets two in turn
-        model = mp_spectral_model(1.0, 0.5, COEFFS)
+    def test_cached_node_terms_follow_the_models_shift(self):
+        # s^2 and s - kappa_star^2 are cached per model; two models of one
+        # aspect and different shifts are met in turn
         other = dataclasses.replace(COEFFS, kappa_star=0.5 * COEFFS.kappa_star)
+        models = [mp_spectral_model(1.0, 0.5, coeffs) for coeffs in (COEFFS, other)]
         rng = np.random.default_rng(18)
-        for coeffs in (COEFFS, other, COEFFS, other):
+        for model in models + models:
             conj = random_conjugates(rng)
-            got = prior_update_spectral(conj, 1e-2, model.aspect, model, coeffs)
-            want = prior_update_three_pass(conj, 1e-2, model.aspect, model, coeffs)
+            got = prior_update_spectral(conj, 1e-2, model)
+            want = prior_update_three_pass(conj, 1e-2, model)
             assert (got.m, got.q0, got.q1, got.v) == (want.m, want.q0, want.q1, want.v)
 
 
@@ -186,7 +187,7 @@ class TestMatrixOracle:
         conj = random_conjugates(rng)
         lam = rng.uniform(0.05, 0.5)
         model = mp_spectral_model(1.0, gamma, COEFFS)
-        spectral = prior_update_spectral(conj, lam, gamma, model, COEFFS)
+        spectral = prior_update_spectral(conj, lam, model)
         ens = sample_feature_ensemble(2, p, d, COEFFS, np.zeros(d), seed=seed)
         oracle = prior_update_matrix_oracle(conj, lam, ens)
         np.testing.assert_allclose(spectral.as_array(), oracle.as_array(), rtol=0.02)
@@ -202,7 +203,7 @@ class TestMatrixOracle:
             for seed in range(5):
                 conj = random_conjugates(np.random.default_rng(1000 + seed))
                 lam = 0.2
-                spectral = prior_update_spectral(conj, lam, gamma, model, COEFFS)
+                spectral = prior_update_spectral(conj, lam, model)
                 oracle = prior_update_matrix_oracle(conj, lam, sample_feature_ensemble(2, p, d, COEFFS, np.zeros(d), seed=seed))
                 rel.append(np.max(np.abs(spectral.as_array() - oracle.as_array()) / np.abs(spectral.as_array())))
             gaps[p] = float(np.median(rel))
@@ -266,7 +267,7 @@ class TestKernelPrior:
             v_hat=alpha * conj_k.v_hat,
         )
         model = mp_spectral_model(alpha, gamma, COEFFS, bulk_nodes=4001)
-        spectral = prior_update_spectral(conj_orig, lam, gamma, model, COEFFS)
+        spectral = prior_update_spectral(conj_orig, lam, model)
         np.testing.assert_allclose(kernel.as_array(), spectral.as_array(), rtol=0.01)
 
 

@@ -20,7 +20,7 @@ from rfensemble import (
     solve_kernel_limit,
 )
 
-from rfensemble import cli, solver
+from rfensemble import channels, cli, solver
 from oracles import (
     damped_kernel_oracle,
     damped_solve_oracle,
@@ -30,7 +30,8 @@ from oracles import (
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-COEFFS = activation_coeffs(erf, gauss_hermite_rule(201))
+RULE_201 = gauss_hermite_rule(201)
+COEFFS = activation_coeffs(erf, RULE_201)
 SQUARE = ChannelSpec(loss="square", teacher="linear")
 LOGISTIC = ChannelSpec(loss="logistic", teacher="sign")
 
@@ -115,6 +116,16 @@ class TestSolveFixedPoint:
         with pytest.raises(ConfigError):
             ModelConfig(alpha=-1.0, gamma=1.0, rho=1.0, lam=1.0, K=1,
                         spec=SQUARE, spectrum=mp_spectral_model(1.0, 1.0, COEFFS), coeffs=COEFFS)
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [mp_spectral_model(1.0, 2.0, COEFFS), mp_spectral_model(1.0, 0.5, activation_coeffs(np.tanh, RULE_201))],
+        ids=["other-gamma", "other-activation"],
+    )
+    def test_config_rejects_a_spectrum_of_another_model(self, spectrum):
+        # the spectral prior reads gamma and kappa_star^2 from the spectrum alone
+        with pytest.raises(ConfigError, match="spectrum"):
+            ModelConfig(alpha=1.0, gamma=0.5, rho=1.0, lam=1.0, K=1, spec=SQUARE, spectrum=spectrum, coeffs=COEFFS)
 
     @pytest.mark.parametrize(
         "field,value",
@@ -290,11 +301,21 @@ class TestTwoStageMarginSolve:
         assert rel_distance(fp.params, ref.params) <= rel_distance(damped.params, ref.params)
         assert rel_distance(fp.params, ref.params) < 1e-9
 
+    def test_hinge_solve_calls_prox_hinge(self, monkeypatch):
+        # stage 1 pins q1 to q0, where the pair integral takes the hinge
+        # proximal at s/2; the benchmark's trace requires that span
+        calls = []
+        prox = channels.prox_hinge
+        monkeypatch.setattr(channels, "prox_hinge", lambda *args: calls.append(args) or prox(*args))
+        config, opts = margin_point("hinge-0.1-1.0", tol=1e-9)
+        assert solve_fixed_point(config, opts).converged
+        assert len(calls) >= 1
+
     @pytest.mark.parametrize("name", list(MARGIN_POINTS))
     def test_returned_parameters_are_the_prior_of_the_returned_conjugates(self, name):
         config, opts = margin_point(name, tol=1e-9)
         fp = solve_fixed_point(config, opts)
-        again = solver.prior_update_spectral(fp.conj, config.lam, config.gamma, config.spectrum, config.coeffs)
+        again = solver.prior_update_spectral(fp.conj, config.lam, config.spectrum)
         assert [float(x).hex() for x in vars(again).values()] == [float(x).hex() for x in vars(fp.params).values()]
         assert 0 < fp.params.q1 < fp.params.q0
 
