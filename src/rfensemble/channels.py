@@ -35,10 +35,10 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy.special import erf, expit
 
 from .errors import ConfigError, ConvergenceError, DomainError
 from .quadrature import expect_2d_correlated, gauss_hermite_rule
+from .special import erf, expit
 
 LOSSES = ("square", "logistic", "hinge")
 TEACHERS = ("linear", "sign")

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .channels import LOSSES, ChannelSpec, training_loss
 from .errors import ConfigError, RfensembleError
@@ -33,6 +32,7 @@ from .solver import (
     solve_kernel_limit,
     warm_options,
 )
+from .special import erf, scipy_special
 from .spectrum import ActivationCoeffs, activation_coeffs, mp_spectral_model
 from . import erm_lab
 
@@ -46,6 +46,7 @@ def _identity(x):
     return x
 
 
+# the theory's activations, whose coefficients every command takes;
 # module-level functions only: simulate --jobs pickles them for the workers
 ACTIVATIONS = {
     "erf": erf,
@@ -341,6 +342,15 @@ def cmd_simulate(cfg: dict, args) -> int:
     return EXIT_OK
 
 
+def _lab_activation(name: str):
+    """The activation `simulate` featurizes with: the theory's own, except scipy's erf ufunc for "erf".
+
+    The lab applies that ufunc in place and scores sign estimators on it by
+    certified signs; its coefficients are within 1e-15 of the theory's.
+    """
+    return scipy_special().erf if name == "erf" else ACTIVATIONS[name]
+
+
 def _simulate_point(point: TheoryProblem, fp: FixedPoint, run: dict, map_fn) -> dict:
     """Train the ensembles at the finite sizes of one sweep point and score them against its fixed point.
 
@@ -355,7 +365,7 @@ def _simulate_point(point: TheoryProblem, fp: FixedPoint, run: dict, map_fn) -> 
     K = max([k for k in point.K_list if k != "inf"], default=1)
     result = erm_lab.run_experiment(
         point.spec, point.coeffs, n=n, p=p, K=K, rho=point.rho, lam=point.lam,
-        activation=ACTIVATIONS[point.activation_name], map_fn=map_fn, **run,
+        activation=_lab_activation(point.activation_name), map_fn=map_fn, **run,
     )
     agg = result.aggregate()
     out = {"trials": run["trials"], "failures": agg["failures"]}

@@ -23,13 +23,13 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf, expit
 
 from .channels import ChannelSpec
 from .errors import ConfigError, ConvergenceError, DomainError, NumericalError
 from .observables import resolve_estimator
 from .priors import FeatureEnsemble, sample_feature_ensemble
 from .quadrature import gauss_hermite_rule
+from .special import scipy_special
 from .spectrum import ActivationCoeffs, activation_coeffs
 
 DEFAULT_TEST_SAMPLES = 10_000
@@ -52,7 +52,7 @@ _ERF_CLIP = 6.0
 _ERF_P = tuple(np.float32(c) for c in (3.22722375e-05, -4.15366107e-04, -4.96410745e-04, 0.102932951, 1.12835812))
 _ERF_DELTA = 7e-6
 # scipy's erf is within _ERF_EPS of erf everywhere; its worst distance from
-# math.erf is 3.3e-16 (tests/test_erm_lab.py::TestErfSurrogate)
+# math.erf, the theory's erf, is 3.3e-16 (tests/test_special.py::TestErf)
 _ERF_EPS = 2.0**-49
 
 
@@ -241,7 +241,7 @@ def train_logistic(features: Sequence[np.ndarray], y: np.ndarray, lam: float):
         gn = np.inf
         done_iters = _NEWTON_MAX_ITER
         for it in range(_NEWTON_MAX_ITER):
-            s = expit(-y * z)  # = -d loss / d (y z)
+            s = scipy_special().expit(-y * z)  # = -d loss / d (y z)
             g = -U.T @ (y * s) / sqrt_p + lam * w
             gn = float(np.linalg.norm(g))
             if gn <= tol:
@@ -536,7 +536,7 @@ def _fits_float32(G: np.ndarray) -> bool:
 def _row_scores(X: np.ndarray, F: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The float64 scores erf(X F^T/sqrt(d)) w/sqrt(p) of the rows X, formed on those rows alone."""
     A = _preactivations(X, F)
-    return preactivation(erf(A, out=A), w)
+    return preactivation(scipy_special().erf(A, out=A), w)
 
 
 def _rescore(X, F, w, rows: np.ndarray, A: np.ndarray, out: np.ndarray) -> None:
@@ -549,7 +549,7 @@ def _rescore(X, F, w, rows: np.ndarray, A: np.ndarray, out: np.ndarray) -> None:
     """
     if rows.size:
         _preactivations(X, F, out=A)
-        A[rows] = erf(A[rows])
+        A[rows] = scipy_special().erf(A[rows])
         out[rows] = preactivation(A, w)[rows]
 
 
@@ -582,7 +582,7 @@ def _sampled_test_scores(seed, theta, teacher, ensemble, W, samples, estimator):
     scores = np.empty((samples, W.shape[1]))
     bounds = list(range(0, samples, _TEST_CHUNK))[: max(1, samples // _TEST_CHUNK)] + [samples]
     longest = int(np.max(np.diff(bounds)))
-    if ensemble.activation is erf and resolve_estimator(estimator).positive is not None:
+    if ensemble.activation is scipy_special().erf and resolve_estimator(estimator).positive is not None:
         score = _CertifiedErfScores(ensemble, W, estimator == "avg_sign", longest)
     else:
         score = partial(_exact_scores, _learners(ensemble), W)
@@ -615,9 +615,10 @@ def run_trial(
     rho: float,
     lam: float,
     estimator: str,
-    activation: Callable = erf,
+    activation: Optional[Callable] = None,
     test_samples: int = DEFAULT_TEST_SAMPLES,
 ) -> TrialRecord:
+    """Train one K-learner ensemble and score it; the activation defaults to scipy's erf ufunc."""
     _check_test_samples(test_samples)
     try:
         dataset = generate_dataset(n, d, rho, spec.teacher, seed)
@@ -647,7 +648,7 @@ def run_trial(
             train_loss = float(np.mean(np.logaddexp(0.0, -dataset.y[:, None] * z_train)))
 
         disagreement = math.nan
-        if spec.loss == "square" and estimator == "mean" and activation is erf:
+        if spec.loss == "square" and estimator == "mean" and ensemble.activation is scipy_special().erf:
             test_error = square_test_error_erf(dataset.theta, ensemble, W)
         else:
             y_test, scores = _sampled_test_scores(
@@ -692,7 +693,7 @@ def run_experiment(
     trials: int,
     master_seed: int = 0,
     estimator: Optional[str] = None,
-    activation: Callable = erf,
+    activation: Optional[Callable] = None,
     test_samples: int = DEFAULT_TEST_SAMPLES,
     seeds: Optional[Sequence] = None,
     map_fn=map,
@@ -703,11 +704,15 @@ def run_experiment(
     seed list; `map_fn` may be an executor map for parallel runs. The
     overlaps read kappa1 and kappa_star^2 from `coeffs` while the features
     apply `activation`, so `coeffs` must be the activation's own (on the
-    order-201 Gauss-Hermite rule) to 1e-9 relative.
+    order-201 Gauss-Hermite rule) to 1e-9 relative. The activation defaults
+    to scipy's erf ufunc, which the lab applies in place and scores by
+    certified signs.
     """
     if trials < 0:
         raise ConfigError("trials must be >= 0")
     _check_test_samples(test_samples)
+    if activation is None:
+        activation = scipy_special().erf
     own = activation_coeffs(activation, gauss_hermite_rule(201))
     given, want = (np.array([c.kappa0, c.kappa1, c.kappa_star]) for c in (coeffs, own))
     if np.max(np.abs(given - want)) > 1e-9 * np.max(np.abs(want)):

@@ -10,13 +10,13 @@ kernel-ridge one-shot closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import erf
 
 from .channels import ChannelSpec, ConjugateParams, OrderParams, channel_update
 from .errors import ConfigError, DomainError, ResourceError
+from .special import scipy_special
 from .spectrum import (
     MAX_MATRIX_ENTRIES,
     ActivationCoeffs,
@@ -77,7 +77,7 @@ class FeatureEnsemble:
     coeffs: ActivationCoeffs
     theta: np.ndarray
     seeds: tuple
-    activation: Callable[[np.ndarray], np.ndarray] = erf
+    activation: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         shapes = {F.shape for F in self.F_list}
@@ -109,15 +109,20 @@ def sample_feature_ensemble(
     coeffs: ActivationCoeffs,
     theta: np.ndarray,
     seed: int,
-    activation: Callable[[np.ndarray], np.ndarray] = erf,
+    activation: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> FeatureEnsemble:
-    """Sample K independent feature matrices from child streams of `seed`."""
+    """Sample K independent feature matrices from child streams of `seed`.
+
+    The activation defaults to scipy's erf ufunc, the ERM lab's erf.
+    """
     if K < 1:
         raise ConfigError("K must be >= 1")
     if p * d * K > MAX_MATRIX_ENTRIES:
         raise ResourceError(f"ensemble size K*p*d = {K * p * d} exceeds cap {MAX_MATRIX_ENTRIES}")
     seeds = tuple(int(s) for s in np.random.SeedSequence(seed).generate_state(K))
     F_list = tuple(sample_feature_matrix(s, p, d) for s in seeds)
+    if activation is None:
+        activation = scipy_special().erf
     return FeatureEnsemble(F_list=F_list, coeffs=coeffs, theta=np.asarray(theta, dtype=float), seeds=seeds, activation=activation)
 
 

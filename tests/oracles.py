@@ -49,7 +49,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import erf, expit
 
 from rfensemble import ConfigError, DomainError, NumericalError, OrderParams, prox_hinge, teacher_dz0, teacher_z0
-from rfensemble import erm_lab, quadrature, solver
+from rfensemble import erm_lab, quadrature, solver, special
 from rfensemble.channels import ConjugateParams, channel_update
 from rfensemble.observables import MC_BLOCK, resolve_estimator
 from rfensemble.priors import kernel_channel_update, kernel_prior_update, prior_update_spectral
@@ -274,10 +274,10 @@ def hinge_training_loss_oracle(params, rho):
 
 
 def _trunc_moments(mu, var, a, b):
-    """Integrals of 1, u, u^2 against N(mu, var) over [a, b]."""
+    """Integrals of 1, u, u^2 against N(mu, var) over [a, b], on the package's erf as the channel's are."""
     sd = np.sqrt(var)
     za, zb = (a - mu) / sd, (b - mu) / sd
-    cdf = lambda z: 0.5 * (1.0 + erf(z / np.sqrt(2.0)))
+    cdf = lambda z: 0.5 * (1.0 + special.erf(z / np.sqrt(2.0)))
     pdf = lambda z: np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
     m0 = cdf(zb) - cdf(za)
     i1 = pdf(za) - pdf(zb)

@@ -753,3 +753,49 @@ def test_import_loads_neither_scipy_linalg_nor_the_process_pool():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+# cli.main on each argv of the first list, then on the second: prints the exit codes, the scipy
+# modules loaded before the second, and whether scipy.special was loaded after it
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import rfensemble, rfensemble.cli as cli
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+theory, lab = json.loads(sys.argv[1])
+codes = [run(argv) for argv in theory]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+codes.append(run(lab))
+print(json.dumps({"codes": codes, "theory": loaded, "lab": "scipy.special" in sys.modules}))
+"""
+
+
+def test_theory_commands_load_no_scipy_and_simulate_does(tmp_path):
+    # the theory takes erf and expit from rfensemble.special; only the ERM lab imports scipy.special
+    def argv(command, cfg, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        return [command, "--config", str(path), "--out", str(tmp_path / f"{name}.out")]
+
+    def first_point(path):
+        cfg = json.loads(path.read_text())
+        point = {k: v for k, v in cfg.items() if k not in ("axis", "grid", "simulate")}
+        return dict(point, **{cfg["axis"]: cfg["grid"][0]})
+
+    ridge = json.loads((ROOT / "configs" / "ridge_double_descent.json").read_text())
+    theory = [
+        argv("sweep", json.loads((ROOT / "configs" / "kernel_limit.json").read_text()), "kernel"),
+        argv("sweep", dict(ridge, grid=ridge["grid"][:2]), "ridge"),
+        argv("solve", first_point(ROOT / "configs" / "logistic_overlaps.json"), "logistic"),
+        argv("solve", first_point(ROOT / "rfbench" / "configs" / "margin_hinge.json"), "hinge"),
+        argv("confidence-density", json.loads((ROOT / "configs" / "confidence_density.json").read_text()), "density"),
+    ]
+    erm = json.loads((ROOT / "configs" / "ridge_theory_vs_erm.json").read_text())
+    lab = argv("simulate", dict(erm, grid=[2.0], simulate={"trials": 1, "d": 20, "test_samples": 100}), "simulate")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps([theory, lab])],
+                            env=env, capture_output=True, text=True, check=True)
+    assert json.loads(result.stdout) == {"codes": [0] * 6, "theory": [], "lab": True}

@@ -403,6 +403,36 @@ class TestRunExperiment:
         assert abs(agg["train_loss"]["mean"] - theory) <= 3 * se
 
 
+class TestDefaultActivation:
+    """Without `activation` the lab featurizes with scipy's erf ufunc itself, the identity that the in-place
+    `featurize`, the exact ridge test error and the certified signs look for."""
+
+    KW = dict(n=60, p=40, d=30, K=2, rho=1.0, lam=1e-2, test_samples=1500)
+
+    def test_sample_feature_ensemble(self):
+        assert sample_feature_ensemble(2, 30, 20, COEFFS, np.zeros(20), seed=0).activation is erf
+
+    @pytest.mark.parametrize("spec,estimator", [(SQUARE, "mean"), (LOGISTIC, "avg_sign")], ids=["ridge", "logistic"])
+    def test_run_trial(self, monkeypatch, spec, estimator):
+        ensembles = []
+        sample = erm_lab.sample_feature_ensemble
+
+        def recorded(*args, **kwargs):
+            ensembles.append(sample(*args, **kwargs))
+            return ensembles[-1]
+
+        monkeypatch.setattr(erm_lab, "sample_feature_ensemble", recorded)
+        rec = run_trial(0, (61, 0), spec, COEFFS, estimator=estimator, **self.KW)
+        assert rec.ok and len(ensembles) == 1 and ensembles[0].activation is erf
+        assert rec == run_trial(0, (61, 0), spec, COEFFS, estimator=estimator, activation=erf, **self.KW)
+
+    def test_run_experiment(self):
+        kwargs = dict(self.KW, trials=2, master_seed=62)
+        default = run_experiment(LOGISTIC, COEFFS, **kwargs).records
+        assert all(r.ok for r in default)
+        assert default == run_experiment(LOGISTIC, COEFFS, activation=erf, **kwargs).records
+
+
 def _trained_ensemble(seed, n, p, d, K, lam=1e-2):
     ds = generate_dataset(n, d, 1.0, "linear", seed)
     ens = sample_feature_ensemble(K, p, d, COEFFS, ds.theta, seed=derive_seed(seed, "features"), activation=erf)
@@ -635,13 +665,6 @@ class TestErfSurrogate:
     def test_exactly_odd(self):
         x = np.linspace(0, 8, 10**6 + 1)
         np.testing.assert_array_equal(self.surrogate(-x), -self.surrogate(x))
-
-    def test_scipy_erf_within_half_the_declared_allowance_of_math_erf(self):
-        # the certificate's radii take scipy's erf within _ERF_EPS of erf
-        x = np.concatenate([np.linspace(-7, 7, 10**6 + 1), np.logspace(-300, 2, 10**4)])
-        x = np.concatenate([x, -x])
-        worst = np.max(np.abs(erf(x) - np.array([math.erf(v) for v in x])))
-        assert 2 * worst <= erm_lab._ERF_EPS, f"worst error {worst:.3e}"
 
 
 def _trained_logistic(seed, n, p, d, K, lam):
