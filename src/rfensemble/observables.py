@@ -133,14 +133,23 @@ def ensemble_test_error(params: OrderParams, rho: float, loss: str, K) -> tuple[
 
 
 MC_BLOCK = 1 << 16
-# doubles in each sample buffer of `generic_gen_error`: a block is drawn in
-# chunks of MC_BUFFER // (K + 1) samples, the whole block while K <= 3
-MC_BUFFER = 4 * MC_BLOCK
+# doubles in each sample buffer of `generic_gen_error` (256 KB, so the two
+# buffers fit in L2): a block is drawn in chunks of MC_BUFFER // (K + 1)
+# samples, 8,192 at K = 3
+MC_BUFFER = 1 << 15
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _block_stream(seed: int, block: int) -> np.random.Generator:
-    """The independent stream of fixed-size block `block`, keyed by (seed, block index)."""
-    return np.random.Generator(np.random.Philox(key=(seed, block)))
+    """The independent stream of fixed-size block `block`, keyed by (seed, block index).
+
+    The key is built as uint64 words: a tuple of Python ints at or above
+    2**63 would pass through float64 and lose its low bits.
+    """
+    return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
 def _draw_samples(cov: EnsembleCovariance, rng: np.random.Generator, count: int, u=None, z=None):
@@ -244,21 +253,28 @@ def generic_gen_error(
 ) -> tuple[float, float]:
     """Monte Carlo test error for any estimator/error measure pair.
 
-    Returns (estimate, std_error). Deterministic for a fixed seed and
-    invariant to how blocks are distributed across workers. Samples come in
-    blocks of MC_BLOCK, each drawn from its own stream (`_block_stream`) in
-    consecutive chunks of MC_BUFFER // (K+1) samples, into one sample-major
-    normal buffer and one field-major (K+1, chunk) buffer allocated per call
-    and reused by every chunk, so memory does not grow with K; a chunk's
-    samples are those of its place in the block. The estimator sees each
+    Returns (estimate, std_error). `samples` is an int of at least 10,000
+    and `seed` an int in [0, 2**64), one Philox key word. Deterministic for
+    a fixed seed and invariant to how blocks are distributed across
+    workers. Samples come in blocks of MC_BLOCK, each drawn from its own
+    stream (`_block_stream`) in consecutive chunks of MC_BUFFER // (K+1)
+    samples, into one sample-major normal buffer and one field-major
+    (K+1, chunk) buffer of MC_BUFFER doubles each, allocated per call and
+    reused by every chunk, so memory does not grow with K and the buffers
+    stay in L2; a chunk's samples are those of its place in the block, so
+    the chunk size cannot move an estimate. The estimator sees each
     chunk's scores as a (chunk, K) view of the field buffer, so a sum over
     learners runs left to right. Squared errors are summed per block, over
     a block-wide buffer. The zero-one error of a sign estimator against the
     sign teacher is counted on booleans (`ResolvedEstimator.positive` of
     the learner rows), giving the same counts as its +-1 predictions.
     """
+    if not _is_int(samples):
+        raise ConfigError(f"samples must be an int, got {samples!r}")
     if samples < 10_000:
         raise ConfigError("use at least 1e4 samples; below that the MC band is not meaningful")
+    if not (_is_int(seed) and 0 <= seed < 2**64):
+        raise ConfigError(f"seed must be an int in [0, 2**64) (one Philox key word), got {seed!r}")
     cov.check_psd()
     f_hat, default_teacher, positive = resolve_estimator(estimator)
     teacher = teacher or default_teacher
@@ -268,8 +284,8 @@ def generic_gen_error(
         raise ConfigError(f"unknown metric {metric!r}")
     if estimator == "mean" and metric == "zero_one":
         raise ConfigError("estimator 'mean' predicts real values, which the zero-one metric counts as always wrong")
-    if teacher != "sign":
-        positive = None  # the boolean form is scored against the sign teacher only
+    if teacher == "linear" and metric == "zero_one":
+        raise ConfigError("the linear teacher is real-valued, which the zero-one metric counts as always wrong")
     size = min(MC_BLOCK, samples)
     chunk = min(size, max(1, MC_BUFFER // (cov.K + 1)))
     u = np.empty((chunk, cov.K + 1))
@@ -289,11 +305,11 @@ def generic_gen_error(
                 y = nu if teacher == "linear" else _sign_pm1(nu)
                 sq[start:start + len(nu)] = (y - np.asarray(f_hat(mu), dtype=float)) ** 2
             else:
+                # zero_one: the teacher is the sign teacher (checked above)
                 if positive is not None:
                     wrong = (nu >= 0) != positive(mu.T)
                 else:
-                    y = nu if teacher == "linear" else _sign_pm1(nu)
-                    wrong = y != np.asarray(f_hat(mu), dtype=float)
+                    wrong = _sign_pm1(nu) != np.asarray(f_hat(mu), dtype=float)
                 # a zero-one loss is 0 or 1, so its square is itself
                 mismatches = int(np.count_nonzero(wrong))
                 total += mismatches

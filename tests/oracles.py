@@ -7,6 +7,9 @@
 - The empirical feature spectrum (formula row 3): the exact eigenvalues of
   one sampled Omega, the finite-p counterpart of the closed-form
   Marchenko-Pastur model. A finite-p spectral integral is their mean.
+- The spectral prior update (formula row 12) by adaptive `quad` against
+  the closed-form Marchenko-Pastur density, the accuracy reference for
+  its fixed bulk grid.
 - Finite-matrix prior traces (formula row 13): the trace formulas over
   sampled feature matrices that the spectral prior must reproduce as p grows.
 - Kernel-ridge one-shot closed forms (row 17): the form as printed, whose q
@@ -45,6 +48,7 @@
 import math
 
 import numpy as np
+from scipy import integrate
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import erf, expit
 
@@ -86,6 +90,39 @@ def empirical_spectrum(seed, p, d, coeffs):
     omega = (coeffs.kappa1**2 / d) * (F @ F.T)
     omega[np.diag_indices(p)] += coeffs.kappa_star_sq
     return np.linalg.eigvalsh(omega)
+
+
+def mp_integral_quad(model, g):
+    """Integral of g against `model`'s spectral law (bulk + atom) by adaptive `quad`.
+
+    The bulk density sqrt((hi - x)(x - lo)) / (2 pi c b2 x), x = s - shift,
+    is written as the algebraic end-point weight (x - lo)^(-1/2) (hi - x)^(1/2)
+    times (x - lo)/x, which stays bounded as lo -> 0; the adaptive rule, not
+    a fixed grid, resolves the 1/x factor near a small lower edge.
+    """
+    c = 1.0 / model.aspect
+    b2 = model.scale**2
+    lo = b2 * (1 - math.sqrt(c)) ** 2
+    hi = b2 * (1 + math.sqrt(c)) ** 2
+
+    def f(x):
+        ratio = (x - lo) / x if x > 0 else 1.0  # its limit when lo = 0
+        return g(x + model.shift) * ratio / (2 * math.pi * c * b2)
+
+    bulk = integrate.quad(f, lo, hi, weight="alg", wvar=(-0.5, 0.5), epsabs=0.0, epsrel=1e-13, limit=500)[0]
+    return bulk + model.atom_mass * g(model.atom_location)
+
+
+def prior_update_quad_oracle(conj, lam, model):
+    """`priors.prior_update_spectral` with its three integrals by `mp_integral_quad`."""
+    mh, q0h, q1h, vh = conj.m_hat, conj.q0_hat, conj.q1_hat, conj.v_hat
+    gamma, ks2 = model.aspect, model.shift
+    v = mp_integral_quad(model, lambda s: s / (lam + vh * s))
+    i_theta = mp_integral_quad(model, lambda s: (s - ks2) / (lam + vh * s))
+    q0 = mp_integral_quad(model, lambda s: ((q0h + mh**2) * s**2 - mh**2 * ks2 * s) / (lam + vh * s) ** 2)
+    m = mh / math.sqrt(gamma) * i_theta
+    q1 = (mh**2 + q1h) * i_theta**2 / gamma
+    return OrderParams(m=m, q0=q0, q1=q1, v=v)
 
 
 # ---------------------------------------------------------------------------

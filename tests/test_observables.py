@@ -236,6 +236,24 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 3 * MC_BUFFER * 8
 
+    @pytest.mark.parametrize(
+        "estimator,metric", [("avg_sign", "zero_one"), ("majority", "zero_one"), ("mean", "mse")]
+    )
+    def test_memory_stays_below_2mb_at_k3(self, estimator, metric):
+        # theory-margin's size: a 65,536-sample block is drawn in chunks of
+        # MC_BUFFER // 4 samples, so the two sample buffers hold 2 MC_BUFFER
+        # doubles (0.5 MB), and the mse metric adds its block-wide buffer
+        # (0.5 MB); the warm-up call takes the first call's one-off 0.8 MB
+        c = cov(m=0.5, q0=1.0, q1=0.5, K=3)
+        generic_gen_error(c, estimator, metric, 500_000, seed=25)
+        tracemalloc.start()
+        try:
+            generic_gen_error(c, estimator, metric, 500_000, seed=25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
     @pytest.mark.parametrize("estimator,metric", [("majority", "zero_one"), ("mean", "mse")])
     def test_chunked_blocks_equal_whole_block_draws_at_large_K(self, estimator, metric):
         # the oracle draws the block at once; the chunks continue its one stream
@@ -286,7 +304,35 @@ class TestMonteCarlo:
         with pytest.raises(ConfigError):
             generic_gen_error(cov(K=1), "avg_sign", "zero_one", 100, seed=0)
 
-    @pytest.mark.parametrize("teacher", [None, "sign"])
+    @pytest.mark.parametrize("samples", [1e5, True, "100000"])
+    def test_rejects_non_int_samples(self, samples):
+        with pytest.raises(ConfigError, match="samples"):
+            generic_gen_error(cov(K=3), "avg_sign", "zero_one", samples, seed=1)
+
+    @pytest.mark.parametrize("seed", [1.5, 2**64, -1, True, None])
+    def test_rejects_seed_outside_one_philox_word(self, seed):
+        # 1.5 used to run as seed 1, 2**64 to raise a bare OverflowError
+        with pytest.raises(ConfigError, match="seed"):
+            generic_gen_error(cov(K=3), "avg_sign", "zero_one", 10**4, seed=seed)
+
+    def test_every_seed_of_one_philox_word_keys_its_own_stream(self):
+        # a key tuple holding a Python int at or above 2**63 goes through
+        # float64 (2**63 + 1 would draw the stream of 2**63), so the key is
+        # built as uint64 words
+        seeds = (0, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1)
+        draws = {tuple(_block_stream(seed, 0).standard_normal(4)) for seed in seeds}
+        assert len(draws) == len(seeds)
+        c = cov(K=3)
+        want = generic_gen_error(c, "avg_sign", "zero_one", 10**4, seed=2**64 - 1)
+        assert generic_gen_error(c, "avg_sign", "zero_one", 10**4, seed=np.uint64(2**64 - 1)) == want
+
+    @pytest.mark.parametrize("estimator", ["avg_sign", "majority", resolve_estimator("avg_sign").f_hat])
+    def test_rejects_zero_one_against_linear_teacher(self, estimator):
+        # a real-valued teacher never equals a +-1 prediction, so the estimate would read 1.0
+        with pytest.raises(ConfigError, match="linear teacher"):
+            generic_gen_error(cov(K=3), estimator, "zero_one", 20_000, seed=1, teacher="linear")
+
+    @pytest.mark.parametrize("teacher", [None, "sign", "linear"])
     def test_rejects_mean_estimator_under_zero_one(self, teacher):
         # a real-valued prediction never equals a label, so the estimate would read 1.0
         with pytest.raises(ConfigError, match="'mean'"):
