@@ -31,6 +31,7 @@ analytic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -74,8 +75,7 @@ class ChannelSpec:
             raise ConfigError(f"{self.loss} loss pairs with the sign teacher")
 
 
-@dataclass(frozen=True)
-class OrderParams:
+class OrderParams(NamedTuple):
     m: float
     q0: float
     q1: float
@@ -95,8 +95,7 @@ class OrderParams:
             raise DomainError(f"m^2 = {self.m**2} exceeds rho*q0 = {rho * self.q0}")
 
 
-@dataclass(frozen=True)
-class ConjugateParams:
+class ConjugateParams(NamedTuple):
     m_hat: float
     q0_hat: float
     q1_hat: float
@@ -273,7 +272,7 @@ def channel_update(
         return ConjugateParams(0.0, 0.0, 0.0, 0.0)
     if spec.loss == "hinge":
         conj = channel_update_hinge_closed_form(params, rho, alpha)
-        return ConjugateParams(conj.m_hat / np.sqrt(gamma), conj.q0_hat, conj.q1_hat, conj.v_hat)
+        return ConjugateParams(conj.m_hat / math.sqrt(gamma), conj.q0_hat, conj.q1_hat, conj.v_hat)
     params.validate(rho)
     m, q0, q1, v = params.m, params.q0, params.q1, params.v
     s0, s_pair = _teacher_variances(params, rho)
@@ -315,10 +314,10 @@ def _channel_square(params: OrderParams, rho: float, alpha: float, gamma: float)
     m, q0, q1, v = params.m, params.q0, params.q1, params.v
     one_plus_v = 1.0 + v
     return ConjugateParams(
-        m_hat=alpha / np.sqrt(gamma) / one_plus_v,
-        q0_hat=alpha * (rho - 2.0 * m + q0) / one_plus_v**2,
-        q1_hat=alpha * (rho - 2.0 * m + q1) / one_plus_v**2,
-        v_hat=alpha / one_plus_v,
+        alpha / math.sqrt(gamma) / one_plus_v,
+        alpha * (rho - 2.0 * m + q0) / one_plus_v**2,
+        alpha * (rho - 2.0 * m + q1) / one_plus_v**2,
+        alpha / one_plus_v,
     )
 
 

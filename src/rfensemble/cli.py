@@ -101,6 +101,9 @@ def _check(name: str, value, key: str):
         must = _KINDS.get(kind)
     if not fits:
         raise ConfigError(f"field {name!r} must be {must}, got {value!r}")
+    if number and not math.isfinite(value):
+        # json reads NaN, Infinity and -Infinity as floats
+        raise ConfigError(f"field {name!r} must be a finite number, got {value!r}")
     checked = kind(value) if number else value
     if low and not checked > low[0]:
         # a ratio `x_over_y` is a positive x/y

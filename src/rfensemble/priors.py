@@ -9,6 +9,7 @@ kernel-ridge one-shot closed forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -64,9 +65,9 @@ def prior_update_spectral(conj: ConjugateParams, lam: float, model: SpectralMode
         return rows
 
     v, i_theta, q0 = spectral_integral(model, integrands)
-    m = mh / np.sqrt(gamma) * i_theta
+    m = mh / math.sqrt(gamma) * i_theta
     q1 = (mh**2 + q1h) * i_theta**2 / gamma
-    return OrderParams(m=m, q0=q0, q1=q1, v=v)
+    return OrderParams(m, q0, q1, v)
 
 
 @dataclass(frozen=True)
@@ -141,12 +142,7 @@ def kernel_channel_update(
     if delta < 0:
         raise DomainError(f"delta must be nonnegative, got {delta}")
     base = channel_update(params, rho, alpha=1.0, gamma=1.0, spec=spec)
-    return ConjugateParams(
-        m_hat=np.sqrt(delta) * base.m_hat,
-        q0_hat=base.q0_hat,
-        q1_hat=base.q1_hat,
-        v_hat=base.v_hat,
-    )
+    return ConjugateParams(math.sqrt(delta) * base.m_hat, base.q0_hat, base.q1_hat, base.v_hat)
 
 
 def kernel_prior_update(conj: ConjugateParams, lam: float, delta: float, coeffs: ActivationCoeffs) -> OrderParams:
@@ -158,12 +154,14 @@ def kernel_prior_update(conj: ConjugateParams, lam: float, delta: float, coeffs:
     """
     if not lam > 0:
         raise DomainError(f"kernel-limit prior requires lam > 0, got {lam}")
+    if delta < 0:
+        raise DomainError(f"delta must be nonnegative, got {delta}")
     mh, q0h, q1h, vh = conj.m_hat, conj.q0_hat, conj.q1_hat, conj.v_hat
     k1sq = coeffs.kappa1**2
     ks2 = coeffs.kappa_star_sq
     denom = lam + delta * k1sq * vh
     v = ks2 / lam + k1sq / denom
-    m = np.sqrt(delta) * k1sq * mh / denom
+    m = math.sqrt(delta) * k1sq * mh / denom
     q0 = delta * k1sq**2 * (q0h + mh**2) / denom**2
     q1 = delta * k1sq**2 * (q1h + mh**2) / denom**2
-    return OrderParams(m=m, q0=q0, q1=q1, v=v)
+    return OrderParams(m, q0, q1, v)

@@ -83,8 +83,8 @@ class SolveOptions:
     def __post_init__(self):
         if not (0 < self.damping <= 1):
             raise ConfigError("damping must lie in (0, 1]")
-        if not self.tol > 0:
-            raise ConfigError("tol must be positive")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ConfigError("tol must be positive and finite")
         if not self.max_iters >= 1:
             raise ConfigError("max_iters must be at least 1")
 
@@ -120,10 +120,10 @@ class FixedPoint:
 def _project(params: OrderParams, rho: float) -> tuple[OrderParams, bool]:
     """The single-learner point of `params`, q1 pinned to q0, with (m, q0, v)
     pulled back into the admissible set; reports if (m, q0, v) moved."""
-    m, q0, v = params.m, params.q0, params.v
+    m, q0, _, v = params
     moved = False
     if not math.isfinite(q0) or q0 > DIVERGENCE_Q0:
-        return OrderParams(m=m, q0=q0, q1=q0, v=v), False  # divergence handled by the caller
+        return OrderParams(m, q0, q0, v), False  # divergence handled by the caller
     if q0 <= 0:
         q0, moved = 1e-12, True
     if v <= 0:
@@ -131,20 +131,17 @@ def _project(params: OrderParams, rho: float) -> tuple[OrderParams, bool]:
     cap = math.sqrt(rho * q0)
     if abs(m) >= cap:
         m, moved = math.copysign(cap, m) * (1 - 1e-12), True
-    return OrderParams(m=m, q0=q0, q1=q0, v=v), moved
-
-
-def _sign(x: float) -> int:
-    return (x > 0) - (x < 0)
+    return OrderParams(m, q0, q0, v), moved
 
 
 def _iterate(step, init: OrderParams, rho: float, opts: SolveOptions, newton: bool) -> FixedPoint:
     """Stage-1 iteration of the single learner; `step` maps OrderParams -> (OrderParams, ConjugateParams).
 
     The state (m, q0, v) starts at the projection of `init` and is carried as
-    Python floats: a solve takes hundreds of cheap iterations, where numpy
-    call overhead would cost more than the arithmetic. The step sees q1 = q0
-    and its q1 is dropped, so the returned parameters carry q1 = q0.
+    Python floats, component by component: a solve takes hundreds of cheap
+    iterations, where numpy calls or generators would cost more than the
+    arithmetic. The step sees q1 = q0 and its q1 is dropped, so the returned
+    parameters carry q1 = q0.
 
     Without `newton` this is a damped loop. With it, once a map step moves
     the point by less than NEWTON_SWITCH, the loop takes Newton steps on
@@ -156,8 +153,9 @@ def _iterate(step, init: OrderParams, rho: float, opts: SolveOptions, newton: bo
     what is returned are those of the damped loop.
     """
     params, _ = _project(init, rho)
-    cur = [float(params.m), float(params.q0), float(params.v)]
+    cur = (float(params.m), float(params.q0), float(params.v))
     damping = opts.damping
+    tol, max_iters = opts.tol, opts.max_iters
     projections = 0
     residual = math.inf
     prev_sign: Optional[tuple[int, int]] = None  # signs of the last q0 and v steps
@@ -166,32 +164,34 @@ def _iterate(step, init: OrderParams, rho: float, opts: SolveOptions, newton: bo
     switch = NEWTON_SWITCH if newton else 0.0
     best = None  # (x, F(x), residual) of the last point a Newton step started from
     it = 0
-    while it < opts.max_iters:
+    while it < max_iters:
         it += 1
         update, conj = step(params)
-        new = [float(update.m), float(update.q0), float(update.v)]
-        if not all(map(math.isfinite, new)) or update.q0 > DIVERGENCE_Q0:
+        new = (float(update.m), float(update.q0), float(update.v))
+        fm, fq0, fv = new
+        if not (math.isfinite(fm) and math.isfinite(fq0) and math.isfinite(fv)) or update.q0 > DIVERGENCE_Q0:
             return FixedPoint(params, conj, it, residual, False, "interpolation_divergence", projections)
-        residual = max(abs(a - b) for a, b in zip(new, cur))
+        m, q0, v = cur
+        residual = max(abs(fm - m), abs(fq0 - q0), abs(fv - v))
         # tol below the float64 spacing of the iterate cannot be met: stop
         # within a few ulps of the largest component instead
-        if residual < max(opts.tol, 4.0 * math.ulp(max(map(abs, new)))):
-            final = OrderParams(new[0], new[1], new[1], new[2])
-            return FixedPoint(final, conj, it, residual, True, "converged", projections)
+        if residual < max(tol, 4.0 * math.ulp(max(abs(fm), abs(fq0), abs(fv)))):
+            return FixedPoint(OrderParams(fm, fq0, fq0, fv), conj, it, residual, True, "converged", projections)
         if best is not None and residual >= best[2]:
             cur, new, residual = best  # the Newton point did not help: back to the best point
+            (m, q0, v), (fm, fq0, fv) = cur, new
             best, switch = None, NEWTON_RETRY * residual
-        elif residual < switch and it + 4 <= opts.max_iters:
+        elif residual < switch and it + 4 <= max_iters:
             best = (cur, new, residual)
             point = _newton_point(step, cur, new, rho)
             it += 3
             if point is not None:
                 params = point
-                cur = [params.m, params.q0, params.v]
+                cur = (params.m, params.q0, params.v)
                 continue
             best, switch = None, NEWTON_RETRY * residual
-        delta = [a - b for a, b in zip(new, cur)]
-        sign = (_sign(delta[1]), _sign(delta[2]))
+        dq0, dv = fq0 - q0, fv - v
+        sign = ((dq0 > 0) - (dq0 < 0), (dv > 0) - (dv < 0))
         if prev_sign is not None:
             if sign == (-prev_sign[0], -prev_sign[1]) and sign != (0, 0):
                 osc_count += 1
@@ -200,10 +200,12 @@ def _iterate(step, init: OrderParams, rho: float, opts: SolveOptions, newton: bo
             else:
                 osc_count = 0
         prev_sign = sign
-        m, q0, v = (damping * a + (1 - damping) * b for a, b in zip(new, cur))
+        m = damping * fm + (1 - damping) * m
+        q0 = damping * fq0 + (1 - damping) * q0
+        v = damping * fv + (1 - damping) * v
         params, moved = _project(OrderParams(m, q0, q0, v), rho)
         projections += moved
-        cur = [params.m, params.q0, params.v]
+        cur = (params.m, params.q0, params.v)
     return FixedPoint(params, conj, it, residual, False, "max_iters", projections)
 
 

@@ -552,12 +552,16 @@ class TestResolver:
             ("simulate", dict(SIM_CFG, simulate={"trials": 2, "d": 20, "seed": -1}), "'simulate.seed'"),
             ("solve", dict(RIDGE_CFG, alpha=0), "'alpha'"),
             ("sweep", dict(SWEEP_CFG, axis="alpha", grid=[2.0, 1.0, -1.0]), "'grid'"),
+            ("solve", dict(RIDGE_CFG, tol=math.inf), "'tol'"),
+            ("solve", dict(RIDGE_CFG, rho=math.inf), "'rho'"),
+            ("solve", dict(RIDGE_CFG, **{"lambda": math.inf}), "'lambda'"),
+            ("sweep", dict(SWEEP_CFG, grid=[0.5, 1.0, math.inf]), "'grid'"),
         ],
         ids=["resolution-negative", "resolution-0", "activation-list", "out-9", "out-1", "tol-true",
              "max_iters-negative", "max_iters-0", "trials-negative", "trials-fraction", "d-0", "d-missing",
              "test_samples-negative", "test_samples-0", "estimator-misspelled", "estimator-mean-margin", "seeds-number",
              "seeds-wrong-length", "sweep-reads-simulate-values", "seeds-strings", "seed-negative", "alpha-0",
-             "alpha-grid-negative"],
+             "alpha-grid-negative", "tol-inf", "rho-inf", "lambda-inf", "grid-inf"],
     )
     def test_bad_value_exits_2_naming_the_key_before_any_solve(self, tmp_path, capsys, monkeypatch, command, cfg,
                                                                key):

@@ -275,6 +275,11 @@ class TestKernelPrior:
         out = kernel_prior_update(ConjugateParams(0.0, 0.0, 0.0, 0.5), 0.1, 2.0, COEFFS)
         assert out.m == out.q0 == out.q1 == 0.0
 
+    def test_negative_delta_is_a_domain_error(self):
+        # as in kernel_channel_update: a named error, not a NaN m or a bare ValueError from sqrt
+        with pytest.raises(DomainError, match="delta"):
+            kernel_prior_update(ConjugateParams(0.4, 0.3, 0.3, 0.6), 0.01, -1.0, COEFFS)
+
     def test_no_data_limit(self):
         out = kernel_prior_update(ConjugateParams(0.4, 0.3, 0.2, 0.6), 0.1, 1e-12, COEFFS)
         assert out.v == pytest.approx((COEFFS.kappa1**2 + COEFFS.kappa_star_sq) / 0.1, rel=1e-6)

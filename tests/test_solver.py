@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from rfensemble import (
     FixedPoint,
     ChannelSpec,
     ConfigError,
+    ConjugateParams,
     ModelConfig,
     OrderParams,
     SolveOptions,
@@ -20,7 +22,7 @@ from rfensemble import (
     solve_kernel_limit,
 )
 
-from rfensemble import channels, cli, solver
+from rfensemble import channels, cli, priors, solver
 from oracles import (
     damped_kernel_oracle,
     damped_solve_oracle,
@@ -129,8 +131,8 @@ class TestSolveFixedPoint:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("damping", 0.0), ("damping", 1.5), ("tol", 0.0), ("max_iters", 0), ("max_iters", -3)],
-        ids=["damping-0", "damping-1.5", "tol-0", "max_iters-0", "max_iters-negative"],
+        [("damping", 0.0), ("damping", 1.5), ("tol", 0.0), ("max_iters", 0), ("max_iters", -3), ("tol", math.inf)],
+        ids=["damping-0", "damping-1.5", "tol-0", "max_iters-0", "max_iters-negative", "tol-inf"],
     )
     def test_solve_options_reject_out_of_range(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -251,16 +253,51 @@ class TestScalarLoopMatchesArrayOracle:
         new, moved = solver._project(params, 0.5)
         old, old_moved = project_array_oracle(params, 0.5)
         assert moved == old_moved
-        assert [float(x).hex() for x in vars(new).values()] == [float(x).hex() for x in vars(old).values()]
+        assert [float(x).hex() for x in new._asdict().values()] == [float(x).hex() for x in old._asdict().values()]
 
     @staticmethod
     def assert_same(new, old):
         for field in fields(FixedPoint):
             a, b = getattr(new, field.name), getattr(old, field.name)
             if field.name in ("params", "conj"):
-                assert [float(x).hex() for x in vars(a).values()] == [float(x).hex() for x in vars(b).values()]
+                assert [float(x).hex() for x in a._asdict().values()] == [float(x).hex() for x in b._asdict().values()]
             else:
                 assert a == b, field.name
+
+
+RECORD_PARAMS = OrderParams(m=0.3, q0=1.0, q1=0.5, v=0.7)
+RECORD_CONJ = ConjugateParams(m_hat=0.4, q0_hat=0.6, q1_hat=0.2, v_hat=1.3)
+
+
+class TestFloatRecords:
+    """The map step of the square loss and the kernel limit, and the projection, run on Python floats."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: channels.channel_update(RECORD_PARAMS, 1.0, 2.0, 0.5, SQUARE),
+            lambda: priors.prior_update_spectral(RECORD_CONJ, 0.1, mp_spectral_model(1.0, 0.5, COEFFS)),
+            lambda: priors.kernel_channel_update(RECORD_PARAMS, 1.0, 2.0, SQUARE),
+            lambda: priors.kernel_prior_update(RECORD_CONJ, 0.1, 2.0, COEFFS),
+            lambda: solver._project(RECORD_PARAMS, 1.0)[0],
+            lambda: solver._project(OrderParams(m=2.0, q0=1.0, q1=0.5, v=-1.0), 1.0)[0],
+        ],
+        ids=["channel_update-square", "prior_update_spectral", "kernel_channel_update", "kernel_prior_update",
+             "project", "project-moved"],
+    )
+    def test_fields_are_exactly_float(self, make):
+        assert [type(x) for x in make()] == [float] * 4
+
+    @pytest.mark.parametrize("record", [RECORD_PARAMS, RECORD_CONJ], ids=["OrderParams", "ConjugateParams"])
+    def test_records_reject_attribute_assignment(self, record):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], 1.0)
+
+    def test_keyword_construction_keeps_the_field_order(self):
+        assert OrderParams(v=4.0, q1=3.0, q0=2.0, m=1.0) == OrderParams(1.0, 2.0, 3.0, 4.0)
+        assert ConjugateParams(v_hat=4.0, q1_hat=3.0, q0_hat=2.0, m_hat=1.0) == ConjugateParams(1.0, 2.0, 3.0, 4.0)
+        assert RECORD_PARAMS.as_array().tolist() == [0.3, 1.0, 0.5, 0.7]
+        assert RECORD_CONJ.as_array().tolist() == [0.4, 0.6, 0.2, 1.3]
 
 
 MARGIN_POINTS = {
@@ -316,7 +353,7 @@ class TestTwoStageMarginSolve:
         config, opts = margin_point(name, tol=1e-9)
         fp = solve_fixed_point(config, opts)
         again = solver.prior_update_spectral(fp.conj, config.lam, config.spectrum)
-        assert [float(x).hex() for x in vars(again).values()] == [float(x).hex() for x in vars(fp.params).values()]
+        assert [float(x).hex() for x in again._asdict().values()] == [float(x).hex() for x in fp.params._asdict().values()]
         assert 0 < fp.params.q1 < fp.params.q0
 
     def test_pair_integral_runs_at_most_12_times(self, monkeypatch):
@@ -417,7 +454,7 @@ class TestTwoStageMarginSolve:
 
         def shifted(*args):
             out = inner(*args)
-            return replace(out, q1=out.q1 + 1e3)
+            return out._replace(q1=out.q1 + 1e3)
 
         monkeypatch.setattr(solver, "prior_update_spectral", shifted)
         config, opts = margin_point("logistic-1e-2-1.0", tol=1e-9)
