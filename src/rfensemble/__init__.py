@@ -5,6 +5,10 @@ of K ridge-regularized generalized linear learners trained on correlated
 random features, evaluates the derived observables (test error and its
 bias/fluctuation split, disagreement probability, confidence densities), and
 cross-validates against finite-size empirical risk minimization.
+
+The ERM lab's names resolve through the module `__getattr__`, which imports
+`rfensemble.erm_lab` (and with it `hashlib`) at the first lookup of one of
+them: `import rfensemble` and the theory commands load neither.
 """
 
 from .channels import (
@@ -18,18 +22,6 @@ from .channels import (
     teacher_dz0,
     teacher_z0,
     training_loss,
-)
-from .erm_lab import (
-    ExperimentResult,
-    Overlaps,
-    SyntheticDataset,
-    empirical_overlaps,
-    featurize,
-    generate_dataset,
-    run_experiment,
-    square_test_error_erf,
-    train_logistic,
-    train_ridge,
 )
 from .errors import (
     ConfigError,
@@ -75,6 +67,29 @@ from .spectrum import (
 )
 
 __version__ = "0.1.0"
+
+# the names `__getattr__` takes from rfensemble.erm_lab
+_LAB_NAMES = frozenset((
+    "ExperimentResult",
+    "Overlaps",
+    "SyntheticDataset",
+    "empirical_overlaps",
+    "featurize",
+    "generate_dataset",
+    "run_experiment",
+    "square_test_error_erf",
+    "train_logistic",
+    "train_ridge",
+))
+
+
+def __getattr__(name):
+    """An ERM lab name, importing rfensemble.erm_lab on the first lookup (PEP 562)."""
+    if name in _LAB_NAMES:
+        from . import erm_lab
+
+        return getattr(erm_lab, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ActivationCoeffs",

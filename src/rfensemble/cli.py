@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import difflib
 import json
 import math
 import sys
@@ -34,7 +33,6 @@ from .solver import (
 )
 from .special import erf, scipy_special
 from .spectrum import ActivationCoeffs, activation_coeffs, mp_spectral_model
-from . import erm_lab
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,7 +57,8 @@ SWEEP_AXES = ("p_over_n", "alpha", "lambda", "delta")
 _REQUIRED = object()
 
 # key -> (type or allowed values, default or _REQUIRED[, exclusive lower bound]), `simulate.*` inside the
-# simulate block; `_read` is the only reader, and docs/config_schema.md has a row for each key
+# simulate block; `_read` is the only reader, and docs/config_schema.md has a row for each key.
+# `cmd_simulate` reads a None `simulate.test_samples` as erm_lab.DEFAULT_TEST_SAMPLES, so the table needs no lab
 _SCHEMA = {
     "loss": (LOSSES, _REQUIRED),
     "activation": (tuple(ACTIVATIONS), "erf"),
@@ -81,7 +80,7 @@ _SCHEMA = {
     "simulate.trials": (int, _REQUIRED, -1),
     "simulate.d": (int, _REQUIRED, 0),
     "simulate.seed": (int, 0, -1),
-    "simulate.test_samples": (int, erm_lab.DEFAULT_TEST_SAMPLES, 0),
+    "simulate.test_samples": (int, None, 0),
     "simulate.estimator": (("mean", "avg_sign", "majority"), None),
     "simulate.seeds": (list, None),
 }
@@ -294,9 +293,14 @@ SIM_EXTRA_COLUMNS = [
 
 
 def cmd_simulate(cfg: dict, args) -> int:
+    # imported here, so the theory commands do not load the lab
+    from . import erm_lab
+
     # the simulate block becomes the keywords of erm_lab.run_experiment, all read before any point is solved
     sim = _read(cfg, "simulate")
     run = {key: _read(sim, "simulate." + key) for key in ("trials", "d", "test_samples", "estimator", "seeds")}
+    if run["test_samples"] is None:
+        run["test_samples"] = erm_lab.DEFAULT_TEST_SAMPLES
     run["master_seed"] = _read(sim, "simulate.seed") if args.seed is None else _check("--seed", args.seed, "simulate.seed")
     for seed in run["seeds"] or []:  # one per trial, each a seed as `simulate.seed` is
         _check("simulate.seeds", seed, "simulate.seed")
@@ -363,6 +367,8 @@ def _simulate_point(point: TheoryProblem, fp: FixedPoint, run: dict, map_fn) -> 
     gets no `z_test_error`, and `sim_status` says so. Failed trials are counted
     in `sim_status` by error class, most frequent first, before the first one's error.
     """
+    from . import erm_lab
+
     n = int(round(run["d"] * point.n_over_d))
     p = int(round(n / point.alpha))
     K = max([k for k in point.K_list if k != "inf"], default=1)
@@ -443,6 +449,8 @@ def _check_keys(block, path: str = "") -> None:
     known = [key[len(path):] for key in _SCHEMA if key.rpartition(".")[0] == path[:-1]]
     for key in block:
         if key not in known:
+            import difflib
+
             near = difflib.get_close_matches(key, known, n=1)
             hint = f"did you mean {path + near[0]!r}?" if near else f"known: {sorted(known)}"
             raise ConfigError(f"unknown field {path + key!r}; {hint}")

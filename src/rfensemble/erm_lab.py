@@ -16,7 +16,6 @@ objective with an order-one lam has no nontrivial proportional limit.)
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 from functools import partial
@@ -62,15 +61,21 @@ def derive_seed(*parts) -> tuple:
     String tags (stream labels like "features") hash to stable 32-bit ints so
     distinct streams of one trial never collide. An int must lie in
     [0, 2**32): reducing it mod 2**32 would give seeds 0 and 2**32 the same
-    feature matrices and test points, so any other int raises ConfigError.
+    feature matrices and test points, so any other int raises ConfigError,
+    as does a bool, which would run seed 0 or 1.
     """
     out = []
     for part in parts:
         if isinstance(part, (tuple, list)):
             out.extend(derive_seed(*part))
         elif isinstance(part, str):
+            # imported here, so that loading the lab does not load OpenSSL
+            import hashlib
+
             digest = hashlib.sha256(part.encode()).digest()
             out.append(int.from_bytes(digest[:4], "little"))
+        elif isinstance(part, (bool, np.bool_)):
+            raise ConfigError(f"seed components must not be booleans, got {part!r}")
         elif isinstance(part, (int, np.integer)):
             if not 0 <= part < 2**32:
                 raise ConfigError(f"seed ints must lie in [0, 2**32), got {part}")
@@ -599,8 +604,9 @@ def _default_estimator(spec: ChannelSpec) -> str:
 
 
 def _check_test_samples(test_samples: int) -> None:
-    if not test_samples >= 1:
-        raise ConfigError(f"test_samples must be >= 1, got {test_samples!r}")
+    # a bool or a float would reach numpy's sampler as a shape and fail there, inside the first trial
+    if not (isinstance(test_samples, (int, np.integer)) and not isinstance(test_samples, bool) and test_samples >= 1):
+        raise ConfigError(f"test_samples must be an int >= 1, got {test_samples!r}")
 
 
 def run_trial(

@@ -11,7 +11,9 @@ The ERM lab featurizes millions of entries per trial, where scipy's erf
 ufunc is about 10x faster than `math.erf` elementwise, and the certified
 signs of its test scores are proved for scipy's erf (docs/formula_map.md
 row 31). It keeps scipy's ufuncs, imported through `scipy_special` the
-first time a trial needs them; the two erfs share no code.
+first time a trial needs them; the two erfs share no code. The theory
+commands load neither the lab nor `hashlib`: only `simulate` imports
+`rfensemble.erm_lab`.
 """
 
 from __future__ import annotations

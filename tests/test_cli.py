@@ -765,20 +765,23 @@ _SCIPY_PROBE = """
 import contextlib, io, json, sys
 import rfensemble, rfensemble.cli as cli
 
+LAB = ("rfensemble.erm_lab", "scipy.special", "hashlib", "_hashlib", "difflib")
+
 def run(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         return cli.main(argv)
 
 theory, lab = json.loads(sys.argv[1])
 codes = [run(argv) for argv in theory]
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.") or m in LAB)
 codes.append(run(lab))
-print(json.dumps({"codes": codes, "theory": loaded, "lab": "scipy.special" in sys.modules}))
+print(json.dumps({"codes": codes, "theory": loaded, "lab": [m for m in LAB[:2] if m in sys.modules]}))
 """
 
 
 def test_theory_commands_load_no_scipy_and_simulate_does(tmp_path):
-    # the theory takes erf and expit from rfensemble.special; only the ERM lab imports scipy.special
+    # the theory takes erf and expit from rfensemble.special; only the ERM lab imports scipy.special.
+    # The theory commands load neither the lab nor hashlib (OpenSSL), nor difflib for a known key
     def argv(command, cfg, name):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cfg))
@@ -802,4 +805,35 @@ def test_theory_commands_load_no_scipy_and_simulate_does(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     result = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps([theory, lab])],
                             env=env, capture_output=True, text=True, check=True)
-    assert json.loads(result.stdout) == {"codes": [0] * 6, "theory": [], "lab": True}
+    assert json.loads(result.stdout) == {"codes": [0] * 6, "theory": [], "lab": ["rfensemble.erm_lab", "scipy.special"]}
+
+
+def test_package_resolves_the_lab_names_on_first_use():
+    import rfensemble
+
+    defined = {name for name, obj in vars(erm_lab).items() if getattr(obj, "__module__", None) == erm_lab.__name__}
+    lab = [name for name in rfensemble.__all__ if name in defined]
+    assert len(lab) == 10
+    for name in lab:
+        assert getattr(rfensemble, name) is getattr(erm_lab, name)
+    star = {}
+    exec("from rfensemble import *", star)
+    assert set(rfensemble.__all__) <= set(star)
+    assert all(star[name] is getattr(erm_lab, name) for name in lab)
+    with pytest.raises(AttributeError, match="'rfensemble' has no attribute 'no_such_name'"):
+        rfensemble.no_such_name
+
+
+def test_simulate_without_test_samples_passes_the_lab_default(tmp_path, monkeypatch):
+    # the config table holds no copy of the default: simulate reads it from the lab
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.append(kwargs["test_samples"])
+        raise ConfigError("stop after the first point")
+
+    monkeypatch.setattr(erm_lab, "run_experiment", record)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(SIM_CFG, grid=[1.6], simulate={"trials": 1, "d": 20})))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 4
+    assert seen == [erm_lab.DEFAULT_TEST_SAMPLES]

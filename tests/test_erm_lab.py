@@ -317,6 +317,12 @@ class TestDeriveSeed:
         with pytest.raises(ConfigError, match=r"\[0, 2\*\*32\)"):
             derive_seed((bad, 0), "features")
 
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True)])
+    def test_bool_rejected(self, bad):
+        # a bool is an int to Python, so True ran seed 1 and False seed 0
+        with pytest.raises(ConfigError, match="boolean"):
+            derive_seed((bad, 0), "features")
+
     def test_colliding_master_seed_rejected_before_any_trial(self):
         def no_trials(*args):
             raise AssertionError("ran a trial before rejecting the seed")
@@ -327,6 +333,8 @@ class TestDeriveSeed:
             run_experiment(SQUARE, COEFFS, master_seed=2**32, **kwargs)
         with pytest.raises(ConfigError, match=r"2\*\*32"):
             run_experiment(SQUARE, COEFFS, seeds=[(0, 0), (2**32, 1)], **kwargs)
+        with pytest.raises(ConfigError, match="boolean"):
+            run_experiment(SQUARE, COEFFS, seeds=[(0, 0), (True, 1)], **kwargs)
 
 
 class TestRunExperiment:
@@ -343,8 +351,9 @@ class TestRunExperiment:
             run_experiment(LOGISTIC, COEFFS, n=30, p=20, d=10, K=2, rho=1.0, lam=0.5, trials=2,
                            estimator="mean", activation=erf, test_samples=100)
 
-    @pytest.mark.parametrize("samples", [0, -5])
-    def test_nonpositive_test_samples_rejected_before_any_trial(self, samples):
+    # True and 2000.0 reached numpy's sampler as a shape and raised a bare TypeError inside the first trial
+    @pytest.mark.parametrize("samples", [0, -5, True, 2000.0])
+    def test_bad_test_samples_rejected_before_any_trial(self, samples):
         def no_trials(*args):
             raise AssertionError("ran a trial before rejecting test_samples")
 

@@ -150,6 +150,12 @@ class TestMonteCarlo:
         with pytest.raises(ConfigError):
             majority_vote_error(cov(K=2), 10**4, seed=0)
 
+    @pytest.mark.parametrize("K, exact, seed", [(1, 1 / 3, 41), (3, 3 / 10, 43), (5, 2 / 7, 45)])
+    def test_majority_matches_its_exact_values(self, K, exact, seed):
+        # at (rho, m, q0, q1) = (1, 0.5, 1, 0.5) the one-factor integral of the majority error is rational
+        maj, se = majority_vote_error(cov(m=0.5, q0=1.0, q1=0.5, K=K), 500_000, seed=seed)
+        assert abs(maj - exact) <= 4 * se
+
     def test_majority_never_beats_score_average(self):
         c = cov(m=0.5, q0=1.0, q1=0.5, K=3)
         maj, se = majority_vote_error(c, 10**6, seed=5)
