@@ -21,7 +21,7 @@ import numpy as np
 
 from .channels import LOSSES, ChannelSpec, training_loss
 from .errors import ConfigError, RfensembleError
-from .observables import confidence_density, disagreement_probability, ensemble_test_error
+from .observables import ESTIMATORS, confidence_density, disagreement_probability, ensemble_test_error, theory_estimator
 from .quadrature import gauss_hermite_rule
 from .solver import (
     FixedPoint,
@@ -81,7 +81,7 @@ _SCHEMA = {
     "simulate.d": (int, _REQUIRED, 0),
     "simulate.seed": (int, 0, -1),
     "simulate.test_samples": (int, None, 0),
-    "simulate.estimator": (("mean", "avg_sign", "majority"), None),
+    "simulate.estimator": (ESTIMATORS, None),
     "simulate.seeds": (list, None),
 }
 
@@ -362,9 +362,9 @@ def _simulate_point(point: TheoryProblem, fp: FixedPoint, run: dict, map_fn) -> 
     """Train the ensembles at the finite sizes of one sweep point and score them against its fixed point.
 
     The largest finite K of the config is trained, K = 1 when it lists only "inf".
-    The test error has a theory only for the estimator of `ensemble_test_error`:
-    `mean` for the square loss, `avg_sign` for a margin loss. Another estimator
-    gets no `z_test_error`, and `sim_status` says so. Failed trials are counted
+    The test error has a theory only for the estimator `ensemble_test_error`
+    scores, the loss's `theory_estimator`. Another estimator gets no
+    `z_test_error`, and `sim_status` says so. Failed trials are counted
     in `sim_status` by error class, most frequent first, before the first one's error.
     """
     from . import erm_lab
@@ -389,7 +389,7 @@ def _simulate_point(point: TheoryProblem, fp: FixedPoint, run: dict, map_fn) -> 
         status.append(f"{len(failed)} failed trials: {counts}; first: {failed[0]}")
     theory = {"m": fp.params.m, "q0": fp.params.q0, "q1": fp.params.q1}
     loss, estimator = point.spec.loss, run["estimator"]
-    if estimator in (None, "mean" if loss == "square" else "avg_sign"):
+    if estimator in (None, theory_estimator(loss)):
         theory["test_error"] = ensemble_test_error(fp.params, point.rho, loss, K)[0]
     else:
         status.append(f"no theory for estimator {estimator!r} with loss {loss!r}")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import ChannelSpec
 from .errors import ConfigError, ConvergenceError, DomainError, NumericalError
-from .observables import resolve_estimator
+from .observables import ESTIMATORS, SIGN_RULES, theory_estimator
 from .priors import FeatureEnsemble, sample_feature_ensemble
 from .quadrature import gauss_hermite_rule
 from .special import scipy_special
@@ -576,7 +576,7 @@ def _sampled_test_scores(seed, theta, teacher, ensemble, W, samples, estimator):
     over a few rows takes another kernel and rounds differently, so no chunk
     is shorter than _TEST_CHUNK rows unless it is the only one.
 
-    A named sign estimator on erf features reads only signs, so its chunks
+    A sign estimator on erf features reads only signs, so its chunks
     are scored by `_CertifiedErfScores`, which screens them in float32,
     gives every sign it reads as the exact route does, and computes erf in
     float64 only on the rows it cannot decide; every other case featurizes
@@ -587,7 +587,7 @@ def _sampled_test_scores(seed, theta, teacher, ensemble, W, samples, estimator):
     scores = np.empty((samples, W.shape[1]))
     bounds = list(range(0, samples, _TEST_CHUNK))[: max(1, samples // _TEST_CHUNK)] + [samples]
     longest = int(np.max(np.diff(bounds)))
-    if ensemble.activation is scipy_special().erf and resolve_estimator(estimator).positive is not None:
+    if ensemble.activation is scipy_special().erf and estimator in SIGN_RULES:
         score = _CertifiedErfScores(ensemble, W, estimator == "avg_sign", longest)
     else:
         score = partial(_exact_scores, _learners(ensemble), W)
@@ -599,11 +599,15 @@ def _sampled_test_scores(seed, theta, teacher, ensemble, W, samples, estimator):
     return y, scores
 
 
-def _default_estimator(spec: ChannelSpec) -> str:
-    return "mean" if spec.loss == "square" else "avg_sign"
-
-
-def _check_test_samples(test_samples: int) -> None:
+def _check_trial_args(loss: str, p: int, estimator: str, test_samples: int) -> None:
+    """Reject the arguments that would fail inside a trial with no record, or score nothing."""
+    # p = 0 would divide by zero in the overlaps
+    if p < 1:
+        raise ConfigError(f"p must be >= 1, got {p!r}")
+    if estimator not in ESTIMATORS:
+        raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    if estimator == "mean" and loss != "square":
+        raise ConfigError(f"estimator 'mean' never equals a +-1 label; loss {loss!r} needs a sign estimator")
     # a bool or a float would reach numpy's sampler as a shape and fail there, inside the first trial
     if not (isinstance(test_samples, (int, np.integer)) and not isinstance(test_samples, bool) and test_samples >= 1):
         raise ConfigError(f"test_samples must be an int >= 1, got {test_samples!r}")
@@ -625,7 +629,7 @@ def run_trial(
     test_samples: int = DEFAULT_TEST_SAMPLES,
 ) -> TrialRecord:
     """Train one K-learner ensemble and score it; the activation defaults to scipy's erf ufunc."""
-    _check_test_samples(test_samples)
+    _check_trial_args(spec.loss, p, estimator, test_samples)
     try:
         dataset = generate_dataset(n, d, rho, spec.teacher, seed)
         ensemble = sample_feature_ensemble(
@@ -660,7 +664,7 @@ def run_trial(
             y_test, scores = _sampled_test_scores(
                 seed, dataset.theta, spec.teacher, ensemble, W, test_samples, estimator
             )
-            y_hat = resolve_estimator(estimator).f_hat(scores)
+            y_hat = scores.mean(axis=1) if estimator == "mean" else np.where(SIGN_RULES[estimator](scores.T), 1.0, -1.0)
             if spec.loss == "square":
                 test_error = float(np.mean((y_test - y_hat) ** 2))
             else:
@@ -712,20 +716,18 @@ def run_experiment(
     apply `activation`, so `coeffs` must be the activation's own (on the
     order-201 Gauss-Hermite rule) to 1e-9 relative. The activation defaults
     to scipy's erf ufunc, which the lab applies in place and scores by
-    certified signs.
+    certified signs, and the estimator to the loss's `theory_estimator`.
     """
     if trials < 0:
         raise ConfigError("trials must be >= 0")
-    _check_test_samples(test_samples)
     if activation is None:
         activation = scipy_special().erf
     own = activation_coeffs(activation, gauss_hermite_rule(201))
     given, want = (np.array([c.kappa0, c.kappa1, c.kappa_star]) for c in (coeffs, own))
     if np.max(np.abs(given - want)) > 1e-9 * np.max(np.abs(want)):
         raise ConfigError(f"coeffs {coeffs} are not the activation's own {own}")
-    estimator = estimator or _default_estimator(spec)
-    if estimator == "mean" and spec.loss != "square":
-        raise ConfigError(f"estimator 'mean' never equals a +-1 label; loss {spec.loss!r} needs a sign estimator")
+    estimator = estimator or theory_estimator(spec.loss)
+    _check_trial_args(spec.loss, p, estimator, test_samples)
     if seeds is None:
         seeds = [(master_seed, t) for t in range(trials)]
     elif len(seeds) != trials:

@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .channels import OrderParams
 from .errors import ConfigError, DomainError
-
-Estimator = Union[str, Callable[[np.ndarray], np.ndarray]]
 
 _PSD_TOL = 1e-9
 
@@ -109,9 +107,8 @@ def disagreement_probability(q0: float, q1: float) -> float:
 def ensemble_test_error(params: OrderParams, rho: float, loss: str, K) -> tuple[float, float, float]:
     """(eps_g, eps_bar, delta_eps) of K learners at one fixed point; K is an int or "inf".
 
-    Square loss scores the mean estimator under squared error, the margin
-    losses the score-average sign estimator under zero-one error. At K = "inf"
-    eps_g is eps_bar and delta_eps is 0.
+    It scores the loss's `theory_estimator` under that estimator's metric.
+    At K = "inf" eps_g is eps_bar and delta_eps is 0.
     """
     if K == "inf":
         if loss == "square":
@@ -195,10 +192,6 @@ def _draw_samples(cov: EnsembleCovariance, rng: np.random.Generator, count: int,
     return z0, xi.T
 
 
-def _sign_pm1(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, 1.0, -1.0)
-
-
 def _avg_sign_positive(rows: np.ndarray) -> np.ndarray:
     # the same reduction as scores.sum(axis=1) on the transposed view
     return np.add.reduce(rows, axis=0) >= 0
@@ -211,63 +204,34 @@ def _majority_positive(rows: np.ndarray) -> np.ndarray:
     return np.add.reduce(rows >= 0, axis=0, dtype=np.min_scalar_type(K)) >= (K + 1) // 2
 
 
-class ResolvedEstimator(NamedTuple):
-    """An estimator name or callable as the Monte Carlo and the ERM lab score it.
-
-    f_hat maps scores (samples, K) to predictions; teacher is the default
-    teacher (None for a callable). A sign estimator is its `positive`, which
-    maps the learner rows (K, samples) to where the prediction is +1 (a zero
-    sum or vote counting as +1), so its zero-one error against the sign
-    teacher is counted on booleans; f_hat writes the same predictions as +-1.
-    """
-
-    f_hat: Callable[[np.ndarray], np.ndarray]
-    teacher: Optional[str]
-    positive: Optional[Callable[[np.ndarray], np.ndarray]] = None
+# The ensemble estimators: "mean", the mean of the scores under squared error
+# against the linear teacher, and the sign estimators under zero-one error
+# against the sign teacher. A sign rule maps the learner rows (K, samples) to
+# where the prediction is +1, a zero sum or a tied vote counting as +1.
+SIGN_RULES = {"avg_sign": _avg_sign_positive, "majority": _majority_positive}
+ESTIMATORS = ("mean", *SIGN_RULES)
 
 
-def _sign_estimator(positive) -> ResolvedEstimator:
-    return ResolvedEstimator(lambda mu: np.where(positive(mu.T), 1.0, -1.0), "sign", positive)
+def theory_estimator(loss: str) -> str:
+    """The estimator whose error `ensemble_test_error` gives: the mean for the square loss, avg_sign for a margin loss."""
+    return "mean" if loss == "square" else "avg_sign"
 
 
-def resolve_estimator(estimator: Estimator) -> ResolvedEstimator:
-    """The ResolvedEstimator of an estimator name or callable."""
-    if callable(estimator):
-        return ResolvedEstimator(estimator, None)
-    if estimator == "mean":
-        return ResolvedEstimator(lambda mu: mu.mean(axis=1), "linear")
-    if estimator == "avg_sign":
-        return _sign_estimator(_avg_sign_positive)
-    if estimator == "majority":
-        return _sign_estimator(_majority_positive)
-    raise ConfigError(f"unknown estimator {estimator!r}")
+def generic_gen_error(cov: EnsembleCovariance, estimator: str, metric: str, samples: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo (estimate, std_error) of the test error of one of ESTIMATORS.
 
-
-def generic_gen_error(
-    cov: EnsembleCovariance,
-    estimator: Estimator,
-    metric: str,
-    samples: int,
-    seed: int,
-    teacher: str | None = None,
-) -> tuple[float, float]:
-    """Monte Carlo test error for any estimator/error measure pair.
-
-    Returns (estimate, std_error). `samples` is an int of at least 10,000
-    and `seed` an int in [0, 2**64), one Philox key word. Deterministic for
-    a fixed seed and invariant to how blocks are distributed across
-    workers. Samples come in blocks of MC_BLOCK, each drawn from its own
-    stream (`_block_stream`) in consecutive chunks of MC_BUFFER // (K+1)
-    samples, into one sample-major normal buffer and one field-major
-    (K+1, chunk) buffer of MC_BUFFER doubles each, allocated per call and
-    reused by every chunk, so memory does not grow with K and the buffers
-    stay in L2; a chunk's samples are those of its place in the block, so
-    the chunk size cannot move an estimate. The estimator sees each
-    chunk's scores as a (chunk, K) view of the field buffer, so a sum over
-    learners runs left to right. Squared errors are summed per block, over
-    a block-wide buffer. The zero-one error of a sign estimator against the
-    sign teacher is counted on booleans (`ResolvedEstimator.positive` of
-    the learner rows), giving the same counts as its +-1 predictions.
+    `metric` must be the estimator's own: "mse" for "mean", "zero_one" for a
+    sign estimator. `samples` is an int of at least 10,000 and `seed` an int
+    in [0, 2**64), one Philox key word. Samples come in blocks of MC_BLOCK,
+    each from its own stream (`_block_stream`), drawn in chunks of
+    MC_BUFFER // (K+1) samples into the two buffers of `_draw_samples`,
+    MC_BUFFER doubles each and reused by every chunk: the estimate depends
+    only on the seed, not on how blocks are shared between workers nor on
+    the chunk size, and memory does not grow with K. The mean reads each
+    chunk as a (chunk, K) view of the field buffer, so its sum over learners
+    runs left to right, and its squared errors are summed per block, over a
+    block-wide buffer; a sign estimator's zero-one errors are counted on the
+    booleans of its rule, the same counts as its +-1 predictions.
     """
     if not _is_int(samples):
         raise ConfigError(f"samples must be an int, got {samples!r}")
@@ -275,22 +239,18 @@ def generic_gen_error(
         raise ConfigError("use at least 1e4 samples; below that the MC band is not meaningful")
     if not (_is_int(seed) and 0 <= seed < 2**64):
         raise ConfigError(f"seed must be an int in [0, 2**64) (one Philox key word), got {seed!r}")
+    if estimator not in ESTIMATORS:
+        raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    positive = SIGN_RULES.get(estimator)
+    own = "mse" if positive is None else "zero_one"
+    if metric != own:
+        raise ConfigError(f"estimator {estimator!r} is scored under the {own!r} metric, got {metric!r}")
     cov.check_psd()
-    f_hat, default_teacher, positive = resolve_estimator(estimator)
-    teacher = teacher or default_teacher
-    if teacher not in ("linear", "sign"):
-        raise ConfigError(f"unknown teacher {teacher!r}")
-    if metric not in ("mse", "zero_one"):
-        raise ConfigError(f"unknown metric {metric!r}")
-    if estimator == "mean" and metric == "zero_one":
-        raise ConfigError("estimator 'mean' predicts real values, which the zero-one metric counts as always wrong")
-    if teacher == "linear" and metric == "zero_one":
-        raise ConfigError("the linear teacher is real-valued, which the zero-one metric counts as always wrong")
     size = min(MC_BLOCK, samples)
     chunk = min(size, max(1, MC_BUFFER // (cov.K + 1)))
     u = np.empty((chunk, cov.K + 1))
     z = np.empty((cov.K + 1, chunk))
-    sq = np.empty(size) if metric == "mse" else None
+    sq = np.empty(size) if positive is None else None
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -301,20 +261,15 @@ def generic_gen_error(
         block += 1
         for start in range(0, count, chunk):
             nu, mu = _draw_samples(cov, rng, min(chunk, count - start), u, z)
-            if metric == "mse":
-                y = nu if teacher == "linear" else _sign_pm1(nu)
-                sq[start:start + len(nu)] = (y - np.asarray(f_hat(mu), dtype=float)) ** 2
+            if positive is None:
+                sq[start:start + len(nu)] = (nu - mu.mean(axis=1)) ** 2
             else:
-                # zero_one: the teacher is the sign teacher (checked above)
-                if positive is not None:
-                    wrong = (nu >= 0) != positive(mu.T)
-                else:
-                    wrong = _sign_pm1(nu) != np.asarray(f_hat(mu), dtype=float)
+                wrong = (nu >= 0) != positive(mu.T)
                 # a zero-one loss is 0 or 1, so its square is itself
                 mismatches = int(np.count_nonzero(wrong))
                 total += mismatches
                 total_sq += mismatches
-        if metric == "mse":
+        if positive is None:
             delta = sq[:count]
             total += float(delta.sum())
             total_sq += float((delta**2).sum())

@@ -55,7 +55,7 @@ from scipy.special import erf, expit
 from rfensemble import ConfigError, DomainError, NumericalError, OrderParams, prox_hinge, teacher_dz0, teacher_z0
 from rfensemble import erm_lab, quadrature, solver, special
 from rfensemble.channels import ConjugateParams, channel_update
-from rfensemble.observables import MC_BLOCK, resolve_estimator
+from rfensemble.observables import MC_BLOCK
 from rfensemble.priors import kernel_channel_update, kernel_prior_update, prior_update_spectral
 from rfensemble.spectrum import sample_feature_matrix
 
@@ -617,8 +617,8 @@ def whole_ensemble_trial_oracle(
     trained in one trainer call. The square-loss `mean` trial with a linear
     teacher and erf features takes the exact test error; any other trial draws
     its test points at once (`chunk` None) or `chunk` rows at a time, the last
-    chunk taking the remainder, and featurizes each draw for every learner in
-    one call.
+    chunk taking the remainder, featurizes each draw for every learner in one
+    call and scores the estimator by its formula in ESTIMATOR_ORACLES.
     """
     ds = erm_lab.generate_dataset(n, d, rho, spec.teacher, seed)
     ens = erm_lab.sample_feature_ensemble(
@@ -653,7 +653,7 @@ def whole_ensemble_trial_oracle(
                 np.column_stack([erm_lab.preactivation(U, W[:, k]) for k, U in enumerate(erm_lab.featurize(X, ens))])
             )
         y, scores = np.concatenate(y), np.concatenate(scores)
-        y_hat = resolve_estimator(estimator).f_hat(scores)
+        y_hat = ESTIMATOR_ORACLES[estimator][0](scores)
         test_error = float(np.mean((y - y_hat) ** 2 if spec.loss == "square" else y != y_hat))
         if K >= 2 and spec.teacher == "sign":
             signs = _sign_pm1_oracle(scores)

@@ -28,6 +28,7 @@ from rfensemble import (
 )
 from rfensemble import cli, erm_lab
 from rfensemble.cli import main, observable_row, parse_problem, solve_options_from, solve_point
+from rfensemble.observables import theory_estimator
 
 from corpus import GoldenRecord, evaluate_record
 from oracles import kernel_ridge_closed_form, kernel_ridge_closed_form_derived
@@ -334,6 +335,33 @@ class TestSimulate:
         assert rows[0][header.index("sim_status")] == (
             "2 failed trials: 2 ConfigError; first: ConfigError: no trainer for loss 'hinge'"
         )
+
+    @pytest.mark.parametrize("loss", ["square", "logistic"])
+    def test_default_estimator_is_the_theory_estimator(self, tmp_path, loss):
+        # the estimator row's values and its default are the names observables owns
+        assert cli._SCHEMA["simulate.estimator"][0] == ("mean", "avg_sign", "majority")
+        block = {"trials": 2, "d": 20, "seed": 3, "test_samples": 200}
+        outputs = []
+        for simulate in (block, dict(block, estimator=theory_estimator(loss))):
+            out = tmp_path / f"sim{len(outputs)}.csv"
+            cfg = dict(SIM_CFG, loss=loss, grid=[1.5], simulate=simulate)
+            assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        header, (row,) = read_csv(out)
+        assert row[header.index("sim_status")] == "ok"
+
+    def test_point_with_no_features_is_flagged_and_the_others_simulated(self, tmp_path):
+        # p = round(n * p_over_n) = round(40 * 0.01) = 0 at the first point, which used to stop the run with
+        # a ZeroDivisionError traceback and no CSV
+        cfg = dict(SIM_CFG, grid=[0.01, 0.5], simulate={"trials": 2, "d": 20, "seed": 3, "test_samples": 200})
+        out = tmp_path / "p0.csv"
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 4
+        header, (first, second) = read_csv(out)
+        assert first[header.index("sim_status")] == "failed: p must be >= 1, got 0"
+        assert first[header.index("emp_m")] == first[header.index("trials")] == ""
+        assert second[header.index("sim_status")] == "ok"
+        assert math.isfinite(float(second[header.index("z_test_error")]))
 
     def test_failed_trials_counted_by_error_class(self, tmp_path, monkeypatch):
         # the ridge trainer fails on chosen seeds, each trial's data told apart by its labels

@@ -31,6 +31,7 @@ from rfensemble import (
 from rfensemble import erm_lab
 from rfensemble.erm_lab import derive_seed, preactivation, run_trial, teacher_field
 from rfensemble.errors import NumericalError
+from rfensemble.observables import SIGN_RULES, theory_estimator
 from oracles import train_logistic_lu_oracle, whole_ensemble_trial_oracle
 
 COEFFS = activation_coeffs(erf, gauss_hermite_rule(201))
@@ -350,6 +351,41 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="'mean'"):
             run_experiment(LOGISTIC, COEFFS, n=30, p=20, d=10, K=2, rho=1.0, lam=0.5, trials=2,
                            estimator="mean", activation=erf, test_samples=100)
+        # a single trial used to score it, with a test error near 1
+        with pytest.raises(ConfigError, match="'mean'"):
+            run_trial(0, (53, 0), LOGISTIC, COEFFS, n=30, p=20, d=10, K=2, rho=1.0, lam=0.5,
+                      estimator="mean", activation=erf, test_samples=100)
+
+    @pytest.mark.parametrize("spec", [SQUARE, LOGISTIC], ids=["square", "logistic"])
+    def test_default_estimator_is_the_theory_estimator(self, spec):
+        kw = dict(n=30, p=20, d=10, K=2, rho=1.0, lam=0.5, trials=2, activation=erf, test_samples=100)
+        want = run_experiment(spec, COEFFS, estimator=theory_estimator(spec.loss), **kw)
+        assert run_experiment(spec, COEFFS, **kw).records == want.records
+
+    @pytest.mark.parametrize("spec", [SQUARE, LOGISTIC], ids=["square", "logistic"])
+    def test_zero_p_rejected_before_any_trial(self, spec):
+        # p = round(n / alpha) is 0 at a small alpha; it used to raise a bare ZeroDivisionError in the overlaps
+        def no_trials(*args):
+            raise AssertionError("ran a trial with p = 0")
+
+        with pytest.raises(ConfigError, match="p must be >= 1"):
+            run_experiment(spec, COEFFS, n=40, p=0, d=20, K=2, rho=1.0, lam=0.5, trials=2,
+                           activation=erf, test_samples=100, map_fn=no_trials)
+        with pytest.raises(ConfigError, match="p must be >= 1"):
+            run_trial(0, (53, 0), spec, COEFFS, n=40, p=0, d=20, K=2, rho=1.0, lam=0.5,
+                      estimator="avg_sign", activation=erf, test_samples=100)
+
+    @pytest.mark.parametrize("estimator", ["medain", np.mean])
+    def test_unknown_estimator_rejected_before_any_trial(self, estimator):
+        def no_trials(*args):
+            raise AssertionError("ran a trial with an unknown estimator")
+
+        with pytest.raises(ConfigError, match="estimator must be one of"):
+            run_experiment(LOGISTIC, COEFFS, n=30, p=20, d=10, K=2, rho=1.0, lam=0.5, trials=2,
+                           estimator=estimator, activation=erf, test_samples=100, map_fn=no_trials)
+        with pytest.raises(ConfigError, match="estimator must be one of"):
+            run_trial(0, (53, 0), LOGISTIC, COEFFS, n=30, p=20, d=10, K=2, rho=1.0, lam=0.5,
+                      estimator=estimator, activation=erf, test_samples=100)
 
     # True and 2000.0 reached numpy's sampler as a shape and raised a bare TypeError inside the first trial
     @pytest.mark.parametrize("samples", [0, -5, True, 2000.0])
@@ -764,11 +800,11 @@ class TestCertifiedSigns:
         exact = dataclasses.replace(ens, activation=_exact_erf)
         y_exact, scores_exact = erm_lab._sampled_test_scores((62, 0), ds.theta, "sign", exact, W, 2100, estimator)
         np.testing.assert_array_equal(y, y_exact)
-        f_hat = erm_lab.resolve_estimator(estimator).f_hat
-        np.testing.assert_array_equal(f_hat(scores), f_hat(scores_exact))
+        positive = SIGN_RULES[estimator]
+        np.testing.assert_array_equal(positive(scores.T), positive(scores_exact.T))
         np.testing.assert_array_equal(scores >= 0, scores_exact >= 0)
         if K == 1:
-            assert np.all(f_hat(scores) == 1.0)
+            assert np.all(positive(scores.T))
 
     @pytest.mark.parametrize("K", [1, 3])
     @pytest.mark.parametrize("estimator", ["avg_sign", "majority"])

@@ -18,9 +18,17 @@ from rfensemble import (
     majority_vote_error,
     mse_test_error,
 )
-from rfensemble.observables import MC_BLOCK, MC_BUFFER, _block_stream, _draw_samples, resolve_estimator
+from rfensemble.observables import (
+    ESTIMATORS,
+    MC_BLOCK,
+    MC_BUFFER,
+    SIGN_RULES,
+    _block_stream,
+    _draw_samples,
+    theory_estimator,
+)
 
-from oracles import ESTIMATOR_ORACLES, gen_error_oracle, sample_block_oracle
+from oracles import ESTIMATOR_ORACLES, _sign_pm1_oracle, gen_error_oracle, sample_block_oracle
 
 
 ORACLE_KS = [1, 3, 5, 7, 8, 33]
@@ -178,13 +186,11 @@ class TestMonteCarlo:
         b = generic_gen_error(c, "avg_sign", "zero_one", 150_000, seed=9)
         assert a == b
         # manual block-wise recomputation reproduces the estimate
-        from rfensemble.observables import MC_BLOCK, _sign_pm1
-
         total, done, block = 0.0, 0, 0
         while done < 150_000:
             count = min(MC_BLOCK, 150_000 - done)
             nu, mu = _draw_samples(c, _block_stream(9, block), count)
-            total += float(np.sum(_sign_pm1(nu) != _sign_pm1(mu.sum(axis=1))))
+            total += float(np.sum(_sign_pm1_oracle(nu) != _sign_pm1_oracle(mu.sum(axis=1))))
             done += count
             block += 1
         assert total / 150_000 == pytest.approx(a[0], abs=1e-15)
@@ -201,12 +207,6 @@ class TestMonteCarlo:
         freq = float(np.mean(np.sign(mu[:, 0]) != np.sign(mu[:, 1])))
         se = math.sqrt(freq * (1 - freq) / 300_000)
         assert abs(freq - disagreement_probability(1.0, 0.6)) <= 3 * se
-
-    def test_custom_estimator(self):
-        c = cov(m=0.5, q0=1.0, q1=0.5, K=2)
-        est, se = generic_gen_error(c, lambda mu: np.where(mu.sum(axis=1) >= 0, 1.0, -1.0),
-                                    "zero_one", 10**5, seed=8, teacher="sign")
-        assert abs(est - classification_error_avg(c)) <= 4 * se
 
     @pytest.mark.parametrize("K", ORACLE_KS)
     def test_block_sampler_equals_out_of_place_oracle(self, K):
@@ -285,22 +285,10 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("K", ORACLE_KS)
     @pytest.mark.parametrize("estimator", ["avg_sign", "majority"])
-    def test_boolean_count_equals_float_path(self, estimator, K):
-        # 100,000 samples: a full block and a partial one; a callable
-        # estimator is scored on its +-1 predictions
-        c = cov(m=0.4, q0=1.1, q1=0.6, K=K)
-        f_hat = resolve_estimator(estimator).f_hat
-        want = generic_gen_error(c, f_hat, "zero_one", 100_000, seed=14, teacher="sign")
-        assert generic_gen_error(c, estimator, "zero_one", 100_000, seed=14) == want
-
-    @pytest.mark.parametrize("K", ORACLE_KS)
-    @pytest.mark.parametrize("estimator", ["avg_sign", "majority"])
     def test_sign_estimators_equal_oracle_on_ties(self, estimator, K):
         # integer scores make exact zeros and tied votes common
         mu = np.random.default_rng(K).integers(-2, 3, size=(500, K)).astype(float)
-        f_hat, _, positive = resolve_estimator(estimator)
-        want = ESTIMATOR_ORACLES[estimator][0](mu)
-        assert np.array_equal(f_hat(mu), want) and np.array_equal(positive(mu.T), want == 1.0)
+        assert np.array_equal(SIGN_RULES[estimator](mu.T), ESTIMATOR_ORACLES[estimator][0](mu) == 1.0)
 
     def test_rejects_non_psd(self):
         with pytest.raises(DomainError):
@@ -332,17 +320,31 @@ class TestMonteCarlo:
         want = generic_gen_error(c, "avg_sign", "zero_one", 10**4, seed=2**64 - 1)
         assert generic_gen_error(c, "avg_sign", "zero_one", 10**4, seed=np.uint64(2**64 - 1)) == want
 
-    @pytest.mark.parametrize("estimator", ["avg_sign", "majority", resolve_estimator("avg_sign").f_hat])
-    def test_rejects_zero_one_against_linear_teacher(self, estimator):
-        # a real-valued teacher never equals a +-1 prediction, so the estimate would read 1.0
-        with pytest.raises(ConfigError, match="linear teacher"):
-            generic_gen_error(cov(K=3), estimator, "zero_one", 20_000, seed=1, teacher="linear")
-
-    @pytest.mark.parametrize("teacher", [None, "sign", "linear"])
-    def test_rejects_mean_estimator_under_zero_one(self, teacher):
+    def test_rejects_mean_estimator_under_zero_one(self):
         # a real-valued prediction never equals a label, so the estimate would read 1.0
         with pytest.raises(ConfigError, match="'mean'"):
-            generic_gen_error(cov(K=2), "mean", "zero_one", 10**4, seed=0, teacher=teacher)
+            generic_gen_error(cov(K=2), "mean", "zero_one", 10**4, seed=0)
+
+    @pytest.mark.parametrize(
+        "estimator,metric",
+        [(lambda mu: np.where(mu.sum(axis=1) >= 0, 1.0, -1.0), "zero_one"), (np.mean, "mse"),
+         ("median", "mse"), ("mean", "l1"), ("avg_sign", "mse"), ("majority", "mse"), ("majority", None)],
+        ids=["callable-zero_one", "callable-mse", "unknown-name", "mean-l1", "avg_sign-mse", "majority-mse",
+             "majority-no-metric"],
+    )
+    def test_rejects_anything_but_a_named_estimator_under_its_own_metric(self, estimator, metric):
+        # an estimator is one of three names, and its name implies its metric and teacher
+        with pytest.raises(ConfigError, match="estimator"):
+            generic_gen_error(cov(K=3), estimator, metric, 10**4, seed=0)
+
+    @pytest.mark.parametrize("loss", ["square", "logistic", "hinge"])
+    def test_theory_estimator_is_the_one_ensemble_test_error_scores(self, loss):
+        params = OrderParams(m=0.4, q0=1.1, q1=0.6, v=1.0)
+        estimator = theory_estimator(loss)
+        assert estimator in ESTIMATORS
+        metric = "zero_one" if estimator in SIGN_RULES else "mse"
+        est, se = generic_gen_error(EnsembleCovariance.from_params(params, 1.0, 3), estimator, metric, 200_000, seed=26)
+        assert abs(est - ensemble_test_error(params, 1.0, loss, 3)[0]) <= 4 * se
 
 
 class TestConfidenceDensity:
