@@ -11,7 +11,8 @@ It runs, with BLAS pinned to one thread:
   it prints;
 - `confidence-density` on configs/confidence_density.json, hashing its CSV;
 - `simulate` on configs/logistic_overlaps.json cut to two grid points and
-  three small trials each, hashing its CSV;
+  three small trials each, and on configs/ridge_theory_vs_erm.json cut to
+  two grid points and two small trials each, hashing each CSV;
 - erm_lab.run_experiment on each ERM configuration of the benchmark's
   erm-lab workload (rfbench/worker.py, round 0 at seed 0; its logistic
   configuration takes the avg_sign estimator), on a tanh square case
@@ -129,10 +130,11 @@ def main() -> int:
         run_cli("solve", hinge, "hinge lambda=1e-4 n/d=2 p/n=2", tmp)
         density = ROOT / "configs" / "confidence_density.json"
         run_cli("confidence-density", json.loads(density.read_text()), str(density.relative_to(ROOT)), tmp)
-        simulate = ROOT / "configs" / "logistic_overlaps.json"
-        cfg = json.loads(simulate.read_text())
-        cfg.update(grid=[0.5, 1.5], simulate={"trials": 3, "d": 40, "seed": 0, "test_samples": 2000})
-        run_cli("simulate", cfg, f"{simulate.relative_to(ROOT)} (2 points, 3 trials, d 40)", tmp)
+        for name, grid, trials in (("logistic_overlaps.json", [0.5, 1.5], 3), ("ridge_theory_vs_erm.json", [0.8, 1.5], 2)):
+            simulate = ROOT / "configs" / name
+            cfg = json.loads(simulate.read_text())
+            cfg.update(grid=grid, simulate={"trials": trials, "d": 40, "seed": 0, "test_samples": 2000})
+            run_cli("simulate", cfg, f"{simulate.relative_to(ROOT)} (2 points, {trials} trials, d 40)", tmp)
         for idx, (tag, loss, n, p, d, K, lam, trials) in enumerate(ErmLab.CONFIGS):
             seeds = [(0, 0, idx, t) for t in range(trials)]
             run_erm(tag, loss, erf, n, p, d, K, lam, trials, seeds, ErmLab.TEST_SAMPLES)

@@ -81,9 +81,6 @@ class OrderParams(NamedTuple):
     q1: float
     v: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.m, self.q0, self.q1, self.v])
-
     def validate(self, rho: float) -> None:
         if not self.q0 > 0:
             raise DomainError(f"q0 must be positive, got {self.q0}")
@@ -100,9 +97,6 @@ class ConjugateParams(NamedTuple):
     q0_hat: float
     q1_hat: float
     v_hat: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.m_hat, self.q0_hat, self.q1_hat, self.v_hat])
 
 
 class ProxResult(NamedTuple):

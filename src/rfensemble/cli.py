@@ -21,7 +21,8 @@ import numpy as np
 
 from .channels import LOSSES, ChannelSpec, training_loss
 from .errors import ConfigError, RfensembleError
-from .observables import ESTIMATORS, confidence_density, disagreement_probability, ensemble_test_error, theory_estimator
+from .observables import ESTIMATORS, check_estimator, confidence_density, disagreement_probability
+from .observables import ensemble_test_error, theory_estimator
 from .quadrature import gauss_hermite_rule
 from .solver import (
     FixedPoint,
@@ -302,14 +303,17 @@ def cmd_simulate(cfg: dict, args) -> int:
     if run["test_samples"] is None:
         run["test_samples"] = erm_lab.DEFAULT_TEST_SAMPLES
     run["master_seed"] = _read(sim, "simulate.seed") if args.seed is None else _check("--seed", args.seed, "simulate.seed")
-    for seed in run["seeds"] or []:  # one per trial, each a seed as `simulate.seed` is
+    for seed in run["seeds"] or []:  # each a seed as `simulate.seed` is
         _check("simulate.seeds", seed, "simulate.seed")
-    if run["seeds"] is not None and len(run["seeds"]) != run["trials"]:
-        raise ConfigError(f"field 'simulate.seeds' must hold one seed per trial, got {len(run['seeds'])}")
-    # the trials take their seeds through derive_seed, so one it rejects exits 2 here, before any solve
-    erm_lab.derive_seed(run["master_seed"], run["seeds"] or [])
-    if run["estimator"] == "mean" and _read(cfg, "loss") != "square":
-        raise ConfigError("field 'simulate.estimator' must not be 'mean' for a margin loss: it never equals a label")
+    # run_experiment's checks of the seeds and the estimator, made before any solve; the error names the field at fault
+    loss = _read(cfg, "loss")
+    field = "simulate.seeds" if run["seeds"] is not None else "simulate.seed" if args.seed is None else "--seed"
+    try:
+        erm_lab.trial_seeds(run["trials"], run["master_seed"], run["seeds"])
+        field = "simulate.estimator"
+        check_estimator(run["estimator"] or theory_estimator(loss), loss)
+    except ConfigError as exc:
+        raise ConfigError(f"field {field!r}: {exc}") from exc
     axis = _read(cfg, "axis")
     if run["trials"] > 0 and axis not in ("p_over_n", "alpha"):
         raise ConfigError(

@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import ChannelSpec
 from .errors import ConfigError, ConvergenceError, DomainError, NumericalError
-from .observables import ESTIMATORS, SIGN_RULES, theory_estimator
+from .observables import SIGN_RULES, check_estimator, is_int, theory_estimator
 from .priors import FeatureEnsemble, sample_feature_ensemble
 from .quadrature import gauss_hermite_rule
 from .special import scipy_special
@@ -74,12 +74,12 @@ def derive_seed(*parts) -> tuple:
 
             digest = hashlib.sha256(part.encode()).digest()
             out.append(int.from_bytes(digest[:4], "little"))
-        elif isinstance(part, (bool, np.bool_)):
-            raise ConfigError(f"seed components must not be booleans, got {part!r}")
-        elif isinstance(part, (int, np.integer)):
+        elif is_int(part):
             if not 0 <= part < 2**32:
                 raise ConfigError(f"seed ints must lie in [0, 2**32), got {part}")
             out.append(int(part))
+        elif isinstance(part, (bool, np.bool_)):
+            raise ConfigError(f"seed components must not be booleans, got {part!r}")
         else:
             raise ConfigError(f"seed components must be ints, strings or tuples, got {type(part)}")
     return tuple(out)
@@ -599,17 +599,27 @@ def _sampled_test_scores(seed, theta, teacher, ensemble, W, samples, estimator):
     return y, scores
 
 
+def trial_seeds(trials: int, master_seed=0, seeds: Optional[Sequence] = None) -> list:
+    """The seed of each trial, `seeds` or else (master_seed, t) for trial t; ConfigError unless each is one
+    `derive_seed` takes and there is one per trial."""
+    if trials < 0:
+        raise ConfigError(f"trials must be >= 0, got {trials!r}")
+    if seeds is None:
+        seeds = [(master_seed, t) for t in range(trials)]
+    elif len(seeds) != trials:
+        raise ConfigError(f"need one seed per trial, got {len(seeds)} seeds for {trials} trials")
+    derive_seed(seeds)
+    return seeds
+
+
 def _check_trial_args(loss: str, p: int, estimator: str, test_samples: int) -> None:
     """Reject the arguments that would fail inside a trial with no record, or score nothing."""
     # p = 0 would divide by zero in the overlaps
     if p < 1:
         raise ConfigError(f"p must be >= 1, got {p!r}")
-    if estimator not in ESTIMATORS:
-        raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    if estimator == "mean" and loss != "square":
-        raise ConfigError(f"estimator 'mean' never equals a +-1 label; loss {loss!r} needs a sign estimator")
+    check_estimator(estimator, loss)
     # a bool or a float would reach numpy's sampler as a shape and fail there, inside the first trial
-    if not (isinstance(test_samples, (int, np.integer)) and not isinstance(test_samples, bool) and test_samples >= 1):
+    if not (is_int(test_samples) and test_samples >= 1):
         raise ConfigError(f"test_samples must be an int >= 1, got {test_samples!r}")
 
 
@@ -658,34 +668,26 @@ def run_trial(
             train_loss = float(np.mean(np.logaddexp(0.0, -dataset.y[:, None] * z_train)))
 
         disagreement = math.nan
-        if spec.loss == "square" and estimator == "mean" and ensemble.activation is scipy_special().erf:
+        positive = SIGN_RULES.get(estimator)
+        if positive is None and ensemble.activation is scipy_special().erf:
             test_error = square_test_error_erf(dataset.theta, ensemble, W)
         else:
             y_test, scores = _sampled_test_scores(
                 seed, dataset.theta, spec.teacher, ensemble, W, test_samples, estimator
             )
-            y_hat = scores.mean(axis=1) if estimator == "mean" else np.where(SIGN_RULES[estimator](scores.T), 1.0, -1.0)
-            if spec.loss == "square":
-                test_error = float(np.mean((y_test - y_hat) ** 2))
+            if positive is None:
+                test_error = float(np.mean((y_test - scores.mean(axis=1)) ** 2))
             else:
-                test_error = float(np.mean(y_test != y_hat))
-            if K >= 2 and spec.teacher == "sign":
-                positive = scores >= 0
+                test_error = float(np.mean((y_test > 0) != positive(scores.T)))
+            if K >= 2 and positive is not None:
+                signs = scores >= 0
                 pair_dis = [
-                    float(np.mean(positive[:, a] != positive[:, b])) for a in range(K) for b in range(a + 1, K)
+                    float(np.mean(signs[:, a] != signs[:, b])) for a in range(K) for b in range(a + 1, K)
                 ]
                 disagreement = float(np.mean(pair_dis))
         return TrialRecord(
-            trial=trial,
-            seed=seed,
-            ok=True,
-            m=overlaps.m,
-            q0=overlaps.q0,
-            q1=overlaps.q1,
-            train_loss=train_loss,
-            test_error=test_error,
-            disagreement=disagreement,
-            grad_norm_max=float(np.max(grad_norms)),
+            trial=trial, seed=seed, ok=True, m=overlaps.m, q0=overlaps.q0, q1=overlaps.q1, train_loss=train_loss,
+            test_error=test_error, disagreement=disagreement, grad_norm_max=float(np.max(grad_norms)),
         )
     except (ConfigError, DomainError, NumericalError, ConvergenceError) as exc:
         return TrialRecord(trial=trial, seed=seed, ok=False, error=f"{type(exc).__name__}: {exc}")
@@ -718,8 +720,6 @@ def run_experiment(
     to scipy's erf ufunc, which the lab applies in place and scores by
     certified signs, and the estimator to the loss's `theory_estimator`.
     """
-    if trials < 0:
-        raise ConfigError("trials must be >= 0")
     if activation is None:
         activation = scipy_special().erf
     own = activation_coeffs(activation, gauss_hermite_rule(201))
@@ -728,12 +728,7 @@ def run_experiment(
         raise ConfigError(f"coeffs {coeffs} are not the activation's own {own}")
     estimator = estimator or theory_estimator(spec.loss)
     _check_trial_args(spec.loss, p, estimator, test_samples)
-    if seeds is None:
-        seeds = [(master_seed, t) for t in range(trials)]
-    elif len(seeds) != trials:
-        raise ConfigError("seed list length must equal trials")
-    for seed in seeds:  # a seed out of range fails here, before any trial runs
-        derive_seed(seed)
+    seeds = trial_seeds(trials, master_seed, seeds)
     worker = partial(
         _trial_worker, spec=spec, coeffs=coeffs, n=n, p=p, d=d, K=K, rho=rho, lam=lam,
         estimator=estimator, activation=activation, test_samples=test_samples,

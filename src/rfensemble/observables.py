@@ -47,13 +47,6 @@ class EnsembleCovariance:
     def from_params(cls, params: OrderParams, rho: float, K: int) -> "EnsembleCovariance":
         return cls(rho=rho, m=params.m, q0=params.q0, q1=params.q1, K=K)
 
-    def matrix(self) -> np.ndarray:
-        sigma = np.empty((self.K + 1, self.K + 1))
-        sigma[0, 0] = self.rho
-        sigma[0, 1:] = sigma[1:, 0] = self.m
-        sigma[1:, 1:] = (self.q0 - self.q1) * np.eye(self.K) + self.q1
-        return sigma
-
     def psd_margins(self) -> tuple[float, float, float]:
         """(q0 - q1, q0 + (K-1) q1, q0 + (K-1) q1 - K m^2 / rho): all must be >= 0."""
         row = self.q0 + (self.K - 1) * self.q1
@@ -136,7 +129,8 @@ MC_BLOCK = 1 << 16
 MC_BUFFER = 1 << 15
 
 
-def _is_int(x) -> bool:
+def is_int(x) -> bool:
+    """Whether x is a Python or numpy int and not a bool, which Python counts as an int."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
@@ -206,8 +200,10 @@ def _majority_positive(rows: np.ndarray) -> np.ndarray:
 
 # The ensemble estimators: "mean", the mean of the scores under squared error
 # against the linear teacher, and the sign estimators under zero-one error
-# against the sign teacher. A sign rule maps the learner rows (K, samples) to
-# where the prediction is +1, a zero sum or a tied vote counting as +1.
+# against the sign teacher; the mean runs only under the square loss, a sign
+# estimator only under a margin loss (`check_estimator`). A sign rule maps the
+# learner rows (K, samples) to where the prediction is +1, a zero sum or a
+# tied vote counting as +1.
 SIGN_RULES = {"avg_sign": _avg_sign_positive, "majority": _majority_positive}
 ESTIMATORS = ("mean", *SIGN_RULES)
 
@@ -215,6 +211,19 @@ ESTIMATORS = ("mean", *SIGN_RULES)
 def theory_estimator(loss: str) -> str:
     """The estimator whose error `ensemble_test_error` gives: the mean for the square loss, avg_sign for a margin loss."""
     return "mean" if loss == "square" else "avg_sign"
+
+
+def _metric(estimator) -> str:
+    if estimator not in ESTIMATORS:
+        raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    return "zero_one" if estimator in SIGN_RULES else "mse"
+
+
+def check_estimator(estimator, loss: str) -> None:
+    """Reject a name not in ESTIMATORS, and an estimator whose metric is not the one of `loss`'s theory estimator."""
+    if _metric(estimator) != _metric(theory_estimator(loss)):
+        kind = "the square loss" if estimator == "mean" else "a margin loss"
+        raise ConfigError(f"estimator {estimator!r} runs only under {kind}, got loss {loss!r}")
 
 
 def generic_gen_error(cov: EnsembleCovariance, estimator: str, metric: str, samples: int, seed: int) -> tuple[float, float]:
@@ -233,16 +242,14 @@ def generic_gen_error(cov: EnsembleCovariance, estimator: str, metric: str, samp
     block-wide buffer; a sign estimator's zero-one errors are counted on the
     booleans of its rule, the same counts as its +-1 predictions.
     """
-    if not _is_int(samples):
+    if not is_int(samples):
         raise ConfigError(f"samples must be an int, got {samples!r}")
     if samples < 10_000:
         raise ConfigError("use at least 1e4 samples; below that the MC band is not meaningful")
-    if not (_is_int(seed) and 0 <= seed < 2**64):
+    if not (is_int(seed) and 0 <= seed < 2**64):
         raise ConfigError(f"seed must be an int in [0, 2**64) (one Philox key word), got {seed!r}")
-    if estimator not in ESTIMATORS:
-        raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    own = _metric(estimator)
     positive = SIGN_RULES.get(estimator)
-    own = "mse" if positive is None else "zero_one"
     if metric != own:
         raise ConfigError(f"estimator {estimator!r} is scored under the {own!r} metric, got {metric!r}")
     cov.check_psd()

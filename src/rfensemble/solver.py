@@ -100,20 +100,10 @@ class FixedPoint:
     projections: int = 0
 
     def as_dict(self) -> dict:
+        """The fields of `params` and `conj` by name, then the solve's own."""
         return {
-            "m": self.params.m,
-            "q0": self.params.q0,
-            "q1": self.params.q1,
-            "v": self.params.v,
-            "m_hat": self.conj.m_hat,
-            "q0_hat": self.conj.q0_hat,
-            "q1_hat": self.conj.q1_hat,
-            "v_hat": self.conj.v_hat,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "converged": self.converged,
-            "status": self.status,
-            "projections": self.projections,
+            **self.params._asdict(), **self.conj._asdict(), "iterations": self.iterations, "residual": self.residual,
+            "converged": self.converged, "status": self.status, "projections": self.projections,
         }
 
 

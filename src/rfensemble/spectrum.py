@@ -86,10 +86,6 @@ class SpectralModel:
         lo = self.shift + self.scale**2 * (1 - np.sqrt(1.0 / self.aspect)) ** 2
         return min(lo, self.atom_location) if self.atom_mass > 0 else lo
 
-    @property
-    def support_max(self) -> float:
-        return self.shift + self.scale**2 * (1 + np.sqrt(1.0 / self.aspect)) ** 2
-
     @cached_property
     def bulk_grid(self) -> tuple[np.ndarray, np.ndarray]:
         """(nodes, weights) of the closed-form bulk, built once per model, read-only.

@@ -48,7 +48,7 @@
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import erf, expit
 
@@ -122,6 +122,41 @@ def prior_update_quad_oracle(conj, lam, model):
     q0 = mp_integral_quad(model, lambda s: ((q0h + mh**2) * s**2 - mh**2 * ks2 * s) / (lam + vh * s) ** 2)
     m = mh / math.sqrt(gamma) * i_theta
     q1 = (mh**2 + q1h) * i_theta**2 / gamma
+    return OrderParams(m=m, q0=q0, q1=q1, v=v)
+
+
+def square_root_oracle(rho, alpha, gamma, lam, model):
+    """The square-loss fixed point by one scalar root and two linear equations, integrals by quad.
+
+    The square channel gives v_hat = alpha/(1+v) and m_hat = v_hat/sqrt(gamma),
+    so v solves the scalar equation v = P_v(alpha/(1+v)), P_v the prior's v
+    integral, bracketed in [0, hi] and solved by Brent's method to a few ulps.
+    At that v the prior's q0 and q1 are affine in q0_hat and q1_hat (read off
+    `prior_update_quad_oracle` at hat values 0 and 1), and the channel's
+    q_hat = alpha (rho - 2m + q)/(1+v)^2 is affine in q, so each of q0 and
+    q1 solves one linear equation.
+    """
+
+    def prior(v_hat, m_hat=0.0, q_hat=0.0):
+        return prior_update_quad_oracle(ConjugateParams(m_hat, q_hat, q_hat, v_hat), lam, model)
+
+    def gap(v):
+        return prior(alpha / (1.0 + v)).v - v
+
+    hi = 1.0
+    while gap(hi) > 0:
+        hi *= 2.0
+    v = optimize.brentq(gap, 0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=500)
+    v_hat = alpha / (1.0 + v)
+    m_hat = v_hat / math.sqrt(gamma)
+    base, unit = prior(v_hat, m_hat), prior(v_hat, m_hat, 1.0)
+    m = base.m
+    gain = alpha / (1.0 + v) ** 2
+    offset = gain * (rho - 2.0 * m)
+    q0, q1 = (
+        (at_zero + (at_one - at_zero) * offset) / (1.0 - (at_one - at_zero) * gain)
+        for at_zero, at_one in ((base.q0, unit.q0), (base.q1, unit.q1))
+    )
     return OrderParams(m=m, q0=q0, q1=q1, v=v)
 
 
@@ -449,7 +484,7 @@ def damped_full_map_oracle(step, init, rho, opts):
         return OrderParams(pinned.m, pinned.q0, q1, pinned.v), moved or q1 != params.q1
 
     params, _ = project(init)
-    cur = params.as_array()
+    cur = np.array(params)
     damping = opts.damping
     projections = 0
     residual = np.inf
@@ -458,7 +493,7 @@ def damped_full_map_oracle(step, init, rho, opts):
     conj = ConjugateParams(0.0, 0.0, 0.0, 0.0)
     for it in range(1, opts.max_iters + 1):
         update, conj = step(params)
-        new = update.as_array()
+        new = np.array(update)
         if not np.isfinite(new).all() or update.q0 > solver.DIVERGENCE_Q0:
             return solver.FixedPoint(params, conj, it, residual, False, "interpolation_divergence", projections)
         delta = new - cur
@@ -476,7 +511,7 @@ def damped_full_map_oracle(step, init, rho, opts):
         prev_sign = sign
         params, moved = project(OrderParams(*(damping * new + (1 - damping) * cur)))
         projections += int(moved)
-        cur = params.as_array()
+        cur = np.array(params)
     return solver.FixedPoint(params, conj, opts.max_iters, residual, False, "max_iters", projections)
 
 

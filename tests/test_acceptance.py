@@ -294,7 +294,7 @@ def test_criterion_6i_spectral_vs_matrix_traces():
         spectral = prior_update_spectral(conj, lam, model)
         ens = sample_feature_ensemble(2, p, d, COEFFS, np.zeros(d), seed=seed)
         oracle = prior_update_matrix_oracle(conj, lam, ens)
-        rel = np.max(np.abs(spectral.as_array() - oracle.as_array()) / np.abs(oracle.as_array()))
+        rel = np.max(np.abs(np.array(spectral) - np.array(oracle)) / np.abs(np.array(oracle)))
         worst = max(worst, float(rel))
         assert rel <= 0.02
     print(f"\n[acceptance 6i] PASS: spectral vs matrix-trace priors within 2% at p=2000 "
@@ -318,7 +318,7 @@ def test_criterion_6ii_hinge_closed_form_vs_generic():
         # boundaries, q1_hat by brute-force 2D panel quadrature
         production = channel_update(params, RHO, 1.0, 1.0, HINGE)
         oracle = hinge_channel_oracle(params, RHO, 1.0, 1.0)
-        gap = float(np.max(np.abs(production.as_array() - oracle.as_array())))
+        gap = float(np.max(np.abs(np.array(production) - np.array(oracle))))
         worst = max(worst, gap)
         assert gap <= 1e-6
     print(f"\n[acceptance 6ii] PASS: hinge channel matches the kinked-panel quadrature channel, q1_hat the "
@@ -379,14 +379,14 @@ def test_criterion_7_invariant_suites():
     cfg = ModelConfig(alpha=1.0, gamma=0.5, rho=RHO, lam=1e-2, K=2, spec=LOGISTIC,
                       spectrum=mp_spectral_model(1.0, 0.5, COEFFS), coeffs=COEFFS)
     ref = solve_fixed_point(cfg, SolveOptions(tol=tol, damping=0.5, max_iters=30000))
-    scale = max(1.0, float(np.max(np.abs(ref.params.as_array()))))
+    scale = max(1.0, float(np.max(np.abs(np.array(ref.params)))))
     for damping in (0.3, 0.8):
         other = solve_fixed_point(cfg, SolveOptions(tol=tol, damping=damping, max_iters=30000))
-        assert np.max(np.abs(other.params.as_array() - ref.params.as_array())) < 10 * tol * scale
+        assert np.max(np.abs(np.array(other.params) - np.array(ref.params))) < 10 * tol * scale
     alt_init = solve_fixed_point(
         cfg, SolveOptions(tol=tol, init=OrderParams(m=0.9, q0=2.0, q1=1.8, v=0.1), max_iters=30000)
     )
-    assert np.max(np.abs(alt_init.params.as_array() - ref.params.as_array())) < 10 * tol * scale
+    assert np.max(np.abs(np.array(alt_init.params) - np.array(ref.params))) < 10 * tol * scale
 
     # decomposition identity, exact in closed form
     for K in (1, 2, 5):

@@ -280,7 +280,7 @@ class TestChannelUpdate:
         params = OrderParams(m=0.2, q0=1.0, q1=0.5, v=1.0)
         for spec in (SQUARE, LOGISTIC, HINGE):
             conj = channel_update(params, 1.0, 0.0, 1.0, spec)
-            np.testing.assert_array_equal(conj.as_array(), 0.0)
+            np.testing.assert_array_equal(np.array(conj), 0.0)
 
     def test_square_closed_form_point(self):
         params = OrderParams(m=0.0, q0=0.0, q1=0.0, v=1.0)
@@ -305,7 +305,7 @@ class TestChannelUpdate:
         params = OrderParams(m=0.3, q0=1.0, q1=0.5, v=1e-12)
         conj = channel_update(params, 1.0, 2.0, 1.0, LOGISTIC)
         assert 0.0 < conj.v_hat < 2.0
-        assert np.all(np.isfinite(conj.as_array()))
+        assert np.all(np.isfinite(np.array(conj)))
 
     def test_logistic_matches_adaptive_quadrature(self):
         # spot check of the default orders against scipy adaptive integration
@@ -330,7 +330,7 @@ class TestChannelUpdate:
         monkeypatch.setattr(channels, "ORDER_1D", 202)
         monkeypatch.setattr(channels, "ORDER_2D", 122)
         fine = channel_update(params, 1.0, 1.0, 1.0, LOGISTIC)
-        assert np.max(np.abs(base.as_array() - fine.as_array())) < 1e-9
+        assert np.max(np.abs(np.array(base) - np.array(fine))) < 1e-9
 
 
 HINGE_POINTS = [
@@ -351,7 +351,7 @@ HINGE_SMALL_RIDGE_POINT = OrderParams(m=1.2235160988967058, q0=2.341858547077117
 class TestHingeClosedForm:
     def test_zero_alpha(self):
         conj = channel_update_hinge_closed_form(HINGE_POINTS[0], 1.0, 0.0)
-        np.testing.assert_array_equal(conj.as_array(), 0.0)
+        np.testing.assert_array_equal(np.array(conj), 0.0)
 
     def test_uninformative_iterate_still_generates_alignment(self):
         # the m_hat integrand is even under the joint (y, omega) flip, so it
@@ -367,7 +367,7 @@ class TestHingeClosedForm:
         rho, alpha = 1.0, 1.0
         closed = channel_update_hinge_closed_form(params, rho, alpha)
         want = oracles.hinge_channel_oracle(params, rho, alpha, 1.0)
-        np.testing.assert_allclose(closed.as_array(), want.as_array(), atol=1e-6)
+        np.testing.assert_allclose(np.array(closed), np.array(want), atol=1e-6)
 
     @pytest.mark.parametrize("gamma", [1.0, 0.3, 2.5])
     def test_channel_update_is_the_closed_form(self, gamma):
@@ -375,7 +375,7 @@ class TestHingeClosedForm:
         params, rho, alpha = HINGE_POINTS[2], 1.2, 0.7
         closed = channel_update_hinge_closed_form(params, rho, alpha)
         conj = channel_update(params, rho, alpha, gamma, HINGE)
-        assert conj.as_array().tolist() == [closed.m_hat / np.sqrt(gamma), closed.q0_hat, closed.q1_hat, closed.v_hat]
+        assert np.array(conj).tolist() == [closed.m_hat / np.sqrt(gamma), closed.q0_hat, closed.q1_hat, closed.v_hat]
 
     def test_small_ridge_point_matches_oracle_on_clipped_panels(self, monkeypatch):
         # the hinge fixed point at lambda 1e-4, p/n = 2 (n/d = 2): v ~ 1e3, so the
@@ -392,7 +392,7 @@ class TestHingeClosedForm:
         monkeypatch.setattr(channels, "_erf_panels", recording)
         conj = channel_update(params, 1.0, alpha, alpha / 2.0, HINGE)
         want = oracles.hinge_channel_oracle(params, 1.0, alpha, alpha / 2.0)
-        np.testing.assert_allclose(conj.as_array(), want.as_array(), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(np.array(conj), np.array(want), rtol=1e-12, atol=0)
         # no more nodes than the +-12 sd grids split at the same kinks: the
         # oracle's grid in omega, and that grid in s = omega + omega'
         q0, q1, v = params.q0, params.q1, params.v
@@ -445,7 +445,7 @@ class TestHingeClosedForm:
     def test_reference_point_tight(self):
         closed = channel_update_hinge_closed_form(HINGE_POINTS[0], 1.0, 1.0)
         want = oracles.hinge_channel_oracle(HINGE_POINTS[0], 1.0, 1.0, 1.0)
-        np.testing.assert_allclose(closed.as_array(), want.as_array(), atol=1e-12)
+        np.testing.assert_allclose(np.array(closed), np.array(want), atol=1e-12)
 
 
 class TestTrainingLoss:

@@ -295,9 +295,9 @@ class TestSimulate:
         assert rows[0][header.index("sim_status")] == "ok"
         assert math.isfinite(float(rows[0][header.index("z_test_error")]))
 
-    @pytest.mark.parametrize("loss,estimator", [("logistic", "majority"), ("square", "avg_sign")])
+    @pytest.mark.parametrize("loss,estimator", [("logistic", "majority")])
     def test_estimator_without_theory_leaves_z_test_error_empty(self, tmp_path, loss, estimator):
-        # the theory test error is the mean MSE or the avg-sign error, never another estimator's
+        # the theory test error is the avg-sign error of a margin loss, never the majority's
         cfg = dict(SIM_CFG, loss=loss, K=[3], grid=[1.5],
                    simulate={"trials": 2, "d": 20, "seed": 3, "test_samples": 200, "estimator": estimator})
         out = tmp_path / "sim.csv"
@@ -431,6 +431,12 @@ class TestSimulate:
         out = tmp_path / "x.csv"
         assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)] + flags) == 2
         assert "2**32" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_flag_past_32_bits_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", write_cfg(tmp_path, SIM_CFG), "--out", str(out), "--seed", str(2**32)]) == 2
+        assert "field '--seed'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_jobs_flag_gives_same_rows(self, tmp_path):
@@ -573,6 +579,12 @@ class TestResolver:
              "'simulate.estimator'"),
             ("simulate", dict(SIM_CFG, loss="logistic", simulate={"trials": 2, "d": 20, "estimator": "mean"}),
              "'simulate.estimator'"),
+            ("simulate", dict(SIM_CFG, simulate={"trials": 2, "d": 20, "estimator": "avg_sign"}),
+             "'simulate.estimator'"),
+            ("simulate", dict(SIM_CFG, simulate={"trials": 2, "d": 20, "estimator": "majority"}),
+             "'simulate.estimator'"),
+            ("simulate", dict(SIM_CFG, simulate={"trials": 2, "d": 20, "seed": 2**32}), "'simulate.seed'"),
+            ("simulate", dict(SIM_CFG, simulate={"trials": 2, "d": 20, "seeds": [0, 2**32]}), "'simulate.seeds'"),
             ("simulate", dict(SIM_CFG, simulate={"trials": 2, "d": 20, "seeds": 5}), "'simulate.seeds'"),
             ("simulate", dict(SIM_CFG, simulate={"trials": 2, "d": 20, "seeds": [1, 2, 3]}), "'simulate.seeds'"),
             ("sweep", dict(SWEEP_CFG, simulate={"trials": -2, "d": 40}), "'simulate.trials'"),
@@ -587,7 +599,9 @@ class TestResolver:
         ],
         ids=["resolution-negative", "resolution-0", "activation-list", "out-9", "out-1", "tol-true",
              "max_iters-negative", "max_iters-0", "trials-negative", "trials-fraction", "d-0", "d-missing",
-             "test_samples-negative", "test_samples-0", "estimator-misspelled", "estimator-mean-margin", "seeds-number",
+             "test_samples-negative", "test_samples-0", "estimator-misspelled", "estimator-mean-margin",
+             "estimator-avg_sign-square", "estimator-majority-square", "seed-past-32-bits", "seeds-past-32-bits",
+             "seeds-number",
              "seeds-wrong-length", "sweep-reads-simulate-values", "seeds-strings", "seed-negative", "alpha-0",
              "alpha-grid-negative", "tol-inf", "rho-inf", "lambda-inf", "grid-inf"],
     )

@@ -356,6 +356,27 @@ class TestRunExperiment:
             run_trial(0, (53, 0), LOGISTIC, COEFFS, n=30, p=20, d=10, K=2, rho=1.0, lam=0.5,
                       estimator="mean", activation=erf, test_samples=100)
 
+    @pytest.mark.parametrize("estimator", ["avg_sign", "majority"])
+    def test_sign_estimator_rejected_for_the_square_loss(self, estimator):
+        # a +-1 prediction of a real-valued teacher was scored by squared error
+        def no_trials(*args):
+            raise AssertionError("ran a trial with a sign estimator under the square loss")
+
+        with pytest.raises(ConfigError, match=f"'{estimator}'.*'square'"):
+            run_experiment(SQUARE, COEFFS, n=30, p=20, d=10, K=3, rho=1.0, lam=0.5, trials=2,
+                           estimator=estimator, activation=erf, test_samples=100, map_fn=no_trials)
+        with pytest.raises(ConfigError, match=f"'{estimator}'.*'square'"):
+            run_trial(0, (53, 0), SQUARE, COEFFS, n=30, p=20, d=10, K=3, rho=1.0, lam=0.5,
+                      estimator=estimator, activation=erf, test_samples=100)
+
+    def test_seed_list_of_another_length_rejected_before_any_trial(self):
+        def no_trials(*args):
+            raise AssertionError("ran a trial before rejecting the seed list")
+
+        with pytest.raises(ConfigError, match="one seed per trial"):
+            run_experiment(SQUARE, COEFFS, n=30, p=20, d=10, K=2, rho=1.0, lam=0.5, trials=2, seeds=[(0, 0)],
+                           activation=erf, test_samples=100, map_fn=no_trials)
+
     @pytest.mark.parametrize("spec", [SQUARE, LOGISTIC], ids=["square", "logistic"])
     def test_default_estimator_is_the_theory_estimator(self, spec):
         kw = dict(n=30, p=20, d=10, K=2, rho=1.0, lam=0.5, trials=2, activation=erf, test_samples=100)
@@ -758,13 +779,31 @@ class TestCertifiedSigns:
     @pytest.mark.parametrize("lam", [1e-2, 1e-4])
     @pytest.mark.parametrize("K", [1, 3, 5])
     @pytest.mark.parametrize("estimator", ["avg_sign", "majority"])
-    @pytest.mark.parametrize("spec", [LOGISTIC, SQUARE], ids=["logistic", "square"])
+    @pytest.mark.parametrize("spec", [LOGISTIC], ids=["logistic"])
     def test_record_equals_exact_route(self, spec, estimator, K, lam, p):
         args = (5, (59, K, p, round(-math.log10(lam))), spec, COEFFS)
         kw = dict(n=80, p=p, d=30, K=K, rho=1.0, lam=lam, estimator=estimator, test_samples=2100)
         rec = run_trial(*args, activation=erf, **kw)
         assert rec.ok, rec.error
         assert _differing_fields(rec, run_trial(*args, activation=_exact_erf, **kw)) == []
+
+    @pytest.mark.parametrize("p", [60, 200, 400])
+    @pytest.mark.parametrize("lam", [1e-2, 1e-4])
+    @pytest.mark.parametrize("K", [1, 3, 5])
+    @pytest.mark.parametrize("estimator", ["avg_sign", "majority"])
+    def test_ridge_weights_get_the_exact_routes_signs(self, estimator, K, lam, p):
+        # a sign estimator runs only under a margin loss, so no trial scores ridge weights by signs;
+        # the certificate does not depend on how the weights were trained, and ridge weights are
+        # scored here against the sign teacher directly
+        seed = (59, K, p, round(-math.log10(lam)))
+        ds, ens, W = _trained_ensemble(seed, n=80, p=p, d=30, K=K, lam=lam)
+        y, scores = erm_lab._sampled_test_scores(seed, ds.theta, "sign", ens, W, 2100, estimator)
+        exact = dataclasses.replace(ens, activation=_exact_erf)
+        y_exact, scores_exact = erm_lab._sampled_test_scores(seed, ds.theta, "sign", exact, W, 2100, estimator)
+        np.testing.assert_array_equal(y, y_exact)
+        positive = SIGN_RULES[estimator]
+        np.testing.assert_array_equal(positive(scores.T), positive(scores_exact.T))
+        np.testing.assert_array_equal(scores >= 0, scores_exact >= 0)
 
     @pytest.mark.parametrize("K", [2, 3])
     @pytest.mark.parametrize("estimator", ["avg_sign", "majority"])

@@ -104,11 +104,16 @@ class TestClosedForms:
         assert out[-1][1] == pytest.approx(0.0, abs=1e-14)
 
 
-class TestCovariance:
-    def test_k1_marginal_matrix(self):
-        c = cov(K=1)
-        np.testing.assert_array_equal(c.matrix(), np.array([[1.0, 0.5], [0.5, 1.0]]))
+def covariance_matrix(c):
+    """The (K+1) x (K+1) covariance of (nu, mu_1..mu_K) that an EnsembleCovariance describes."""
+    sigma = np.empty((c.K + 1, c.K + 1))
+    sigma[0, 0] = c.rho
+    sigma[0, 1:] = sigma[1:, 0] = c.m
+    sigma[1:, 1:] = (c.q0 - c.q1) * np.eye(c.K) + c.q1
+    return sigma
 
+
+class TestCovariance:
     def test_psd_check_raises(self):
         bad = cov(m=0.99, q0=1.0, q1=0.0, K=2)  # q0 + q1 < K m^2 / rho
         with pytest.raises(DomainError):
@@ -118,7 +123,7 @@ class TestCovariance:
         rng = np.random.default_rng(0)
         for _ in range(50):
             c = cov(m=rng.uniform(-1, 1), q0=rng.uniform(0.2, 2), q1=rng.uniform(-0.5, 1.5), K=3)
-            eigs = np.linalg.eigvalsh(c.matrix())
+            eigs = np.linalg.eigvalsh(covariance_matrix(c))
             margins_ok = min(c.psd_margins()) >= -1e-12
             assert margins_ok == bool(eigs.min() >= -1e-10)
 

@@ -164,7 +164,7 @@ class TestBulkGridAgainstQuad:
         conj = ConjugateParams(1.0, 2.0, 1.0, 1e3)
         got = prior_update_spectral(conj, 1e-6, model)
         want = prior_update_quad_oracle(conj, 1e-6, model)
-        np.testing.assert_allclose(got.as_array(), want.as_array(), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(np.array(got), np.array(want), rtol=1e-12, atol=0)
 
 
 class TestSampleFeatureEnsemble:
@@ -223,7 +223,7 @@ class TestMatrixOracle:
         spectral = prior_update_spectral(conj, lam, model)
         ens = sample_feature_ensemble(2, p, d, COEFFS, np.zeros(d), seed=seed)
         oracle = prior_update_matrix_oracle(conj, lam, ens)
-        np.testing.assert_allclose(spectral.as_array(), oracle.as_array(), rtol=0.02)
+        np.testing.assert_allclose(np.array(spectral), np.array(oracle), rtol=0.02)
 
     def test_gap_shrinks_with_p(self):
         gamma = 0.5
@@ -238,7 +238,7 @@ class TestMatrixOracle:
                 lam = 0.2
                 spectral = prior_update_spectral(conj, lam, model)
                 oracle = prior_update_matrix_oracle(conj, lam, sample_feature_ensemble(2, p, d, COEFFS, np.zeros(d), seed=seed))
-                rel.append(np.max(np.abs(spectral.as_array() - oracle.as_array()) / np.abs(spectral.as_array())))
+                rel.append(np.max(np.abs(np.array(spectral) - np.array(oracle)) / np.abs(np.array(spectral))))
             gaps[p] = float(np.median(rel))
         assert gaps[1000] < gaps[500]
         assert gaps[2000] < gaps[1000]
@@ -306,7 +306,7 @@ class TestKernelPrior:
         )
         model = mp_spectral_model(alpha, gamma, COEFFS, bulk_nodes=4001)
         spectral = prior_update_spectral(conj_orig, lam, model)
-        np.testing.assert_allclose(kernel.as_array(), spectral.as_array(), rtol=0.01)
+        np.testing.assert_allclose(np.array(kernel), np.array(spectral), rtol=0.01)
 
 
 class TestKernelRidgeClosedForm:

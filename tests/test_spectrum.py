@@ -52,17 +52,22 @@ class TestActivationCoeffs:
         assert scaled.kappa_star == pytest.approx(2.5 * base.kappa_star, rel=1e-9)
 
 
+def mp_upper_edge(model):
+    """The upper edge of the shifted Marchenko-Pastur bulk, shift + scale^2 (1 + sqrt(1/aspect))^2."""
+    return model.shift + model.scale**2 * (1 + np.sqrt(1.0 / model.aspect)) ** 2
+
+
 class TestMpSpectralModel:
     def test_square_case_support_and_no_atom(self):
         model = mp_spectral_model(1.0, 1.0, ERF_COEFFS)
         assert model.atom_mass == 0.0
         assert model.support_min == pytest.approx(ERF_COEFFS.kappa_star_sq, abs=1e-12)
-        assert model.support_max == pytest.approx(ERF_COEFFS.kappa_star_sq + 4 * ERF_COEFFS.kappa1**2, abs=1e-12)
+        assert mp_upper_edge(model) == pytest.approx(ERF_COEFFS.kappa_star_sq + 4 * ERF_COEFFS.kappa1**2, abs=1e-12)
 
     def test_large_gamma_concentrates(self):
         model = mp_spectral_model(1.0, 1e3, ERF_COEFFS)
         center = ERF_COEFFS.kappa_star_sq + ERF_COEFFS.kappa1**2
-        spread = model.support_max - model.support_min
+        spread = mp_upper_edge(model) - model.support_min
         assert spread < 0.2 * center
         assert spectral_integral(model, lambda s: s) == pytest.approx(center, rel=1e-8)
 
@@ -180,7 +185,7 @@ class TestStackedSpectralIntegral:
 
     def test_non_finite_bulk_row_raises(self):
         model = mp_spectral_model(1.0, 2.0, ERF_COEFFS)
-        mid = 0.5 * (model.support_min + model.support_max)
+        mid = 0.5 * (model.support_min + mp_upper_edge(model))
         g = lambda s: np.array([np.ones_like(s), np.where(s > mid, np.nan, 1.0)])
         with pytest.raises(NumericalError, match="bulk"):
             spectral_integral(model, g)
